@@ -13,10 +13,8 @@ from rhofix import (
     builtin_problems,
     cauchy_modulus,
     check_modular_axioms,
-    compute_alpha,
     delta2_type_estimate,
     exact_doubling_constant,
-    orbit_bound_check,
     picard_solve,
     solve_via_power,
     verify_contraction,
@@ -58,10 +56,6 @@ def main() -> None:
     print(f"contraction at c = {prob.c}: {'ok' if ver.passed else 'VIOLATED'} "
           f"(max ratio {ver.max_ratio:.6g})")
 
-    orbit = orbit_bound_check(T, m, prob.x0, 40)
-    print(f"orbit bound: sup rho(2 T^n x0) = {orbit.sup:.6g} "
-          f"(stabilized: {orbit.stabilized})")
-
     tr = picard_solve(T, m, prob.x0, args.tol, 10_000)
     print(f"picard: converged={tr.converged} at n={tr.iterations}, "
           f"fixed point {tr.fixed_point}")
@@ -70,9 +64,11 @@ def main() -> None:
     print(f"power path: composite T^{tr_pow.power}, n={tr_pow.iterations}, "
           f"rho-gap to picard {gap:.3g}")
 
-    alpha = compute_alpha(m, T, prob.x0, prob.c, args.chain)
-    cert = build_chain(m, T, prob.x0, prob.c, alpha, args.chain)
-    print(f"chain certificate: alpha={alpha:.9g}, all_pass={cert.all_pass} "
+    # one orbit gives the admissible alpha, the orbit bound and the chain
+    cert = build_chain(m, T, prob.x0, prob.c, None, args.chain)
+    print(f"orbit bound: sup rho(2 T^n x0) = {cert.orbit_sup:.6g} "
+          f"(stabilized: {cert.orbit_stabilized})")
+    print(f"chain certificate: alpha={cert.alpha:.9g}, all_pass={cert.all_pass} "
           f"(pair {cert.pair_check:.3g}, max {cert.max_check:.3g})")
     print("cauchy modulus:")
     for eps, n in cauchy_modulus(cert):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnboundedOrbitError
-from .modular import ModularLike, as_point, modular_dim, modular_fn, slack_tol
+from .modular import INF, ModularLike, as_point, slack_tol
 from .solver import MapSpec
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
     "EPS_GRID",
     "ChainCertificate",
     "SlackCheck",
+    "OrbitBound",
+    "orbit_bound_check",
     "compute_alpha",
     "build_chain",
     "verify_order_pairs",
@@ -48,9 +50,6 @@ ALPHA_MARGIN = 1e-6
 # tolerance rows of the Cauchy-modulus table
 EPS_GRID = tuple(10.0**-j for j in range(1, 9))
 
-VACUOUS = math.inf
-
-
 @dataclass
 class ChainCertificate:
     """The chain (T^n omega, c**n alpha) with its verification results.
@@ -58,7 +57,9 @@ class ChainCertificate:
     `pair_check` is the worst slack (alpha_p - alpha_q) - rho(x_p - x_q)
     over pairs p < q; `max_check` the worst slack of the maximum-element
     inequality rho(x_n - limit) <= alpha_n. `all_pass` holds when both
-    worst slacks clear -eps_num.
+    worst slacks clear -eps_num. `orbit_sup` and `orbit_stabilized` are the
+    orbit-boundedness figure of `orbit_bound_check`, taken from the same
+    orbit the chain is built on.
     """
 
     omega: np.ndarray
@@ -71,6 +72,8 @@ class ChainCertificate:
     all_pass: bool = False
     worst_pair: tuple[int, int] | None = None
     worst_node: int | None = None
+    orbit_sup: float = math.nan
+    orbit_stabilized: bool = False
 
     @property
     def length(self) -> int:
@@ -79,21 +82,64 @@ class ChainCertificate:
     def alphas(self) -> np.ndarray:
         return np.array([a for _, a in self.nodes])
 
+    def points(self) -> np.ndarray:
+        return np.array([x for x, _ in self.nodes])
+
 
 class SlackCheck(NamedTuple):
     worst_slack: float
     index: object  # pair (p, q) or node index; None when vacuous
 
 
-def _orbit(T: MapSpec, omega: np.ndarray, N: int) -> list[np.ndarray]:
-    xs = [omega]
-    x = omega
-    for n in range(1, N + 1):
-        x = T.apply(x)
-        if not np.all(np.isfinite(x)):
+class OrbitBound(NamedTuple):
+    sup: float
+    stabilized: bool
+
+
+def _orbit(T: MapSpec, omega: np.ndarray, steps: int) -> np.ndarray:
+    """Rows omega, T omega, ..., T^steps omega."""
+    xs = np.empty((steps + 1, omega.size))
+    xs[0] = omega
+    for n in range(1, steps + 1):
+        xs[n] = T.apply(xs[n - 1])
+        if not np.all(np.isfinite(xs[n])):
             raise UnboundedOrbitError(f"orbit left the space at step {n}")
-        xs.append(x)
     return xs
+
+
+def _admissible_alpha(m: ModularLike, xs: np.ndarray, c: float, N: int) -> float:
+    r = m.evaluate_batch(xs[0] - xs[1 : N + 1])
+    if np.any(np.isinf(r)):
+        n = int(np.argmax(np.isinf(r))) + 1
+        raise UnboundedOrbitError(f"rho(omega - T^{n} omega) is infinite")
+    levels = r / (1.0 - np.array([c**n for n in range(1, N + 1)]))
+    return (1.0 + ALPHA_MARGIN) * float(np.max(levels))
+
+
+def _orbit_bound(m: ModularLike, xs: np.ndarray) -> OrbitBound:
+    vals = m.evaluate_batch(2.0 * xs[1:])
+    sup = float(np.max(vals))
+    if math.isinf(sup):
+        return OrbitBound(INF, False)
+    # N >= 2 values; the first floor(N/2) precede the last ceil(N/2) steps
+    return OrbitBound(sup, sup <= 1.01 * float(np.max(vals[: len(vals) // 2])))
+
+
+def orbit_bound_check(T: MapSpec, m: ModularLike, omega, N: int) -> OrbitBound:
+    """Max of rho(2 T^n omega) for n = 1..N: the orbit-boundedness figure.
+
+    `stabilized` is True when the running max did not grow by more than 1%
+    over the last ceil(N/2) steps (the same convention as the doubling
+    estimate; a monotone orbit converging to its bound keeps inching up
+    forever, so exact equality would never hold). Overflow returns
+    (+inf, False).
+    """
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    try:
+        return _orbit_bound(m, _orbit(T, as_point(omega, m.dim), N))
+    except UnboundedOrbitError:
+        return OrbitBound(INF, False)
 
 
 def compute_alpha(m: ModularLike, T: MapSpec, omega, c: float, N: int) -> float:
@@ -109,46 +155,45 @@ def compute_alpha(m: ModularLike, T: MapSpec, omega, c: float, N: int) -> float:
         raise ValueError("c must lie in [0, 1)")
     if N < 1:
         raise ValueError("N must be >= 1")
-    rho = modular_fn(m)
-    x0 = as_point(omega, modular_dim(m))
-    best = 0.0
-    for n, xn in enumerate(_orbit(T, x0, N)[1:], start=1):
-        r = rho(x0 - xn)
-        if math.isinf(r):
-            raise UnboundedOrbitError(f"rho(omega - T^{n} omega) is infinite")
-        best = max(best, r / (1.0 - c**n))
-    return (1.0 + ALPHA_MARGIN) * best
+    return _admissible_alpha(m, _orbit(T, as_point(omega, m.dim), N), c, N)
 
 
 def build_chain(
-    m: ModularLike, T: MapSpec, omega, c: float, alpha: float, N: int, *, max_tol: float = 0.0
+    m: ModularLike, T: MapSpec, omega, c: float, alpha: float | None, N: int, *, max_tol: float = 0.0
 ) -> ChainCertificate:
     """Materialize the chain of length N and verify its order inequalities.
 
-    The final iterate T^N omega stands in for the maximum element at level
-    0. N = 0 gives a singleton chain that passes vacuously.
+    The orbit is computed once, max(2, N) steps long; an orbit that leaves
+    the space within those steps raises UnboundedOrbitError. With `alpha`
+    None the level is `compute_alpha` over max(1, N) steps, and the
+    certificate records `orbit_bound_check` over max(2, N) steps, both
+    read off that orbit. The final iterate T^N omega stands in for the
+    maximum element at level 0. N = 0 gives a singleton chain that passes
+    vacuously.
     """
-    if not alpha >= 0.0:
+    if alpha is not None and not alpha >= 0.0:
         raise ValueError("alpha must be >= 0")
     if not 0.0 <= c < 1.0:
         raise ValueError("c must lie in [0, 1)")
     if N < 0:
         raise ValueError("N must be >= 0")
-    x0 = as_point(omega, modular_dim(m))
-    xs = _orbit(T, x0, N)
-    nodes = [(xn, c**n * alpha) for n, xn in enumerate(xs)]
+    x0 = as_point(omega, m.dim)
+    xs = _orbit(T, x0, max(2, N))
+    if alpha is None:
+        alpha = _admissible_alpha(m, xs, c, max(1, N))
     cert = ChainCertificate(
         omega=x0,
         c=float(c),
         alpha=float(alpha),
-        nodes=nodes,
-        limit_candidate=xs[-1].copy(),
+        nodes=[(xs[n], c**n * alpha) for n in range(N + 1)],
+        limit_candidate=xs[N].copy(),
     )
+    cert.orbit_sup, cert.orbit_stabilized = _orbit_bound(m, xs)
     pair = verify_order_pairs(cert, m)
     mx = verify_maximum_element(cert, m, max_tol)
     cert.pair_check, cert.worst_pair = pair.worst_slack, pair.index
     cert.max_check, cert.worst_node = mx.worst_slack, mx.index
-    thr = slack_tol(alpha, 1.0)
+    thr = slack_tol(cert.alpha, 1.0)
     cert.all_pass = cert.pair_check >= -thr and cert.max_check >= -thr
     return cert
 
@@ -159,24 +204,22 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
     A worst slack >= -eps_num certifies the chain is totally ordered by
     "rho(x - y) <= alpha - beta" (equivalently the |alpha - beta| membership
     bound, since the levels decrease). Singleton chains are vacuous and
-    report +inf.
+    report +inf. Each q costs one batch evaluation over the rows p < q; the
+    full pair block is never built, so memory stays O(N d).
     """
-    rho = modular_fn(m)
-    worst, where = VACUOUS, None
-    for q in range(1, len(cert.nodes)):
-        xq, aq = cert.nodes[q]
-        for p in range(q):
-            xp, ap = cert.nodes[p]
-            slack = (ap - aq) - rho(xp - xq)
-            if slack < worst:
-                worst, where = slack, (p, q)
+    xs, alphas = cert.points(), cert.alphas()
+    worst, where = INF, None
+    for q in range(1, len(xs)):
+        slacks = (alphas[:q] - alphas[q]) - m.evaluate_batch(xs[:q] - xs[q])
+        p = int(np.argmin(slacks))
+        if slacks[p] < worst:
+            worst, where = float(slacks[p]), (p, q)
     return SlackCheck(worst, where)
 
 
 def node_slacks(cert: ChainCertificate, m: ModularLike, tol: float = 0.0) -> np.ndarray:
     """Per-node slacks (alpha_n + tol) - rho(x_n - limit_candidate)."""
-    rho = modular_fn(m)
-    return np.array([(a + tol) - rho(x - cert.limit_candidate) for x, a in cert.nodes])
+    return (cert.alphas() + tol) - m.evaluate_batch(cert.points() - cert.limit_candidate)
 
 
 def verify_maximum_element(cert: ChainCertificate, m: ModularLike, tol: float = 0.0) -> SlackCheck:

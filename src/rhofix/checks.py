@@ -26,9 +26,6 @@ from .modular import (
     NamedFunctional,
     Phi,
     as_point,
-    modular_batch_fn,
-    modular_dim,
-    modular_fn,
     slack_tol,
 )
 
@@ -101,9 +98,6 @@ class PointSampler:
     def units(self, n: int) -> np.ndarray:
         return self.rng.uniform(size=n)
 
-    def unit(self) -> float:
-        return float(self.rng.uniform())
-
 
 @dataclass
 class Violation:
@@ -159,11 +153,9 @@ class AxiomReport:
 
 
 def _resolve(m: ModularLike, sampler: PointSampler):
-    rho = modular_batch_fn(m)
-    dim = modular_dim(m, sampler.dim)
-    if dim != sampler.dim:
-        raise DimensionMismatch(f"sampler dim {sampler.dim} does not match modular dim {dim}")
-    return rho, dim
+    if m.dim != sampler.dim:
+        raise DimensionMismatch(f"sampler dim {sampler.dim} does not match modular dim {m.dim}")
+    return m.evaluate_batch, m.dim
 
 
 def _ineq_violations(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -320,9 +312,8 @@ def check_fatou_sampled(
         raise ValueError("ratio must lie in (0, 1)")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rho = modular_batch_fn(m)
-    dim = modular_dim(m, sampler.dim if sampler else None)
-    xa = as_point(x, dim)
+    rho = m.evaluate_batch
+    xa = as_point(x, m.dim)
     ya = as_point(y, xa.size)
     if directions is None:
         if sampler is None:
@@ -336,7 +327,7 @@ def check_fatou_sampled(
             directions.append((v + aligned, v))
 
     gap = xa - ya
-    lhs = float(modular_fn(m)(gap))
+    lhs = m.evaluate(gap)
     rep = AxiomReport(trials=len(directions))
     powers = ratio ** np.arange(1, steps + 1)
     tail = math.ceil(steps / 2)

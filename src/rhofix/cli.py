@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import build_chain, cauchy_modulus, compute_alpha
+from .chain import build_chain, cauchy_modulus
 from .checks import (
     PointSampler,
     check_fatou_sampled,
@@ -42,7 +42,7 @@ from .output import (
     write_json,
     write_trace,
 )
-from .solver import orbit_bound_check, picard_solve, solve_via_power, verify_contraction
+from .solver import picard_solve, solve_via_power, verify_contraction, verify_s_contraction
 
 __all__ = ["main", "console", "run_check", "run_solve", "run_certificate"]
 
@@ -79,7 +79,9 @@ def _say(quiet: bool, msg: str) -> None:
 
 
 def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
-    """Claimed factor if present, else the empirical max ratio (auto-fill)."""
+    """Claimed factor if present, else the empirical max ratio (auto-fill).
+    With `map.s` set, c belongs to the scaled form, whose verdict is returned
+    as a summary entry (None without `s`)."""
     T = cfg.map
     claimed = T.c if T.s is None else None
     probe_c = claimed if claimed is not None else 1.0 - 1e-12
@@ -89,7 +91,15 @@ def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
         _say(quiet, f"warning: claimed factor c = {claimed} violated "
                     f"(max observed ratio {c_emp:.6g})")
     c_eff = claimed if claimed is not None and report.passed else c_emp
-    return c_eff, c_emp, report
+    scaled = None
+    if T.s is not None:
+        rep_s = verify_s_contraction(T, cfg.space, T.c, T.k, T.s, sampler, VERIFY_TRIALS)
+        scaled = {"c": T.c, "k": T.k, "s": T.s, "passed": rep_s.passed,
+                  "max_ratio": None if math.isnan(rep_s.max_ratio) else rep_s.max_ratio,
+                  "n_violations": len(rep_s.violations)}
+        if not rep_s.passed:
+            _say(quiet, f"warning: scaled form (c, k, s) = ({T.c}, {T.k}, {T.s}) violated")
+    return c_eff, c_emp, report, scaled
 
 
 def run_check(cfg: ProblemConfig, quiet: bool = False) -> int:
@@ -142,7 +152,7 @@ def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     sampler = PointSampler(cfg.dim, cfg.seed)
-    c_eff, c_emp, report = _effective_c(cfg, sampler, quiet)
+    c_eff, c_emp, report, scaled = _effective_c(cfg, sampler, quiet)
 
     k = exact_doubling_constant(cfg.space)
     if k is None:
@@ -159,7 +169,8 @@ def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
         and c_eff * k >= 0.5
     )
     extra = {
-        "c_claimed": cfg.map.c,
+        "c_claimed": cfg.map.c if cfg.map.s is None else None,
+        "scaled_form": scaled,
         "c_effective": None if math.isnan(c_eff) else c_eff,
         "c_empirical": None if math.isnan(c_emp) else c_emp,
         "contraction_violations": len(report.violations),
@@ -198,18 +209,13 @@ def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     sampler = PointSampler(cfg.dim, cfg.seed)
-    c_eff, c_emp, _ = _effective_c(cfg, sampler, quiet)
+    c_eff, c_emp, _, scaled = _effective_c(cfg, sampler, quiet)
     if math.isnan(c_eff) or not 0.0 <= c_eff < 1.0:
         _say(quiet, f"certificate: no contraction factor below 1 (empirical {c_emp:.6g})")
         return EXIT_MATH
 
     try:
-        orbit = orbit_bound_check(cfg.map, cfg.space, cfg.initial_point, max(2, cfg.chain_n))
-        if cfg.chain_alpha is not None:
-            alpha = cfg.chain_alpha
-        else:
-            alpha = compute_alpha(cfg.space, cfg.map, cfg.initial_point, c_eff, max(1, cfg.chain_n))
-        cert = build_chain(cfg.space, cfg.map, cfg.initial_point, c_eff, alpha, cfg.chain_n)
+        cert = build_chain(cfg.space, cfg.map, cfg.initial_point, c_eff, cfg.chain_alpha, cfg.chain_n)
     except UnboundedOrbitError as exc:
         write_json(out / "certificate_summary.json", {"error": str(exc), "all_pass": False})
         _say(quiet, f"certificate: unbounded orbit ({exc})")
@@ -225,8 +231,9 @@ def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
         "all_pass": cert.all_pass,
         "worst_pair": cert.worst_pair,
         "worst_node": cert.worst_node,
-        "orbit_sup": orbit.sup,
-        "orbit_stabilized": orbit.stabilized,
+        "orbit_sup": cert.orbit_sup,
+        "orbit_stabilized": cert.orbit_stabilized,
+        "scaled_form": scaled,
         "limit_candidate": cert.limit_candidate.tolist(),
         "cauchy_modulus": [[eps, n] for eps, n in cauchy_modulus(cert)],
         "seed": cfg.seed,

@@ -26,6 +26,7 @@ Anything malformed raises ConfigError naming the offending key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,7 @@ import yaml
 from .checks import INVALID_FUNCTIONALS
 from .errors import ConfigError
 from .modular import Family, ModularLike, ModularSpec, Phi
-from .solver import MapKind, MapSpec
+from .solver import MapKind, MapSpec, _check_scaled
 
 __all__ = ["ProblemConfig", "load_config"]
 
@@ -82,9 +83,12 @@ def _get(tree: dict, key: str, path: str, required: bool = False, default=None):
 
 def _as_float(value, path: str) -> float:
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(path, f"expected a number, got {value!r}") from None
+        out = math.nan
+    if not math.isfinite(out):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return out
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
@@ -118,6 +122,8 @@ def _subtree(tree: dict, key: str) -> dict:
 
 def _load_space(tree: dict, dim: int) -> ModularLike:
     family = _get(tree, "family", "space", required=True)
+    if not isinstance(family, str):
+        raise ConfigError("space.family", f"expected a family name, got {family!r}")
     if family in INVALID_FUNCTIONALS:
         fn, _ = INVALID_FUNCTIONALS[family]
         if dim != fn.dim:
@@ -128,29 +134,33 @@ def _load_space(tree: dict, dim: int) -> ModularLike:
     except ValueError:
         raise ConfigError("space.family", f"unknown family {family!r}") from None
 
-    if fam is Family.PPOWER:
-        p = _as_float(_get(tree, "p", "space", required=True), "space.p")
-        return ModularSpec.p_power(p, dim)
-    if fam is Family.WEIGHTED_SUM:
-        p = _as_float(_get(tree, "p", "space", required=True), "space.p")
-        w = _as_vector(_get(tree, "weights", "space", required=True), "space.weights")
-        if w.size != dim:
-            raise ConfigError("space.weights", f"expected {dim} weights, got {w.size}")
-        if not np.all(w > 0):
-            raise ConfigError("space.weights", "weights must all be > 0")
-        return ModularSpec.weighted_sum(p, w)
-    phi_name = _get(tree, "phi", "space", required=True)
     try:
-        phi = Phi(phi_name)
-    except ValueError:
-        raise ConfigError("space.phi", f"unknown integrand {phi_name!r}") from None
-    nodes = _as_int(_get(tree, "quadrature_nodes", "space", default=dim), "space.quadrature_nodes", 1)
-    if nodes != dim:
-        raise ConfigError("space.quadrature_nodes", f"must match the point dimension {dim}")
-    p = _get(tree, "p", "space")
-    if phi is Phi.POWER and p is None:
-        raise ConfigError("space.p", "the power integrand requires an exponent")
-    return ModularSpec.orlicz(phi, nodes, p=None if p is None else _as_float(p, "space.p"))
+        if fam is Family.PPOWER:
+            p = _as_float(_get(tree, "p", "space", required=True), "space.p")
+            return ModularSpec.p_power(p, dim)
+        if fam is Family.WEIGHTED_SUM:
+            p = _as_float(_get(tree, "p", "space", required=True), "space.p")
+            w = _as_vector(_get(tree, "weights", "space", required=True), "space.weights")
+            if w.size != dim:
+                raise ConfigError("space.weights", f"expected {dim} weights, got {w.size}")
+            return ModularSpec.weighted_sum(p, w)
+        phi_name = _get(tree, "phi", "space", required=True)
+        try:
+            phi = Phi(phi_name)
+        except ValueError:
+            raise ConfigError("space.phi", f"unknown integrand {phi_name!r}") from None
+        nodes = _as_int(_get(tree, "quadrature_nodes", "space", default=dim),
+                        "space.quadrature_nodes", 1)
+        if nodes != dim:
+            raise ConfigError("space.quadrature_nodes", f"must match the point dimension {dim}")
+        p = _get(tree, "p", "space")
+        if phi is Phi.POWER and p is None:
+            raise ConfigError("space.p", "the power integrand requires an exponent")
+        return ModularSpec.orlicz(phi, nodes, p=None if p is None else _as_float(p, "space.p"))
+    except ConfigError:
+        raise
+    except ValueError as exc:  # factory-level validation
+        raise ConfigError("space", str(exc)) from None
 
 
 def _load_map(tree: dict, dim: int) -> MapSpec | None:
@@ -171,6 +181,8 @@ def _load_map(tree: dict, dim: int) -> MapSpec | None:
     claimed = None if s is not None else c  # with s set, (c, k, s) is the scaled form
 
     try:
+        if s is not None:
+            _check_scaled(c, k, s)
         if kind is MapKind.AFFINE:
             matrix = _get(tree, "matrix", "map", required=True)
             offset = _get(tree, "offset", "map", required=True)

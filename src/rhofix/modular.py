@@ -38,9 +38,6 @@ __all__ = [
     "ModularSpec",
     "NamedFunctional",
     "ModularLike",
-    "modular_fn",
-    "modular_batch_fn",
-    "modular_dim",
     "f_norm",
 ]
 
@@ -157,24 +154,14 @@ class ModularSpec:
         """rho(x) per the family formula; exactly 0 at the zero vector.
 
         Overflow (and any non-finite magnitude fed in by a caller that
-        tracks divergence itself) propagates to +inf.
+        tracks divergence itself) propagates to +inf. The formula lives in
+        `evaluate_batch` alone, so a point and a one-row batch agree bit
+        for bit.
         """
-        a = np.asarray(x, dtype=float)
-        if a.ndim == 0:
-            a = a.reshape(1)
+        a = np.atleast_1d(np.asarray(x, dtype=float))
         if a.ndim != 1 or a.size != self.dim:
             raise DimensionMismatch(f"expected a point of dim {self.dim}, got shape {a.shape}")
-        u = np.abs(a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.family is Family.PPOWER:
-                total = float(np.sum(u**self.p))
-            elif self.family is Family.WEIGHTED_SUM:
-                total = float(np.sum(self._w * u**self.p))
-            else:
-                total = float(np.sum(self._phi_values(u))) / self.quadrature_nodes
-        if math.isnan(total):
-            return INF
-        return total
+        return float(self.evaluate_batch(a[None])[0])
 
     def evaluate_batch(self, X) -> np.ndarray:
         """rho of every row of an (n, dim) array, with overflow to +inf."""
@@ -198,9 +185,6 @@ class ModularSpec:
             return np.expm1(u)
         return u * np.log1p(u)
 
-    def __call__(self, x) -> float:
-        return self.evaluate(x)
-
 
 @dataclass(frozen=True)
 class NamedFunctional:
@@ -215,42 +199,20 @@ class NamedFunctional:
     dim: int
 
     def evaluate(self, x) -> float:
-        a = np.asarray(x, dtype=float)
-        if a.ndim == 0:
-            a = a.reshape(1)
+        a = np.atleast_1d(np.asarray(x, dtype=float))
         if a.size != self.dim:
             raise DimensionMismatch(f"expected a point of dim {self.dim}, got dim {a.size}")
         return float(self.fn(a))
 
-    def __call__(self, x) -> float:
-        return self.evaluate(x)
+    def evaluate_batch(self, X) -> np.ndarray:
+        """rho of every row of an (n, dim) array, by a plain row loop."""
+        A = np.asarray(X, dtype=float)
+        if A.ndim != 2 or A.shape[1] != self.dim:
+            raise DimensionMismatch(f"expected an (n, {self.dim}) batch, got shape {A.shape}")
+        return np.array([self.evaluate(row) for row in A], dtype=float)
 
 
-ModularLike = Union[ModularSpec, NamedFunctional, Callable[[np.ndarray], float]]
-
-
-def modular_fn(m: ModularLike) -> Callable[[np.ndarray], float]:
-    """Normalize a modular-like object to a plain rho callable."""
-    ev = getattr(m, "evaluate", None)
-    if ev is not None:
-        return ev
-    if callable(m):
-        return lambda x: float(m(np.asarray(x, dtype=float)))
-    raise TypeError(f"not a modular: {m!r}")
-
-
-def modular_batch_fn(m: ModularLike) -> Callable[[np.ndarray], np.ndarray]:
-    """Row-wise rho over an (n, dim) array; vectorized where the family
-    supports it, a plain row loop otherwise."""
-    batch = getattr(m, "evaluate_batch", None)
-    if batch is not None:
-        return batch
-    rho = modular_fn(m)
-    return lambda X: np.array([rho(row) for row in np.asarray(X, dtype=float)])
-
-
-def modular_dim(m: ModularLike, default: int | None = None) -> int | None:
-    return getattr(m, "dim", default)
+ModularLike = Union[ModularSpec, NamedFunctional]
 
 
 def f_norm(
@@ -272,8 +234,8 @@ def f_norm(
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    rho = modular_fn(m)
-    a = as_point(x, modular_dim(m))
+    rho = m.evaluate
+    a = as_point(x, m.dim)
     if not np.any(a):
         return 0.0
 

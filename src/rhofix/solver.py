@@ -17,17 +17,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
-
 import numpy as np
 
-from .checks import AxiomReport, PointSampler, delta2_type_estimate, exact_doubling_constant
+from .checks import (
+    AxiomReport,
+    PointSampler,
+    _ineq_violations,
+    delta2_type_estimate,
+    exact_doubling_constant,
+)
 from .errors import (
     DimensionMismatch,
     DivergenceError,
     InconsistentContractionError,
 )
-from .modular import INF, ModularLike, as_point, modular_dim, modular_fn, slack_tol
+from .modular import INF, ModularLike, as_point
 
 __all__ = [
     "MapKind",
@@ -36,8 +40,6 @@ __all__ = [
     "IterationTrace",
     "verify_contraction",
     "verify_s_contraction",
-    "OrbitBound",
-    "orbit_bound_check",
     "picard_solve",
     "power_index",
     "solve_via_power",
@@ -127,6 +129,12 @@ class MapSpec:
                 )
             return np.broadcast_to(self.value, x.shape).astype(float)
 
+    def apply_power(self, x: np.ndarray, n: int) -> np.ndarray:
+        """The composite T^n, by n-fold application, to a point or a batch."""
+        for _ in range(n):
+            x = self.apply(x)
+        return x
+
 
 def _check_c(c: float | None) -> float | None:
     if c is None:
@@ -161,11 +169,50 @@ class IterationTrace:
         return self.steps[-1].n if self.steps else 0
 
 
-def _map_dim(T: MapSpec, m: ModularLike, x0) -> int | None:
-    dims = {d for d in (T.dim, modular_dim(m), np.atleast_1d(np.asarray(x0)).size) if d is not None}
+def _map_dim(T: MapSpec, m: ModularLike, x0) -> int:
+    dims = {d for d in (T.dim, m.dim, np.atleast_1d(np.asarray(x0)).size) if d is not None}
     if len(dims) > 1:
         raise DimensionMismatch(f"map/modular/point dimensions disagree: {sorted(dims)}")
-    return dims.pop() if dims else None
+    return dims.pop()
+
+
+def _check_scaled(c: float | None, k: float | None, s: float) -> None:
+    """Preconditions of the scaled form rho(c (Tx - Ty)) <= k**s rho(x - y)."""
+    if c is None or k is None or not (k >= 0.0 and c > max(1.0, k)):
+        raise ValueError(f"requires c > max(1, k) and k >= 0; got c = {c}, k = {k}")
+    if not 0.0 < s <= 1.0:
+        raise ValueError("s must lie in (0, 1]")
+
+
+def _ratio_check(
+    T: MapSpec, m: ModularLike, scale: float, factor: float,
+    sampler: PointSampler, trials: int, axiom: str, scalars: tuple,
+) -> AxiomReport:
+    """Sampled check of rho(scale (Tx - Ty)) <= factor rho(x - y).
+
+    The rows are every canonical basis vector against the origin, then
+    `trials` sampled pairs: all x are drawn as one batch, then all y. Each
+    side is mapped by one `T.apply` call and every modular is one batch
+    evaluation. The report carries the largest observed ratio
+    rho(scale (Tx - Ty)) / rho(x - y).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    dim = _map_dim(T, m, np.zeros(sampler.dim))
+    rho = m.evaluate_batch
+    X = np.vstack((np.eye(dim), sampler.points(trials)))
+    Y = np.vstack((np.zeros((dim, dim)), sampler.points(trials)))
+    d = rho(X - Y)
+    lhs = rho(scale * (T.apply(X) - T.apply(Y)))
+    with np.errstate(invalid="ignore"):  # 0 * inf: a zero factor bounds an infinite gap by 0
+        rhs = np.where(np.isinf(d), INF if factor > 0.0 else 0.0, factor * d)
+    rep = AxiomReport(trials=trials)
+    for i in _ineq_violations(lhs, rhs):
+        rep.record(axiom, (X[i], Y[i]), scalars, lhs[i], rhs[i])
+    ok = (d > 0.0) & (d < INF) & ~np.isinf(lhs)
+    if np.any(ok):
+        rep.max_ratio = float(np.max(lhs[ok] / d[ok]))
+    return rep
 
 
 def verify_contraction(
@@ -181,34 +228,7 @@ def verify_contraction(
     """
     if not 0.0 <= c < 1.0:
         raise ValueError("c must lie in [0, 1)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rho, dim = modular_fn(m), sampler.dim
-    _map_dim(T, m, np.zeros(sampler.dim))
-    rep = AxiomReport(trials=trials)
-
-    def probe(x: np.ndarray, y: np.ndarray) -> None:
-        d = rho(x - y)
-        lhs = rho(T.apply(x) - T.apply(y))
-        if math.isinf(d):
-            rhs = INF if c > 0.0 else 0.0
-        else:
-            rhs = c * d
-        if lhs > rhs + slack_tol(lhs, rhs):
-            rep.record("contraction", (x, y), (c,), lhs, rhs)
-        if 0.0 < d < INF and not math.isinf(lhs):
-            ratio = lhs / d
-            if math.isnan(rep.max_ratio) or ratio > rep.max_ratio:
-                rep.max_ratio = ratio
-
-    zero = np.zeros(dim)
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        probe(e, zero)
-    for _ in range(trials):
-        probe(sampler.point(), sampler.point())
-    return rep
+    return _ratio_check(T, m, 1.0, c, sampler, trials, "contraction", (c,))
 
 
 def verify_s_contraction(
@@ -220,65 +240,10 @@ def verify_s_contraction(
     sampler: PointSampler,
     trials: int,
 ) -> AxiomReport:
-    """Sampled check of the scaled form rho(c (Tx - Ty)) <= k**s rho(x - y)."""
-    if not c > max(1.0, k):
-        raise ValueError(f"requires c > max(1, k); got c = {c}, k = {k}")
-    if not 0.0 < s <= 1.0:
-        raise ValueError("s must lie in (0, 1]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rho = modular_fn(m)
-    _map_dim(T, m, np.zeros(sampler.dim))
-    ks = k**s
-    rep = AxiomReport(trials=trials)
-    for _ in range(trials):
-        x = sampler.point()
-        y = sampler.point()
-        d = rho(x - y)
-        lhs = rho(c * (T.apply(x) - T.apply(y)))
-        rhs = ks * d if not math.isinf(d) else (INF if ks > 0 else 0.0)
-        if lhs > rhs + slack_tol(lhs, rhs):
-            rep.record("s_contraction", (x, y), (c, k, s), lhs, rhs)
-        if 0.0 < d < INF and not math.isinf(lhs):
-            ratio = lhs / d
-            if math.isnan(rep.max_ratio) or ratio > rep.max_ratio:
-                rep.max_ratio = ratio
-    return rep
-
-
-class OrbitBound(NamedTuple):
-    sup: float
-    stabilized: bool
-
-
-def orbit_bound_check(T: MapSpec, m: ModularLike, omega, N: int) -> OrbitBound:
-    """Max of rho(2 T^n omega) for n = 1..N: the orbit-boundedness figure.
-
-    `stabilized` is True when the running max did not grow by more than 1%
-    over the last ceil(N/2) steps (the same convention as the doubling
-    estimate; a monotone orbit converging to its bound keeps inching up
-    forever, so exact equality would never hold). Overflow returns
-    (+inf, False).
-    """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    rho = modular_fn(m)
-    x = as_point(omega, _map_dim(T, m, omega))
-    vals: list[float] = []
-    with np.errstate(over="ignore"):
-        for _ in range(N):
-            x = T.apply(x)
-            if not np.all(np.isfinite(x)):
-                return OrbitBound(INF, False)
-            vals.append(rho(2.0 * x))
-    sup = max(vals)
-    if math.isinf(sup):
-        return OrbitBound(INF, False)
-    early = vals[: N - math.ceil(N / 2)]
-    early_max = max(early) if early else 0.0
-    if early_max == 0.0:
-        return OrbitBound(sup, sup == 0.0)
-    return OrbitBound(sup, sup <= 1.01 * early_max)
+    """Sampled check of the scaled form rho(c (Tx - Ty)) <= k**s rho(x - y):
+    the contraction check applied to c T with factor k**s."""
+    _check_scaled(c, k, s)
+    return _ratio_check(T, m, c, k**s, sampler, trials, "s_contraction", (c, k, s))
 
 
 def _run_picard(
@@ -288,41 +253,27 @@ def _run_picard(
         raise ValueError("tol must be > 0")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    rho = modular_fn(m)
-    x = as_point(x0, _map_dim(T, m, x0))
-
-    def step(z: np.ndarray) -> np.ndarray:
-        for _ in range(power):
-            z = T.apply(z)
-        return z
-
-    def finite(z: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(z)))
-
+    rho = m.evaluate_batch
+    x = prev = as_point(x0, _map_dim(T, m, x0))
     trace = IterationTrace(power=power)
     with np.errstate(over="ignore", invalid="ignore"):
-        fx = step(x)
-        res0 = rho(fx - x) if finite(fx) else INF
-        trace.steps.append(TraceStep(0, x.copy(), math.nan, res0, rho(2.0 * x)))
-        if max_iter == 0:
-            return trace
-        if not finite(fx):
-            raise DivergenceError("non-finite iterate at step 1", trace=trace)
-
-        for n in range(1, max_iter + 1):
-            x_new = fx
-            fx_new = step(x_new)
-            ok = finite(fx_new)
-            step_mod = rho(x_new - x)
-            residual = rho(fx_new - x_new) if ok else INF
-            trace.steps.append(TraceStep(n, x_new.copy(), step_mod, residual, rho(2.0 * x_new)))
+        for n in range(max_iter + 1):
+            fx = T.apply_power(x, power)
+            ok = bool(np.all(np.isfinite(fx)))
+            # step, residual and doubled-orbit modulars in one batch call; a
+            # non-finite image is not evaluated and gives residual +inf
+            rows = np.stack((x - prev, fx - x if ok else np.zeros_like(x), 2.0 * x))
+            step_mod, residual, doubled = (float(v) for v in rho(rows))
+            step_mod = step_mod if n else math.nan
+            residual = residual if ok else INF
+            trace.steps.append(TraceStep(n, x.copy(), step_mod, residual, doubled))
             if step_mod <= tol and residual <= tol:
                 trace.converged = True
-                trace.fixed_point = x_new.copy()
+                trace.fixed_point = x.copy()
                 break
-            if not ok:
+            if not ok and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
                 raise DivergenceError(f"non-finite iterate at step {n + 1}", trace=trace)
-            x, fx = x_new, fx_new
+            prev, x = x, fx
     return trace
 
 
@@ -394,9 +345,8 @@ def solve_via_power(
     trace = _run_picard(T, m, x0, tol, max_iter, power=n)
     trace.k_used = float(k)
     if trace.converged:
-        rho = modular_fn(m)
         x_star = trace.fixed_point
-        res = rho(T.apply(x_star) - x_star)
+        res = m.evaluate(T.apply(x_star) - x_star)
         if res > tol:
             raise InconsistentContractionError(
                 f"composite fixed point is not fixed for the map itself "

@@ -1,0 +1,100 @@
+"""Batched checkers against scalar reference loops written out here.
+
+Each reference redraws the checker's points from a PointSampler with the
+same seed, in the order the checker consumes the stream (basis probes,
+then every x, then every y), and evaluates one pair at a time with the
+scalar `evaluate` and a per-point `apply`.
+"""
+
+import numpy as np
+import pytest
+
+from rhofix import (
+    MapSpec,
+    ModularSpec,
+    NamedFunctional,
+    Phi,
+    PointSampler,
+    build_chain,
+    slack_tol,
+    verify_contraction,
+    verify_order_pairs,
+    verify_s_contraction,
+)
+
+DIM = 3
+FAMILIES = [
+    ModularSpec.p_power(0.5, DIM),
+    ModularSpec.p_power(1.0, DIM),
+    ModularSpec.p_power(2.0, DIM),
+    ModularSpec.weighted_sum(2.0, [0.5, 1.5, 3.0]),
+    ModularSpec.orlicz(Phi.POWER, DIM, p=2.0),
+    ModularSpec.orlicz(Phi.EXP_MINUS_ONE, DIM),
+    ModularSpec.orlicz(Phi.U_LOG, DIM),
+    NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=DIM),
+]
+IDS = ["ppower-0.5", "ppower-1", "ppower-2", "weighted_sum", "orlicz-power", "orlicz-exp",
+       "orlicz-ulog", "named"]
+
+# a contraction whose pairwise ratio varies with the pair, so a claim of 0.5
+# holds on some pairs and fails on others under every family above
+MAP = MapSpec.logistic_damped(0.9)
+TRIALS = 300
+
+
+def reference_ratio_check(m, scale, factor, seed):
+    """Scalar loop: witness row indices and the max ratio."""
+    sampler = PointSampler(DIM, seed)
+    X = np.vstack((np.eye(DIM), sampler.points(TRIALS)))
+    Y = np.vstack((np.zeros((DIM, DIM)), sampler.points(TRIALS)))
+    bad, best = [], np.nan
+    for i, (x, y) in enumerate(zip(X, Y)):
+        d = m.evaluate(x - y)
+        lhs = m.evaluate(scale * (MAP.apply(x) - MAP.apply(y)))
+        rhs = factor * d if np.isfinite(d) else (np.inf if factor > 0 else 0.0)
+        if lhs > rhs + slack_tol(lhs, rhs):
+            bad.append(i)
+        if 0.0 < d < np.inf and np.isfinite(lhs):
+            best = np.fmax(best, lhs / d)
+    return X, Y, bad, best
+
+
+def assert_matches_reference(rep, m, scale, factor, seed):
+    X, Y, bad, best = reference_ratio_check(m, scale, factor, seed)
+    assert 0 < len(bad) < len(X)  # the claim splits the pairs
+    assert abs(rep.max_ratio - best) <= slack_tol(best)
+    assert len(rep.violations) == len(bad)
+    for v, i in zip(rep.violations, bad):
+        assert np.array_equal(v.points[0], X[i]) and np.array_equal(v.points[1], Y[i])
+
+
+@pytest.mark.parametrize("m", FAMILIES, ids=IDS)
+def test_contraction_matches_scalar_loop(m):
+    rep = verify_contraction(MAP, m, 0.5, PointSampler(DIM, 17), TRIALS)
+    assert_matches_reference(rep, m, 1.0, 0.5, 17)
+
+
+@pytest.mark.parametrize("m", FAMILIES, ids=IDS)
+def test_scaled_form_matches_scalar_loop(m):
+    # rho(1.5 (Tx - Ty)) <= 0.5**1 rho(x - y): the same check on 1.5 T
+    rep = verify_s_contraction(MAP, m, 1.5, 0.5, 1.0, PointSampler(DIM, 18), TRIALS)
+    assert_matches_reference(rep, m, 1.5, 0.5, 18)
+
+
+@pytest.mark.parametrize("m", FAMILIES, ids=IDS)
+def test_order_pairs_match_double_loop(m):
+    # 40 nodes; half the admissible level, so the worst slack is negative
+    cert = build_chain(m, MAP, [1.0, -2.0, 0.5], 0.9, None, 39)
+    cert = build_chain(m, MAP, [1.0, -2.0, 0.5], 0.9, cert.alpha / 2.0, 39)
+    assert len(cert.nodes) == 40
+    worst, where = np.inf, None
+    for q in range(1, len(cert.nodes)):
+        xq, aq = cert.nodes[q]
+        for p in range(q):
+            xp, ap = cert.nodes[p]
+            slack = (ap - aq) - m.evaluate(xp - xq)
+            if slack < worst:
+                worst, where = slack, (p, q)
+    check = verify_order_pairs(cert, m)
+    assert worst < 0.0
+    assert check.worst_slack == worst and check.index == where

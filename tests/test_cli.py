@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 import yaml
 
 from rhofix import ModularSpec, load_config, slack_tol
@@ -81,6 +82,19 @@ def test_weights_dimension_checked(tmp_path, capsys):
     assert "space.weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    {"space": {"family": [1]}},
+    {"space": {"family": "ppower", "p": -1}},
+    {"space": {"family": "orlicz", "phi": "power", "p": 0}},
+    {"space": {"family": "ppower", "p": float("inf")}},
+    {"solve": {"tol": float("nan")}},
+], ids=["family-list", "p-negative", "orlicz-power-p0", "p-inf", "tol-nan"])
+def test_malformed_space_and_solve_exit_2(tmp_path, capsys, override):
+    cfg = half_cfg(tmp_path, **override)
+    assert main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 # --- check -------------------------------------------------------------------
 
 def test_check_valid_space_exits_0(tmp_path):
@@ -153,6 +167,36 @@ def test_solve_power_path_reported(tmp_path):
     assert summary["solver"] == "power"
     assert summary["power"] == 2
     assert abs(summary["fixed_point"][0] - 2.0) < 1e-4
+
+
+def test_solve_scaled_form_recorded_not_claimed(tmp_path):
+    # x -> 2x with (c, k, s) = (3, 0.5, 1): c belongs to the scaled form, which
+    # fails (rho(3 (Tx - Ty)) = 6 rho(x - y)); no factor below 1 is claimed
+    cfg = half_cfg(tmp_path, map={"kind": "affine", "matrix": [[2.0]], "offset": [0.0],
+                                  "c": 3, "k": 0.5, "s": 1})
+    assert main(["solve", "--config", cfg, "--quiet"]) == 1
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["c_claimed"] is None
+    assert summary["c_empirical"] == pytest.approx(2.0)
+    scaled = summary["scaled_form"]
+    assert {k: scaled[k] for k in ("c", "k", "s", "passed")} == {
+        "c": 3.0, "k": 0.5, "s": 1.0, "passed": False}
+    assert scaled["max_ratio"] == pytest.approx(6.0)
+    assert scaled["n_violations"] > 0
+
+
+def test_certificate_records_passing_scaled_form(tmp_path):
+    cfg = half_cfg(tmp_path, map={"kind": "half", "c": 1.5, "k": 0.75, "s": 1})
+    assert main(["certificate", "--config", cfg, "--quiet"]) == 0
+    summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
+    assert summary["scaled_form"]["passed"] and summary["scaled_form"]["n_violations"] == 0
+    assert summary["c"] == pytest.approx(0.5)
+
+
+def test_scaled_form_needs_c_and_k(tmp_path, capsys):
+    cfg = half_cfg(tmp_path, map={"kind": "half", "s": 1})
+    assert main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert "map" in capsys.readouterr().err
 
 
 # --- certificate ---------------------------------------------------------------

@@ -68,7 +68,8 @@ def test_eval_dimension_mismatch():
 def test_eval_batch_matches_scalar():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(50, 3))
-    for m in FAMILIES:
+    named = NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=3)
+    for m in FAMILIES + [named]:
         batch = m.evaluate_batch(X)
         rows = np.array([m.evaluate(x) for x in X])
         assert np.array_equal(batch, rows)
