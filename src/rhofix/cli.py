@@ -211,7 +211,15 @@ def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
     sampler = PointSampler(cfg.dim, cfg.seed)
     c_eff, c_emp, _, scaled = _effective_c(cfg, sampler, quiet)
     if math.isnan(c_eff) or not 0.0 <= c_eff < 1.0:
-        _say(quiet, f"certificate: no contraction factor below 1 (empirical {c_emp:.6g})")
+        error = f"no contraction factor below 1 (empirical {c_emp:.6g})"
+        write_json(out / "certificate_summary.json", {
+            "all_pass": False,
+            "error": error,
+            "c_empirical": None if math.isnan(c_emp) else c_emp,
+            "scaled_form": scaled,
+            "seed": cfg.seed,
+        })
+        _say(quiet, f"certificate: {error}")
         return EXIT_MATH
 
     try:

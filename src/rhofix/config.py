@@ -186,7 +186,11 @@ def _load_map(tree: dict, dim: int) -> MapSpec | None:
         if kind is MapKind.AFFINE:
             matrix = _get(tree, "matrix", "map", required=True)
             offset = _get(tree, "offset", "map", required=True)
-            A = np.asarray(matrix, dtype=float)
+            try:
+                A = np.asarray(matrix, dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError("map.matrix",
+                                  f"expected rows of numbers, got {matrix!r}") from None
             if A.ndim != 2 or A.shape != (dim, dim):
                 raise ConfigError("map.matrix", f"expected a {dim}x{dim} matrix, got shape {A.shape}")
             b = _as_vector(offset, "map.offset")
@@ -204,6 +208,8 @@ def _load_map(tree: dict, dim: int) -> MapSpec | None:
             if v.size not in (1, dim):
                 raise ConfigError("map.offset", f"constant target must have dim 1 or {dim}")
             spec = MapSpec.const(v, c=0.0 if claimed is None else claimed)
+    except ConfigError:
+        raise
     except ValueError as exc:  # factory-level validation
         raise ConfigError("map", str(exc)) from None
     spec.k, spec.s = k, s

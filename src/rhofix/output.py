@@ -2,7 +2,9 @@
 
 All floats are written with 17 significant digits, so reading a file back
 reproduces the stored doubles exactly and recorded slacks can be
-re-verified losslessly.
+re-verified losslessly. Both CSVs are written by one row formatter: a
+header line, then one `%` format per record, lines ending in CRLF as
+`csv.writer` ends them.
 """
 
 from __future__ import annotations
@@ -34,20 +36,28 @@ __all__ = [
 MAX_WITNESSES = 20
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _write_rows(path, lead: list[str], dim: int, rows) -> None:
+    """Write a trace or certificate CSV: a header of the `lead` column names
+    and x0..x{dim-1}, then one record per row (the integer n, then floats).
+
+    Each record is one `%` format on a template built once, with 17
+    significant digits per float; the bytes equal what `csv.writer` writes
+    for `format(v, ".17g")` fields, CRLF line ends included. Rows are
+    formatted one at a time, so a long trace is never held as text.
+    """
+    header = ",".join(lead + [f"x{i}" for i in range(dim)])
+    line = "%d," + ",".join(["%.17g"] * (len(lead) - 1 + dim)) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_trace(path, trace: IterationTrace) -> None:
     """CSV trace: n, step_mod, residual, doubled_orbit, then coordinates."""
-    path = Path(path)
     dim = trace.steps[0].x.size if trace.steps else 0
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "step_mod", "residual", "doubled_orbit"] + [f"x{i}" for i in range(dim)])
-        for s in trace.steps:
-            w.writerow([s.n, _fmt(s.step_mod), _fmt(s.residual), _fmt(s.doubled_orbit)]
-                       + [_fmt(v) for v in s.x])
+    _write_rows(path, ["n", "step_mod", "residual", "doubled_orbit"], dim,
+                ((s.n, s.step_mod, s.residual, s.doubled_orbit, *s.x.tolist())
+                 for s in trace.steps))
 
 
 def _read_csv(path, lead: int) -> dict:
@@ -69,14 +79,9 @@ def read_trace(path) -> dict:
 
 def write_certificate(path, cert: ChainCertificate, m: ModularLike) -> None:
     """CSV certificate: one node per record: n, alpha_n, slack_n, coords."""
-    path = Path(path)
     slacks = node_slacks(cert, m)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        dim = cert.omega.size
-        w.writerow(["n", "alpha", "slack"] + [f"x{i}" for i in range(dim)])
-        for n, (x, a) in enumerate(cert.nodes):
-            w.writerow([n, _fmt(a), _fmt(slacks[n])] + [_fmt(v) for v in x])
+    _write_rows(path, ["n", "alpha", "slack"], cert.omega.size,
+                ((n, a, slacks[n], *x.tolist()) for n, (x, a) in enumerate(cert.nodes)))
 
 
 def read_certificate(path) -> dict:

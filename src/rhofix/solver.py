@@ -254,7 +254,8 @@ def _run_picard(
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     rho = m.evaluate_batch
-    x = prev = as_point(x0, _map_dim(T, m, x0))
+    # apply_power returns a fresh array each step, so only x0 needs a copy
+    x = prev = as_point(x0, _map_dim(T, m, x0)).copy()
     trace = IterationTrace(power=power)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iter + 1):
@@ -266,7 +267,7 @@ def _run_picard(
             step_mod, residual, doubled = (float(v) for v in rho(rows))
             step_mod = step_mod if n else math.nan
             residual = residual if ok else INF
-            trace.steps.append(TraceStep(n, x.copy(), step_mod, residual, doubled))
+            trace.steps.append(TraceStep(n, x, step_mod, residual, doubled))
             if step_mod <= tol and residual <= tol:
                 trace.converged = True
                 trace.fixed_point = x.copy()

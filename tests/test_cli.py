@@ -1,10 +1,13 @@
 """CLI: config parsing, exit codes, determinism, and file round-trips."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from rhofix import ModularSpec, load_config, slack_tol
 from rhofix.cli import main
@@ -57,6 +60,12 @@ def test_bad_matrix_shape_names_key(tmp_path, capsys):
     assert "map.matrix" in capsys.readouterr().err
 
 
+def test_non_numeric_matrix_names_key(tmp_path, capsys):
+    cfg = half_cfg(tmp_path, map={"kind": "affine", "matrix": {"a": 1}, "offset": [0.0]})
+    assert main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert "config error: map.matrix: " in capsys.readouterr().err
+
+
 def test_missing_map_for_solve_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.yaml", {
         "space": {"family": "ppower", "p": 1.0},
@@ -80,6 +89,14 @@ def test_weights_dimension_checked(tmp_path, capsys):
     })
     assert main(["check", "--config", cfg]) == 2
     assert "space.weights" in capsys.readouterr().err
+
+
+def test_bad_map_key_named_once(tmp_path, capsys):
+    cfg = half_cfg(tmp_path, map={"kind": "logistic_damped", "lam": float("inf")})
+    assert main(["certificate", "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("map.lam") == 1
+    assert err.startswith("config error: map.lam: ")
 
 
 @pytest.mark.parametrize("override", [
@@ -231,6 +248,21 @@ def test_certificate_corrupted_alpha_exits_1(tmp_path):
     assert summary["pair_check"] < 0.0
 
 
+def test_certificate_without_factor_below_1_writes_summary(tmp_path):
+    # x -> 2x with (c, k, s) = (3, 0.5, 1): no claim, empirical ratio 2
+    cfg = half_cfg(tmp_path, map={"kind": "affine", "matrix": [[2.0]], "offset": [0.0],
+                                  "c": 3, "k": 0.5, "s": 1})
+    assert main(["certificate", "--config", cfg, "--quiet"]) == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["certificate_summary.json"]
+    summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
+    assert set(summary) == {"all_pass", "error", "c_empirical", "scaled_form", "seed"}
+    assert summary["all_pass"] is False
+    assert "below 1" in summary["error"]
+    assert summary["c_empirical"] == pytest.approx(2.0)
+    assert summary["scaled_form"]["passed"] is False
+    assert summary["seed"] == 42
+
+
 # --- determinism and round-trips ----------------------------------------------
 
 def test_solve_deterministic_for_fixed_seed(tmp_path):
@@ -274,3 +306,92 @@ def test_quiet_suppresses_stdout(tmp_path, capsys):
     cfg = half_cfg(tmp_path)
     main(["check", "--config", cfg, "--quiet"])
     assert capsys.readouterr().out == ""
+
+
+# --- fuzzed problem files -----------------------------------------------------
+
+def _keys(required, optional=None):
+    return st.fixed_dictionaries(required, optional=optional or {})
+
+
+def _valid_tree(dim):
+    """A well-formed problem of dimension `dim`, kept cheap: trials,
+    max_iter and chain.N small."""
+    vec = st.lists(st.floats(-4, 4), min_size=dim, max_size=dim)
+    claim = {"c": st.floats(0, 0.99)}
+    return _keys({
+        "space": st.one_of(
+            _keys({"family": st.just("ppower"), "p": st.floats(0.5, 4)}),
+            _keys({"family": st.just("weighted_sum"), "p": st.floats(0.5, 4),
+                   "weights": st.lists(st.floats(0.1, 4), min_size=dim, max_size=dim)}),
+            _keys({"family": st.just("orlicz"), "p": st.floats(1, 3),
+                   "phi": st.sampled_from(["power", "exp_minus_one", "u_log"])}),
+            _keys({"family": st.sampled_from(["sine_bump", "sign_skewed", "dead_zone"])}),
+        ),
+        "map": st.one_of(
+            _keys({"kind": st.just("half")}, claim),
+            _keys({"kind": st.just("logistic_damped"), "lam": st.floats(0, 1.5)}, claim),
+            _keys({"kind": st.just("affine"), "offset": vec,
+                   "matrix": st.lists(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim),
+                                      min_size=dim, max_size=dim)}, claim),
+            _keys({"kind": st.just("const"), "offset": vec}),
+            _keys({"kind": st.just("half"), "c": st.floats(1.5, 3), "k": st.floats(0, 1.4),
+                   "s": st.floats(0.1, 1)}),
+        ),
+        "initial_point": vec,
+        "solve": _keys({"tol": st.floats(1e-12, 1e-3), "max_iter": st.integers(0, 30)}),
+        "check": _keys({"trials": st.integers(1, 32)},
+                       {"s": st.floats(0.1, 1), "fatou_ratio": st.floats(0.1, 0.9),
+                        "fatou_steps": st.integers(1, 4)}),
+        "chain": _keys({"N": st.integers(0, 10)}, {"alpha": st.floats(0, 10)}),
+        "seed": st.integers(0, 2**64 - 1),
+    })
+
+
+_DELETE = object()
+_scalar_junk = st.one_of(st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=4),
+                         st.lists(st.floats(-4, 4), max_size=3))
+_junk = st.one_of(st.none(), _scalar_junk,
+                  st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2))
+# a missing or null solve/check section (or max_iter/trials key) falls back to
+# the 10,000-step defaults, so those are only ever replaced by small junk
+_edit = st.one_of(
+    st.tuples(st.sampled_from([("space",), ("map",), ("initial_point",), ("chain",), ("seed",),
+                               ("out_dir",), ("space", "family"), ("space", "p"),
+                               ("space", "phi"), ("space", "weights"),
+                               ("space", "quadrature_nodes"), ("map", "kind"),
+                               ("map", "matrix"), ("map", "offset"), ("map", "lam"),
+                               ("map", "c"), ("map", "k"), ("map", "s"), ("solve", "tol"),
+                               ("check", "s"), ("check", "fatou_ratio"),
+                               ("check", "fatou_steps"), ("chain", "N"), ("chain", "alpha")]),
+              _junk | st.just(_DELETE)),
+    st.tuples(st.sampled_from([("solve",), ("check",), ("solve", "max_iter"),
+                               ("check", "trials")]), _scalar_junk),
+)
+
+
+def _apply_edits(tree, edits):
+    for path, value in edits:
+        parent = tree
+        for key in path[:-1]:
+            parent = parent.get(key)
+        if not isinstance(parent, dict):
+            continue  # an earlier edit replaced the section
+        if value is _DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+    return tree
+
+
+_problem = st.builds(_apply_edits, st.integers(1, 3).flatmap(_valid_tree),
+                     st.lists(_edit, max_size=2))
+
+
+@given(tree=_problem, command=st.sampled_from(["check", "solve", "certificate"]))
+def test_fuzzed_problem_files_exit_0_1_or_2(tree, command):
+    """Any tree over the known keys exits 0, 1 or 2 and never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp) / "problem.yaml", tree)
+        code = main([command, "--config", cfg, "--quiet", "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
