@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -137,16 +138,31 @@ class AxiomReport:
         return not self.violations
 
     def record(self, axiom: str, points, scalars, lhs: float, rhs: float) -> None:
-        v = Violation(
-            axiom,
-            tuple(np.array(p, dtype=float) for p in points),
-            tuple(float(s) for s in scalars),
-            float(lhs),
-            float(rhs),
-        )
-        self.violations.append(v)
-        if v.slack > self.max_slack_violation:
-            self.max_slack_violation = v.slack
+        """Record one violation: the one-row case of `record_rows`, on a
+        copy of each point."""
+        self.record_rows(axiom, tuple(np.array(p, dtype=float)[None] for p in points),
+                         tuple([s] for s in scalars), [lhs], [rhs])
+
+    def record_rows(self, axiom: str, points, scalars, lhs, rhs) -> None:
+        """Record one violation per row, in row order.
+
+        `points` holds one (n, dim) array per witness point and `scalars`
+        one length-n column (or a constant) per scalar; `lhs` and `rhs` are
+        length n. The point arrays are kept, so pass fresh ones (a
+        fancy-indexed copy): each witness point is a row of them.
+        """
+        lhs = np.asarray(lhs, dtype=float).tolist()
+        rhs = np.asarray(rhs, dtype=float).tolist()
+        n = len(lhs)
+        rows = list(zip(*(np.asarray(p, dtype=float) for p in points))) or [()] * n
+        cols = (np.broadcast_to(np.asarray(c, dtype=float), (n,)).tolist() for c in scalars)
+        svals = list(zip(*cols)) or [()] * n
+        self.violations.extend(map(Violation, repeat(axiom), rows, svals, lhs, rhs))
+        best = self.max_slack_violation
+        for left, right in zip(lhs, rhs):
+            if left - right > best:  # each row's Violation.slack; a nan never wins
+                best = left - right
+        self.max_slack_violation = best
 
     def violated_axioms(self) -> set[str]:
         return {v.axiom for v in self.violations}
@@ -199,14 +215,18 @@ def check_modular_axioms(m: ModularLike, sampler: PointSampler, trials: int) -> 
     ry = rho(ys)
     combo = rho(a[:, None] * xs + (1.0 - a)[:, None] * ys)
 
-    for i in np.nonzero((rx == 0.0) & np.any(xs != 0.0, axis=1))[0]:
-        rep.record("zero_iff", (xs[i],), (rx[i],), float(np.max(np.abs(xs[i]))), 0.0)
-    for i in np.nonzero(rx != rmx)[0]:
-        rep.record("symmetry", (xs[i],), (rx[i], rmx[i]),
-                   max(rx[i], rmx[i]), min(rx[i], rmx[i]))
+    i = np.nonzero((rx == 0.0) & np.any(xs != 0.0, axis=1))[0]
+    xi = xs[i]
+    rep.record_rows("zero_iff", (xi,), (rx[i],), np.max(np.abs(xi), axis=1), np.zeros(i.size))
+    i = np.nonzero(rx != rmx)[0]
+    r, rm = rx[i], rmx[i]
+    # Python's max/min: the first argument unless the second is strictly
+    # larger (smaller); this keeps ties and nan as the scalar checker had them
+    rep.record_rows("symmetry", (xs[i],), (r, rm),
+                    np.where(rm > r, rm, r), np.where(rm < r, rm, r))
     rhs = rx + ry
-    for i in _ineq_violations(combo, rhs):
-        rep.record("convexity", (xs[i], ys[i]), (a[i], 1.0 - a[i]), combo[i], rhs[i])
+    i = _ineq_violations(combo, rhs)
+    rep.record_rows("convexity", (xs[i], ys[i]), (a[i], 1.0 - a[i]), combo[i], rhs[i])
     return rep
 
 
@@ -228,8 +248,8 @@ def check_s_convexity(m: ModularLike, s: float, sampler: PointSampler, trials: i
     # a vanished coefficient removes its term even against an infinite rho
     with np.errstate(invalid="ignore"):
         rhs = np.where(a == 0.0, 0.0, a**s * rho(xs)) + np.where(b == 0.0, 0.0, b**s * rho(ys))
-    for i in _ineq_violations(lhs, rhs):
-        rep.record("s_convexity", (xs[i], ys[i]), (a[i], b[i], s), lhs[i], rhs[i])
+    i = _ineq_violations(lhs, rhs)
+    rep.record_rows("s_convexity", (xs[i], ys[i]), (a[i], b[i], s), lhs[i], rhs[i])
     return rep
 
 
@@ -343,29 +363,30 @@ def check_fatou_sampled(
 
 # ---------------------------------------------------------------------------
 # Deliberately invalid dim-1 functionals, one per targeted axiom. They ship
-# so checkers and the CLI can be exercised against known failures.
+# so checkers and the CLI can be exercised against known failures. Each reads
+# u = x[..., 0], so it maps a point to one value and an (n, 1) batch to n.
 
-def sine_bump(x: np.ndarray) -> float:
+def sine_bump(x) -> np.ndarray:
     """|sin(pi u)| + |u| / 10: symmetric, vanishes only at 0, not convex."""
-    u = float(x[0])
-    return abs(math.sin(math.pi * u)) + abs(u) / 10.0
+    u = np.asarray(x, dtype=float)[..., 0]
+    return np.abs(np.sin(np.pi * u)) + np.abs(u) / 10.0
 
 
-def sign_skewed(x: np.ndarray) -> float:
+def sign_skewed(x) -> np.ndarray:
     """max(u, 0) + 2 max(-u, 0): convex but asymmetric."""
-    u = float(x[0])
-    return max(u, 0.0) + 2.0 * max(-u, 0.0)
+    u = np.asarray(x, dtype=float)[..., 0]
+    return np.maximum(u, 0.0) + 2.0 * np.maximum(-u, 0.0)
 
 
-def dead_zone(x: np.ndarray) -> float:
+def dead_zone(x) -> np.ndarray:
     """max(|u| - 1, 0): convex and symmetric but zero on a whole interval."""
-    u = float(x[0])
-    return max(abs(u) - 1.0, 0.0)
+    u = np.asarray(x, dtype=float)[..., 0]
+    return np.maximum(np.abs(u) - 1.0, 0.0)
 
 
 #: name -> (functional, axiom its violation targets)
 INVALID_FUNCTIONALS: dict[str, tuple[NamedFunctional, str]] = {
-    "sine_bump": (NamedFunctional("sine_bump", sine_bump, dim=1), "convexity"),
-    "sign_skewed": (NamedFunctional("sign_skewed", sign_skewed, dim=1), "symmetry"),
-    "dead_zone": (NamedFunctional("dead_zone", dead_zone, dim=1), "zero_iff"),
+    "sine_bump": (NamedFunctional("sine_bump", sine_bump, dim=1, batched=True), "convexity"),
+    "sign_skewed": (NamedFunctional("sign_skewed", sign_skewed, dim=1, batched=True), "symmetry"),
+    "dead_zone": (NamedFunctional("dead_zone", dead_zone, dim=1, batched=True), "zero_iff"),
 }

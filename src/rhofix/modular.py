@@ -192,24 +192,39 @@ class NamedFunctional:
 
     Used for the shipped deliberately-invalid test functionals and for any
     caller-supplied rho; the checkers treat it like a ModularSpec.
+
+    By default `fn` maps one point to one value and `evaluate_batch` loops
+    over rows. `batched=True` declares that `fn` also maps an (n, dim)
+    array to its n values in one call; `evaluate_batch` then makes that one
+    call and `evaluate` is its one-row case, so the two agree bit for bit.
     """
 
     name: str
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], float | np.ndarray]
     dim: int
+    batched: bool = False
 
     def evaluate(self, x) -> float:
         a = np.atleast_1d(np.asarray(x, dtype=float))
         if a.size != self.dim:
             raise DimensionMismatch(f"expected a point of dim {self.dim}, got dim {a.size}")
+        if self.batched:
+            return float(self.evaluate_batch(a.reshape(1, self.dim))[0])
         return float(self.fn(a))
 
     def evaluate_batch(self, X) -> np.ndarray:
-        """rho of every row of an (n, dim) array, by a plain row loop."""
+        """rho of every row of an (n, dim) array: one `fn` call when
+        `batched`, else a plain row loop."""
         A = np.asarray(X, dtype=float)
         if A.ndim != 2 or A.shape[1] != self.dim:
             raise DimensionMismatch(f"expected an (n, {self.dim}) batch, got shape {A.shape}")
-        return np.array([self.evaluate(row) for row in A], dtype=float)
+        if not self.batched:
+            return np.array([self.evaluate(row) for row in A], dtype=float)
+        out = np.asarray(self.fn(A), dtype=float)
+        if out.shape != (A.shape[0],):
+            raise DimensionMismatch(
+                f"batched {self.name!r} returned shape {out.shape} for {A.shape[0]} rows")
+        return out
 
 
 ModularLike = Union[ModularSpec, NamedFunctional]

@@ -9,7 +9,6 @@ header line, then one `%` format per record, lines ending in CRLF as
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -62,10 +61,21 @@ def write_trace(path, trace: IterationTrace) -> None:
 
 def _read_csv(path, lead: int) -> dict:
     """Read a trace or certificate CSV: `lead` named columns (the first is
-    the integer n), then the coordinates as "x" (floats parse bit-exactly)."""
-    with Path(path).open(newline="") as fh:
-        header, *body = csv.reader(fh)
-    table = np.array([[float(v) for v in r] for r in body]).reshape(len(body), len(header))
+    the integer n), then the coordinates as "x".
+
+    The body is parsed straight into one float array by `np.loadtxt`, so
+    memory stays near the size of the result, and the 17-digit floats
+    (nan, inf and -0.0 included) parse bit-exactly. A header with no rows
+    gives zero rows of the header's width.
+    """
+    with Path(path).open() as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        body = fh.tell()
+        if fh.readline():
+            fh.seek(body)
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        else:  # loadtxt would warn and return shape (0, 1)
+            table = np.empty((0, len(header)))
     out = {name: table[:, j] for j, name in enumerate(header[:lead])}
     out["n"] = out["n"].astype(int)
     out["x"] = table[:, lead:]

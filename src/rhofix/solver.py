@@ -207,8 +207,8 @@ def _ratio_check(
     with np.errstate(invalid="ignore"):  # 0 * inf: a zero factor bounds an infinite gap by 0
         rhs = np.where(np.isinf(d), INF if factor > 0.0 else 0.0, factor * d)
     rep = AxiomReport(trials=trials)
-    for i in _ineq_violations(lhs, rhs):
-        rep.record(axiom, (X[i], Y[i]), scalars, lhs[i], rhs[i])
+    i = _ineq_violations(lhs, rhs)
+    rep.record_rows(axiom, (X[i], Y[i]), scalars, lhs[i], rhs[i])
     ok = (d > 0.0) & (d < INF) & ~np.isinf(lhs)
     if np.any(ok):
         rep.max_ratio = float(np.max(lhs[ok] / d[ok]))

@@ -1,10 +1,14 @@
 """Sampled checkers: axioms, s-convexity, doubling constants, Fatou."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rhofix import (
     INVALID_FUNCTIONALS,
+    AxiomReport,
+    DimensionMismatch,
     InvalidModularError,
     ModularSpec,
     NamedFunctional,
@@ -13,11 +17,14 @@ from rhofix import (
     check_fatou_sampled,
     check_modular_axioms,
     check_s_convexity,
+    dead_zone,
     delta2_type_estimate,
     exact_doubling_constant,
     sine_bump,
     sign_skewed,
+    slack_tol,
 )
+from rhofix.checks import _ineq_violations
 
 VALID = [
     ModularSpec.p_power(0.5, 3),
@@ -76,6 +83,136 @@ def test_axiom_report_has_witnesses():
     v = rep.violations[0]
     assert v.axiom == "convexity"
     assert len(v.points) == 2 and v.lhs > v.rhs
+
+
+# --- batch-native invalid functionals ---------------------------------------
+
+# the scalar formulas the shipped functionals had before they were batched
+REFERENCE = {
+    "sine_bump": lambda u: abs(math.sin(math.pi * u)) + abs(u) / 10.0,
+    "sign_skewed": lambda u: max(u, 0.0) + 2.0 * max(-u, 0.0),
+    "dead_zone": lambda u: max(abs(u) - 1.0, 0.0),
+}
+EDGE_POINTS = [0.0, -0.0, 1.0, -1.0, 1e3, -1e3, 5e-324]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_FUNCTIONALS))
+def test_batched_invalid_functionals_match_scalar_reference(name):
+    fn, _ = INVALID_FUNCTIONALS[name]
+    assert fn.batched
+    X = np.vstack((PointSampler(1, seed=31).points(5_000), np.array(EDGE_POINTS)[:, None]))
+    got = fn.evaluate_batch(X)
+    want = np.array([REFERENCE[name](float(u)) for u in X[:, 0]])
+    if name == "sine_bump":
+        # libm and numpy sin may differ by one ulp on some CPUs
+        assert all(abs(g - w) <= slack_tol(g, w) for g, w in zip(got, want))
+    else:
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_FUNCTIONALS))
+def test_batched_evaluate_is_the_one_row_batch(name):
+    fn, _ = INVALID_FUNCTIONALS[name]
+    for u in [*PointSampler(1, seed=32).points(200)[:, 0], *EDGE_POINTS]:
+        one = fn.evaluate_batch(np.array([[u]]))
+        assert one.shape == (1,)
+        assert _bits(fn.evaluate(np.array([u]))) == _bits(one[0])
+        assert _bits(fn.evaluate(u)) == _bits(one[0])
+
+
+def test_invalid_functionals_accept_a_point_or_a_list():
+    for f in (sine_bump, sign_skewed, dead_zone):
+        for x in ([-2.5], np.array([-2.5])):
+            v = f(x)
+            assert np.ndim(v) == 0
+            assert float(v) == pytest.approx(REFERENCE[f.__name__](-2.5))
+    assert float(dead_zone([0.5])) == 0.0
+
+
+@pytest.mark.parametrize("fn", [lambda A: A, lambda A: A[1:, 0]], ids=["n_by_1", "n_minus_1"])
+def test_batched_fn_of_wrong_shape_raises(fn):
+    m = NamedFunctional("wrong_shape", fn, dim=1, batched=True)
+    with pytest.raises(DimensionMismatch):
+        m.evaluate_batch(np.ones((4, 1)))
+    with pytest.raises(DimensionMismatch):
+        m.evaluate([1.0])
+
+
+def test_scalar_named_functional_keeps_the_row_loop():
+    seen = []
+
+    def rho(x):
+        seen.append(x.shape)
+        return float(np.sum(np.abs(x)))
+
+    m = NamedFunctional("l1", rho, dim=2)
+    assert not m.batched
+    out = m.evaluate_batch(np.arange(10.0).reshape(5, 2))
+    assert seen == [(2,)] * 5
+    assert out.tolist() == [1.0, 5.0, 9.0, 13.0, 17.0]
+
+
+def _per_index_axiom_report(m, seed, trials):
+    """check_modular_axioms with one `record` call per violating index."""
+    sampler = PointSampler(m.dim, seed)
+    rho = m.evaluate_batch
+    rep = AxiomReport(trials=trials)
+    zero = np.zeros(m.dim)
+    r0 = float(rho(zero[None, :])[0])
+    if r0 != 0.0:
+        rep.record("zero_iff", (zero,), (r0,), r0, 0.0)
+    xs, ys, a = sampler.points(trials), sampler.points(trials), sampler.units(trials)
+    rx, rmx, ry = rho(xs), rho(-xs), rho(ys)
+    combo = rho(a[:, None] * xs + (1.0 - a)[:, None] * ys)
+    for i in np.nonzero((rx == 0.0) & np.any(xs != 0.0, axis=1))[0]:
+        rep.record("zero_iff", (xs[i],), (rx[i],), float(np.max(np.abs(xs[i]))), 0.0)
+    for i in np.nonzero(rx != rmx)[0]:
+        rep.record("symmetry", (xs[i],), (rx[i], rmx[i]),
+                   max(rx[i], rmx[i]), min(rx[i], rmx[i]))
+    rhs = rx + ry
+    for i in _ineq_violations(combo, rhs):
+        rep.record("convexity", (xs[i], ys[i]), (a[i], 1.0 - a[i]), combo[i], rhs[i])
+    return rep
+
+
+def _nan_left(x):
+    """u on u >= 0, nan on u < 0: symmetry witnesses with nan on either side."""
+    u = np.asarray(x, dtype=float)[..., 0]
+    return np.where(u >= 0.0, u, np.nan)
+
+
+@pytest.mark.parametrize("fn", [
+    INVALID_FUNCTIONALS["sign_skewed"][0],
+    INVALID_FUNCTIONALS["dead_zone"][0],
+    NamedFunctional("nan_left", _nan_left, dim=1, batched=True),
+], ids=lambda fn: fn.name)
+def test_bulk_recording_matches_per_index_records(fn):
+    bulk = check_modular_axioms(fn, PointSampler(1, seed=2024), 4_000)
+    ref = _per_index_axiom_report(fn, 2024, 4_000)
+    assert len(bulk.violations) == len(ref.violations) > 100
+    for b, r in zip(bulk.violations, ref.violations):
+        assert b.axiom == r.axiom
+        assert len(b.points) == len(r.points)
+        assert all(np.array_equal(_bits(p), _bits(q)) for p, q in zip(b.points, r.points))
+        assert _bits(b.scalars).tolist() == _bits(r.scalars).tolist()
+        assert (_bits(b.lhs), _bits(b.rhs)) == (_bits(r.lhs), _bits(r.rhs))
+    assert _bits(bulk.max_slack_violation) == _bits(ref.max_slack_violation)
+
+
+def test_record_copies_the_point_and_rows_may_be_bare():
+    rep = AxiomReport(trials=1)
+    x = np.array([1.0, 2.0])
+    rep.record("fatou", (x,), (0.5,), 2.0, 1.0)
+    x[0] = 9.0
+    assert rep.violations[0].points[0].tolist() == [1.0, 2.0]
+    assert rep.max_slack_violation == 1.0
+    rep.record_rows("bare", (), (), [3.0, 1.0], [0.5, 0.0])
+    assert [(v.points, v.scalars, v.slack) for v in rep.violations[1:]] == [((), (), 2.5), ((), (), 1.0)]
+    assert rep.max_slack_violation == 2.5
 
 
 def test_axioms_require_at_least_one_trial():

@@ -136,6 +136,19 @@ def test_check_planted_bad_functional_exits_1(tmp_path):
     assert report["violations"][0]["lhs"] > report["violations"][0]["rhs"]
 
 
+def test_shipped_bad_functional_verdict_is_pinned(tmp_path):
+    # same seed, same verdicts: the shipped config at its own seed (123)
+    tree = yaml.safe_load((Path(__file__).parents[1] / "configs" / "bad_functional.yaml").read_text())
+    assert tree["seed"] == 123
+    cfg = write_cfg(tmp_path / "bad.yaml", dict(tree, out_dir=str(tmp_path / "out")))
+    assert main(["check", "--config", cfg, "--quiet"]) == 1
+    report = json.loads((tmp_path / "out" / "report_axioms.json").read_text())
+    assert report["n_violations"] == 1152
+    assert report["violated_axioms"] == ["convexity"]
+    want = 0.9505066486999416
+    assert abs(report["max_slack_violation"] - want) <= slack_tol(want)
+
+
 # --- solve -------------------------------------------------------------------
 
 def test_solve_half_converges_exit_0(tmp_path):

@@ -3,6 +3,7 @@ bit-exact round trips."""
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,30 @@ def test_read_trace_returns_stored_doubles_bit_for_bit(tmp_path, case):
     for col in ("step_mod", "residual", "doubled_orbit"):
         assert np.array_equal(_bits(data[col]), _bits([getattr(s, col) for s in trace.steps]))
     assert np.array_equal(_bits(data["x"]), _bits([s.x for s in trace.steps]))
+
+
+def test_read_header_only_trace_keeps_the_column_count(tmp_path):
+    write_trace(tmp_path / "t.csv", IterationTrace())
+    data = read_trace(tmp_path / "t.csv")
+    assert data["n"].shape == (0,) and data["n"].dtype.kind == "i"
+    assert data["residual"].shape == (0,)
+    assert data["x"].shape == (0, 0)
+
+
+def test_read_trace_memory_stays_near_the_result_size(tmp_path):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((500, 64)) * 10.0 ** rng.uniform(-30, 30, (500, 64))
+    write_trace(tmp_path / "t.csv", IterationTrace(steps=[
+        TraceStep(n, x, 1.0 / (n + 1), 2.0 / (n + 1), 3.0) for n, x in enumerate(X)]))
+    tracemalloc.start()
+    try:
+        data = read_trace(tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(_bits(data["x"]), _bits(X))
+    result_bytes = 500 * (4 + 64) * 8
+    assert peak < 3 * result_bytes
 
 
 def test_reverify_written_traces_is_exact(tmp_path):
