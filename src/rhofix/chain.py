@@ -96,14 +96,12 @@ class OrbitBound(NamedTuple):
     stabilized: bool
 
 
-def _orbit(T: MapSpec, omega: np.ndarray, steps: int) -> np.ndarray:
-    """Rows omega, T omega, ..., T^steps omega."""
-    xs = np.empty((steps + 1, omega.size))
-    xs[0] = omega
-    for n in range(1, steps + 1):
-        xs[n] = T.apply(xs[n - 1])
-        if not np.all(np.isfinite(xs[n])):
-            raise UnboundedOrbitError(f"orbit left the space at step {n}")
+def _checked_orbit(T: MapSpec, omega: np.ndarray, steps: int) -> np.ndarray:
+    """Rows omega, T omega, ..., T^steps omega, all inside the space."""
+    xs = T.orbit(omega, steps)
+    left = np.flatnonzero(~np.isfinite(xs).all(axis=1))
+    if left.size:
+        raise UnboundedOrbitError(f"orbit left the space at step {left[0]}")
     return xs
 
 
@@ -136,10 +134,8 @@ def orbit_bound_check(T: MapSpec, m: ModularLike, omega, N: int) -> OrbitBound:
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    try:
-        return _orbit_bound(m, _orbit(T, as_point(omega, m.dim), N))
-    except UnboundedOrbitError:
-        return OrbitBound(INF, False)
+    xs = T.orbit(as_point(omega, m.dim), N)
+    return _orbit_bound(m, xs) if np.isfinite(xs).all() else OrbitBound(INF, False)
 
 
 def compute_alpha(m: ModularLike, T: MapSpec, omega, c: float, N: int) -> float:
@@ -155,7 +151,7 @@ def compute_alpha(m: ModularLike, T: MapSpec, omega, c: float, N: int) -> float:
         raise ValueError("c must lie in [0, 1)")
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _admissible_alpha(m, _orbit(T, as_point(omega, m.dim), N), c, N)
+    return _admissible_alpha(m, _checked_orbit(T, as_point(omega, m.dim), N), c, N)
 
 
 def build_chain(
@@ -178,7 +174,7 @@ def build_chain(
     if N < 0:
         raise ValueError("N must be >= 0")
     x0 = as_point(omega, m.dim)
-    xs = _orbit(T, x0, max(2, N))
+    xs = _checked_orbit(T, x0, max(2, N))
     if alpha is None:
         alpha = _admissible_alpha(m, xs, c, max(1, N))
     cert = ChainCertificate(

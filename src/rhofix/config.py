@@ -226,7 +226,7 @@ def load_config(path) -> ProblemConfig:
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
     try:
-        tree = yaml.safe_load(text)
+        tree = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(str(path), f"invalid YAML: {exc}") from None
     if not isinstance(tree, dict):

@@ -1,10 +1,13 @@
 """Contraction verification and Picard fixed-point iteration under a modular.
 
-The central loop iterates x_{n+1} = T x_n and tracks three modulars per
-step: the step modular rho(x_n - x_{n-1}), the residual rho(T x_n - x_n),
-and the doubled-orbit modular rho(2 x_n). Convergence requires BOTH the
-step and residual modulars below tol, which guards against declaring
-victory on a slowly moving orbit.
+Picard iterates x_{n+1} = T x_n and tracks three modulars per step: the
+step modular rho(x_n - x_{n-1}), the residual rho(T x_n - x_n) and the
+doubled-orbit modular rho(2 x_n). Convergence requires BOTH the step and
+residual modulars below tol, which guards against declaring victory on a
+slowly moving orbit. The orbit depends on T alone, so it is computed first,
+in blocks of 8 rows doubling up to 256 (`MapSpec.orbit`); each block's
+modulars are then two batch calls, rho(X[1:] - X[:-1]) for residuals and
+steps alike and rho(2 X). `TraceStep.x` is a row view into its block.
 
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
@@ -135,6 +138,16 @@ class MapSpec:
             x = self.apply(x)
         return x
 
+    def orbit(self, x, steps: int, power: int = 1) -> np.ndarray:
+        """Rows x, T^power x, ..., T^(power * steps) x, each one `apply_power` of
+        the row before. Non-finite rows are kept; the caller decides what they mean."""
+        X = np.empty((steps + 1, np.size(x)))
+        X[0] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(steps):
+                X[n + 1] = self.apply_power(X[n], power)
+        return X
+
 
 def _check_c(c: float | None) -> float | None:
     if c is None:
@@ -246,6 +259,9 @@ def verify_s_contraction(
     return _ratio_check(T, m, c, k**s, sampler, trials, "s_contraction", (c, k, s))
 
 
+_BLOCK_MIN, _BLOCK_MAX = 8, 256  # rows per Picard orbit block: doubling, then capped
+
+
 def _run_picard(
     T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int, power: int
 ) -> IterationTrace:
@@ -254,27 +270,31 @@ def _run_picard(
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     rho = m.evaluate_batch
-    # apply_power returns a fresh array each step, so only x0 needs a copy
-    x = prev = as_point(x0, _map_dim(T, m, x0)).copy()
+    x = as_point(x0, _map_dim(T, m, x0))
     trace = IterationTrace(power=power)
+    n, step, size = 0, math.nan, _BLOCK_MIN
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(max_iter + 1):
-            fx = T.apply_power(x, power)
-            ok = bool(np.all(np.isfinite(fx)))
-            # step, residual and doubled-orbit modulars in one batch call; a
-            # non-finite image is not evaluated and gives residual +inf
-            rows = np.stack((x - prev, fx - x if ok else np.zeros_like(x), 2.0 * x))
-            step_mod, residual, doubled = (float(v) for v in rho(rows))
-            step_mod = step_mod if n else math.nan
-            residual = residual if ok else INF
-            trace.steps.append(TraceStep(n, x, step_mod, residual, doubled))
-            if step_mod <= tol and residual <= tol:
-                trace.converged = True
-                trace.fixed_point = x.copy()
+        while n <= max_iter:
+            # X[i] = x_{n+i}; X[rows] starts the next block. Row i's residual
+            # rho(X[i+1] - X[i]) is row i+1's step; a non-finite image gives +inf
+            rows = min(size, max_iter + 1 - n)
+            X = T.orbit(x, rows, power)
+            left = np.flatnonzero(~np.isfinite(X).all(axis=1))
+            fin = int(left[0]) if left.size else rows + 1  # leading rows in the space
+            res = np.full(min(rows, fin), INF)
+            if fin > 1:
+                res[: fin - 1] = rho(X[1:fin] - X[: fin - 1])
+            step_mods = np.concatenate(([step], res[:-1]))
+            hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
+            k = int(hit[0]) + 1 if hit.size else res.size
+            trace.steps.extend(map(TraceStep, range(n, n + k), X[:k], step_mods[:k].tolist(),
+                                   res[:k].tolist(), rho(2.0 * X[:k]).tolist()))
+            if hit.size:
+                trace.converged, trace.fixed_point = True, X[k - 1].copy()
                 break
-            if not ok and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
-                raise DivergenceError(f"non-finite iterate at step {n + 1}", trace=trace)
-            prev, x = x, fx
+            if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
+                raise DivergenceError(f"non-finite iterate at step {n + fin}", trace=trace)
+            n, x, step, size = n + rows, X[rows], float(res[-1]), min(2 * size, _BLOCK_MAX)
     return trace
 
 

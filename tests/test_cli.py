@@ -408,3 +408,60 @@ def test_fuzzed_problem_files_exit_0_1_or_2(tree, command):
         cfg = write_cfg(Path(tmp) / "problem.yaml", tree)
         code = main([command, "--config", cfg, "--quiet", "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2)
+
+
+# --- YAML loaders ------------------------------------------------------------
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
+_needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+
+
+def _both_loaders(text):
+    return yaml.load(text, Loader=yaml.SafeLoader), yaml.load(text, Loader=yaml.CSafeLoader)
+
+
+def _loader_used(monkeypatch) -> type:
+    used, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: used.append(Loader) or load(text, Loader))
+    cfg = load_config(CONFIGS[0])
+    assert used and cfg.dim >= 1
+    return used[-1]
+
+
+@_needs_libyaml
+def test_config_parser_is_libyaml_when_available(monkeypatch):
+    assert _loader_used(monkeypatch) is yaml.CSafeLoader
+
+
+def test_config_parser_falls_back_to_pure_python(monkeypatch):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert _loader_used(monkeypatch) is yaml.SafeLoader
+
+
+@_needs_libyaml
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_loaders_agree_on_shipped_configs(path):
+    pure, fast = _both_loaders(path.read_text())
+    assert pure == fast and isinstance(pure, dict)
+
+
+@_needs_libyaml
+@given(tree=_problem, flow=st.sampled_from([None, True, False]))
+def test_loaders_agree_on_problem_trees(tree, flow):
+    text = yaml.safe_dump(tree, default_flow_style=flow)
+    pure, fast = _both_loaders(text)
+    assert repr(pure) == repr(fast)  # repr: nan == nan fails, and -0.0 == 0.0 passes
+
+
+@pytest.mark.parametrize("text", [
+    "space: {family: ppower, p: 1.0\ninitial_point: [1.0]\n",
+    "initial_point: [1.0, 2.0\n",
+    "space:\n\tfamily: ppower\ninitial_point: [1.0]\n",
+    "initial_point: [1.0]\x00\n",
+], ids=["unclosed-brace", "unclosed-bracket", "tab-indent", "nul-byte"])
+def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys, text):
+    path = tmp_path / "broken.yaml"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid YAML" in err and str(path) in err

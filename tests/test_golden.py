@@ -1,0 +1,56 @@
+"""Golden output bytes of `solve` and `certificate` on three shipped configs.
+
+Each file a command writes (trace or certificate CSV, JSON summary) is
+pinned by its SHA-256, so a change that alters any output byte fails
+here, not only one that alters a verdict. The configs run at their own
+seeds. Their maps and modulars are affine, halving and damped-logistic
+maps under p-power and weighted-sum modulars: no libm transcendental
+enters the traces or certificates. The summaries also hold the
+empirical contraction ratio, read off sampled points whose magnitudes
+are drawn as 10**u; a platform whose `pow` rounds differently could move
+that figure's last digits.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from rhofix.cli import main
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+GOLDEN = {
+    ("solve", "affine_p2"): {
+        "solve_summary.json": "a229f4074631acdf4ed78a40dcbd602fc9c017820d3c3d9f136251a251e4e125",
+        "trace.csv": "f59aa0421deea528fe896f0841fa9ccd801bf6ef6b1aae22e9a3c330c7f3c92f",
+    },
+    ("solve", "half_p1"): {
+        "solve_summary.json": "7afc07fcb456a1212adfb618c5cd7ee062fa3ed76202ae7e907d5b0ff2002c55",
+        "trace.csv": "cfd9de16d948e98c351c33b1e13a4d91ce7c182f475168145f2d9f431a3d677a",
+    },
+    ("solve", "weighted_logistic"): {
+        "solve_summary.json": "448be3441e6633d57a179f0c31dd3b5d6a52d115ee28efe679aef93a87e90011",
+        "trace.csv": "5bcf14cbaa9a982d3b1a3fa2f88cddb2e8a1cf87c1310ae5ae318ac3388cbb43",
+    },
+    ("certificate", "affine_p2"): {
+        "certificate.csv": "08c6afdff6d458d5966a57f18a627f136d9d3be47a065f0f9cd651ba0bc1caaa",
+        "certificate_summary.json": "a5597816dd579692012326ba67a08c201de60bf05306ab028e77a59bb040463f",
+    },
+    ("certificate", "half_p1"): {
+        "certificate.csv": "502038d7a36f21feb372f82bf998edb2c2b498b9ed08df20c1780a58602b88ab",
+        "certificate_summary.json": "29574d1fbdd16a4a04e66ff839d22ae7e22a0110f81c52a5b89cd2fef154fcef",
+    },
+    ("certificate", "weighted_logistic"): {
+        "certificate.csv": "286b43a3e286c67e505fb3aa36d80902be725b4eca86be77500a10b37c4f1b53",
+        "certificate_summary.json": "7b908b75be2d260d333278c151471fb0e351983bcf4b7ed6eac82edba7566f29",
+    },
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(GOLDEN), ids=[f"{c}-{n}" for c, n in sorted(GOLDEN)])
+def test_output_bytes_are_pinned(tmp_path, command, name):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / f"{name}.yaml"), "--quiet", "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == GOLDEN[command, name]
