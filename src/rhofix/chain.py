@@ -59,14 +59,14 @@ class ChainCertificate:
     inequality rho(x_n - limit) <= alpha_n. `all_pass` holds when both
     worst slacks clear -eps_num. `orbit_sup` and `orbit_stabilized` are the
     orbit-boundedness figure of `orbit_bound_check`, taken from the same
-    orbit the chain is built on.
+    orbit the chain is built on. `X` is a slice of that orbit, not a copy;
+    `omega`, `alpha` and `limit_candidate` read `X[0]`, `alphas[0]` and
+    `X[-1]`.
     """
 
-    omega: np.ndarray
     c: float
-    alpha: float
-    nodes: list[tuple[np.ndarray, float]]
-    limit_candidate: np.ndarray
+    X: np.ndarray       # rows T^n omega, n = 0..N
+    alphas: np.ndarray  # levels c**n alpha
     pair_check: float = math.nan
     max_check: float = math.nan
     all_pass: bool = False
@@ -76,14 +76,20 @@ class ChainCertificate:
     orbit_stabilized: bool = False
 
     @property
+    def omega(self) -> np.ndarray:
+        return self.X[0]
+
+    @property
+    def alpha(self) -> float:
+        return float(self.alphas[0])
+
+    @property
+    def limit_candidate(self) -> np.ndarray:
+        return self.X[-1]
+
+    @property
     def length(self) -> int:
-        return len(self.nodes) - 1
-
-    def alphas(self) -> np.ndarray:
-        return np.array([a for _, a in self.nodes])
-
-    def points(self) -> np.ndarray:
-        return np.array([x for x, _ in self.nodes])
+        return len(self.X) - 1
 
 
 class SlackCheck(NamedTuple):
@@ -177,13 +183,8 @@ def build_chain(
     xs = _checked_orbit(T, x0, max(2, N))
     if alpha is None:
         alpha = _admissible_alpha(m, xs, c, max(1, N))
-    cert = ChainCertificate(
-        omega=x0,
-        c=float(c),
-        alpha=float(alpha),
-        nodes=[(xs[n], c**n * alpha) for n in range(N + 1)],
-        limit_candidate=xs[N].copy(),
-    )
+    powers = np.array([c**n for n in range(N + 1)], dtype=float)
+    cert = ChainCertificate(float(c), xs[: N + 1], powers * alpha)
     cert.orbit_sup, cert.orbit_stabilized = _orbit_bound(m, xs)
     pair = verify_order_pairs(cert, m)
     mx = verify_maximum_element(cert, m, max_tol)
@@ -203,7 +204,7 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
     report +inf. Each q costs one batch evaluation over the rows p < q; the
     full pair block is never built, so memory stays O(N d).
     """
-    xs, alphas = cert.points(), cert.alphas()
+    xs, alphas = cert.X, cert.alphas
     worst, where = INF, None
     for q in range(1, len(xs)):
         slacks = (alphas[:q] - alphas[q]) - m.evaluate_batch(xs[:q] - xs[q])
@@ -215,7 +216,7 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
 
 def node_slacks(cert: ChainCertificate, m: ModularLike, tol: float = 0.0) -> np.ndarray:
     """Per-node slacks (alpha_n + tol) - rho(x_n - limit_candidate)."""
-    return (cert.alphas() + tol) - m.evaluate_batch(cert.points() - cert.limit_candidate)
+    return (cert.alphas + tol) - m.evaluate_batch(cert.X - cert.limit_candidate)
 
 
 def verify_maximum_element(cert: ChainCertificate, m: ModularLike, tol: float = 0.0) -> SlackCheck:
@@ -232,7 +233,7 @@ def cauchy_modulus(cert: ChainCertificate, eps_grid=EPS_GRID) -> list[tuple[floa
     Once the order inequalities hold, every pairwise modular beyond that
     index sits below eps as well: rho(x_m - x_n) <= alpha_min(m,n) < eps.
     """
-    alphas = cert.alphas()
+    alphas = cert.alphas
     rows: list[tuple[float, int | None]] = []
     for eps in eps_grid:
         hit = np.nonzero(alphas < eps)[0]

@@ -196,10 +196,10 @@ def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
 
     write_trace(out / "trace.csv", trace)
     write_json(out / "solve_summary.json", trace_payload(trace, extra))
-    last = trace.steps[-1]
     _say(quiet, f"solve [{extra['solver']}]: "
-                f"{'converged' if trace.converged else 'did not converge'} "
-                f"at n={last.n} (step={last.step_mod:.3g}, residual={last.residual:.3g})")
+                f"{'converged' if trace.converged else 'did not converge'} at "
+                f"n={trace.iterations} (step={trace.step_mod[-1]:.3g}, "
+                f"residual={trace.residual[-1]:.3g})")
     return status
 
 
@@ -210,22 +210,24 @@ def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sampler = PointSampler(cfg.dim, cfg.seed)
     c_eff, c_emp, _, scaled = _effective_c(cfg, sampler, quiet)
+    failure = {  # the summary of either failure exit, once "error" is filled in
+        "all_pass": False,
+        "error": None,
+        "c_empirical": None if math.isnan(c_emp) else c_emp,
+        "scaled_form": scaled,
+        "seed": cfg.seed,
+    }
     if math.isnan(c_eff) or not 0.0 <= c_eff < 1.0:
-        error = f"no contraction factor below 1 (empirical {c_emp:.6g})"
-        write_json(out / "certificate_summary.json", {
-            "all_pass": False,
-            "error": error,
-            "c_empirical": None if math.isnan(c_emp) else c_emp,
-            "scaled_form": scaled,
-            "seed": cfg.seed,
-        })
-        _say(quiet, f"certificate: {error}")
+        failure["error"] = f"no contraction factor below 1 (empirical {c_emp:.6g})"
+        write_json(out / "certificate_summary.json", failure)
+        _say(quiet, f"certificate: {failure['error']}")
         return EXIT_MATH
 
     try:
         cert = build_chain(cfg.space, cfg.map, cfg.initial_point, c_eff, cfg.chain_alpha, cfg.chain_n)
     except UnboundedOrbitError as exc:
-        write_json(out / "certificate_summary.json", {"error": str(exc), "all_pass": False})
+        failure["error"] = str(exc)
+        write_json(out / "certificate_summary.json", failure)
         _say(quiet, f"certificate: unbounded orbit ({exc})")
         return EXIT_MATH
 

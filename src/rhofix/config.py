@@ -21,7 +21,8 @@ Recognized keys (dotted = nested):
     seed                    64-bit unsigned
     out_dir                 report/trace output directory
 
-Anything malformed raises ConfigError naming the offending key.
+Anything malformed, an unknown key included, raises ConfigError naming the
+offending key.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ _DEFAULTS = {
     "out_dir": "out",
     "fatou_ratio": 0.5,
     "fatou_steps": 20,
+}
+
+
+# the keys each section allows, "" being the top level; any other key is an error
+_KEYS = {
+    "": {"space", "map", "initial_point", "solve", "check", "chain", "seed", "out_dir"},
+    "space": {"family", "p", "phi", "weights", "quadrature_nodes"},
+    "map": {"kind", "matrix", "offset", "lam", "c", "k", "s"},
+    "solve": {"tol", "max_iter"},
+    "check": {"trials", "s", "fatou_ratio", "fatou_steps"},
+    "chain": {"N", "alpha"},
 }
 
 
@@ -111,12 +123,19 @@ def _as_vector(value, path: str) -> np.ndarray:
     return arr
 
 
+def _check_keys(tree: dict, section: str) -> None:
+    for key in tree:
+        if key not in _KEYS[section]:
+            raise ConfigError(f"{section}.{key}" if section else str(key), "unknown key")
+
+
 def _subtree(tree: dict, key: str) -> dict:
     sub = tree.get(key, {})
     if sub is None:
         sub = {}
     if not isinstance(sub, dict):
         raise ConfigError(key, f"expected a mapping, got {sub!r}")
+    _check_keys(sub, key)
     return sub
 
 
@@ -231,6 +250,7 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(str(path), f"invalid YAML: {exc}") from None
     if not isinstance(tree, dict):
         raise ConfigError(str(path), "expected a top-level mapping of config keys")
+    _check_keys(tree, "")
 
     point = _as_vector(_get(tree, "initial_point", "", required=True), "initial_point")
     dim = point.size

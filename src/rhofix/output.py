@@ -35,28 +35,28 @@ __all__ = [
 MAX_WITNESSES = 20
 
 
-def _write_rows(path, lead: list[str], dim: int, rows) -> None:
+def _write_rows(path, lead: list[str], X: np.ndarray, *cols: np.ndarray) -> None:
     """Write a trace or certificate CSV: a header of the `lead` column names
-    and x0..x{dim-1}, then one record per row (the integer n, then floats).
+    and x0..x{d-1}, then one record per row of X: its index n, its entry in
+    each column of `cols`, and its coordinates.
 
     Each record is one `%` format on a template built once, with 17
     significant digits per float; the bytes equal what `csv.writer` writes
     for `format(v, ".17g")` fields, CRLF line ends included. Rows are
     formatted one at a time, so a long trace is never held as text.
     """
-    header = ",".join(lead + [f"x{i}" for i in range(dim)])
-    line = "%d," + ",".join(["%.17g"] * (len(lead) - 1 + dim)) + "\r\n"
+    header = ",".join(lead + [f"x{i}" for i in range(X.shape[1])])
+    line = "%d," + ",".join(["%.17g"] * (len(cols) + X.shape[1])) + "\r\n"
+    values = zip(*(c.tolist() for c in cols))
     with Path(path).open("w", newline="") as fh:
         fh.write(header + "\r\n")
-        fh.writelines(line % row for row in rows)
+        fh.writelines(line % (n, *v, *x.tolist()) for n, (v, x) in enumerate(zip(values, X)))
 
 
 def write_trace(path, trace: IterationTrace) -> None:
     """CSV trace: n, step_mod, residual, doubled_orbit, then coordinates."""
-    dim = trace.steps[0].x.size if trace.steps else 0
-    _write_rows(path, ["n", "step_mod", "residual", "doubled_orbit"], dim,
-                ((s.n, s.step_mod, s.residual, s.doubled_orbit, *s.x.tolist())
-                 for s in trace.steps))
+    _write_rows(path, ["n", "step_mod", "residual", "doubled_orbit"], trace.X,
+                trace.step_mod, trace.residual, trace.doubled_orbit)
 
 
 def _read_csv(path, lead: int) -> dict:
@@ -89,9 +89,7 @@ def read_trace(path) -> dict:
 
 def write_certificate(path, cert: ChainCertificate, m: ModularLike) -> None:
     """CSV certificate: one node per record: n, alpha_n, slack_n, coords."""
-    slacks = node_slacks(cert, m)
-    _write_rows(path, ["n", "alpha", "slack"], cert.omega.size,
-                ((n, a, slacks[n], *x.tolist()) for n, (x, a) in enumerate(cert.nodes)))
+    _write_rows(path, ["n", "alpha", "slack"], cert.X, cert.alphas, node_slacks(cert, m))
 
 
 def read_certificate(path) -> dict:
@@ -148,14 +146,14 @@ def delta2_payload(result: Delta2Result) -> dict:
 
 
 def trace_payload(trace: IterationTrace, extra: dict | None = None) -> dict:
-    last = trace.steps[-1] if trace.steps else None
+    rows = len(trace.X)
     payload = {
         "converged": trace.converged,
         "iterations": trace.iterations,
         "power": trace.power,
         "k_used": trace.k_used,
-        "final_step_mod": None if last is None else last.step_mod,
-        "final_residual": None if last is None else last.residual,
+        "final_step_mod": float(trace.step_mod[-1]) if rows else None,
+        "final_residual": float(trace.residual[-1]) if rows else None,
         "fixed_point": None if trace.fixed_point is None else trace.fixed_point.tolist(),
     }
     if extra:
@@ -191,14 +189,7 @@ def reverify_certificate(csv_path, m: ModularLike) -> dict:
     discrepancy against the recorded per-node slacks.
     """
     data = read_certificate(csv_path)
-    xs, alphas = data["x"], data["alpha"]
-    cert = ChainCertificate(
-        omega=xs[0],
-        c=math.nan,
-        alpha=float(alphas[0]),
-        nodes=[(xs[i], float(alphas[i])) for i in range(len(xs))],
-        limit_candidate=xs[-1],
-    )
+    cert = ChainCertificate(math.nan, data["x"], data["alpha"])
     recomputed = node_slacks(cert, m)
     pair = verify_order_pairs(cert, m)
     return {

@@ -7,7 +7,8 @@ residual modulars below tol, which guards against declaring victory on a
 slowly moving orbit. The orbit depends on T alone, so it is computed first,
 in blocks of 8 rows doubling up to 256 (`MapSpec.orbit`); each block's
 modulars are then two batch calls, rho(X[1:] - X[:-1]) for residuals and
-steps alike and rho(2 X). `TraceStep.x` is a row view into its block.
+steps alike and rho(2 X). The kept slices are joined once, when the run
+stops, into one record: the rows `X` and one float column per modular.
 
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
@@ -18,8 +19,9 @@ single map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 import numpy as np
 
 from .checks import (
@@ -39,7 +41,6 @@ from .modular import INF, ModularLike, as_point
 __all__ = [
     "MapKind",
     "MapSpec",
-    "TraceStep",
     "IterationTrace",
     "verify_contraction",
     "verify_s_contraction",
@@ -158,20 +159,23 @@ def _check_c(c: float | None) -> float | None:
     return c
 
 
-@dataclass
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One row of an `IterationTrace`, as its `steps` view presents it."""
     n: int
-    x: np.ndarray
-    step_mod: float       # rho(x_n - x_{n-1}); nan at n = 0
-    residual: float       # rho(T x_n - x_n)
-    doubled_orbit: float  # rho(2 x_n)
+    x: np.ndarray  # a row view into the trace's X
+    step_mod: float
+    residual: float
+    doubled_orbit: float
 
 
 @dataclass
 class IterationTrace:
-    """Full record of one Picard run."""
+    """Full record of one Picard run: the iterates as rows of `X`, one column per modular."""
 
-    steps: list[TraceStep] = field(default_factory=list)
+    X: np.ndarray              # (rows, d)
+    step_mod: np.ndarray       # rho(x_n - x_{n-1}); nan at n = 0
+    residual: np.ndarray       # rho(T x_n - x_n)
+    doubled_orbit: np.ndarray  # rho(2 x_n)
     converged: bool = False
     fixed_point: np.ndarray | None = None
     power: int = 1              # the composite T^power the engine stepped
@@ -179,7 +183,13 @@ class IterationTrace:
 
     @property
     def iterations(self) -> int:
-        return self.steps[-1].n if self.steps else 0
+        return len(self.X) - 1
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        """The record row by row, built on each access, for reading."""
+        return tuple(map(TraceStep, range(len(self.X)), self.X, self.step_mod.tolist(),
+                         self.residual.tolist(), self.doubled_orbit.tolist()))
 
 
 def _map_dim(T: MapSpec, m: ModularLike, x0) -> int:
@@ -271,7 +281,7 @@ def _run_picard(
         raise ValueError("max_iter must be >= 0")
     rho = m.evaluate_batch
     x = as_point(x0, _map_dim(T, m, x0))
-    trace = IterationTrace(power=power)
+    blocks, error = [], None  # per block: its kept rows of X and their three columns
     n, step, size = 0, math.nan, _BLOCK_MIN
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= max_iter:
@@ -287,14 +297,18 @@ def _run_picard(
             step_mods = np.concatenate(([step], res[:-1]))
             hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
             k = int(hit[0]) + 1 if hit.size else res.size
-            trace.steps.extend(map(TraceStep, range(n, n + k), X[:k], step_mods[:k].tolist(),
-                                   res[:k].tolist(), rho(2.0 * X[:k]).tolist()))
+            blocks.append((X[:k], step_mods[:k], res[:k], rho(2.0 * X[:k])))
             if hit.size:
-                trace.converged, trace.fixed_point = True, X[k - 1].copy()
                 break
             if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
-                raise DivergenceError(f"non-finite iterate at step {n + fin}", trace=trace)
+                error = f"non-finite iterate at step {n + fin}"
+                break
             n, x, step, size = n + rows, X[rows], float(res[-1]), min(2 * size, _BLOCK_MAX)
+    trace = IterationTrace(*map(np.concatenate, zip(*blocks)), power=power)
+    if hit.size:
+        trace.converged, trace.fixed_point = True, trace.X[-1].copy()
+    if error:
+        raise DivergenceError(error, trace=trace)
     return trace
 
 

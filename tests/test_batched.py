@@ -86,12 +86,12 @@ def test_order_pairs_match_double_loop(m):
     # 40 nodes; half the admissible level, so the worst slack is negative
     cert = build_chain(m, MAP, [1.0, -2.0, 0.5], 0.9, None, 39)
     cert = build_chain(m, MAP, [1.0, -2.0, 0.5], 0.9, cert.alpha / 2.0, 39)
-    assert len(cert.nodes) == 40
+    assert len(cert.X) == 40
     worst, where = np.inf, None
-    for q in range(1, len(cert.nodes)):
-        xq, aq = cert.nodes[q]
+    for q in range(1, len(cert.X)):
+        xq, aq = cert.X[q], cert.alphas[q]
         for p in range(q):
-            xp, ap = cert.nodes[p]
+            xp, ap = cert.X[p], cert.alphas[p]
             slack = (ap - aq) - m.evaluate(xp - xq)
             if slack < worst:
                 worst, where = slack, (p, q)

@@ -49,7 +49,7 @@ def test_build_chain_singleton_is_vacuous():
     cert = build_chain(P1, HALF, [1.0], 0.5, 1.0, 0)
     assert cert.all_pass
     assert cert.pair_check == math.inf
-    assert len(cert.nodes) == 1
+    assert len(cert.X) == 1
 
 
 def test_build_chain_half_passes():
@@ -69,15 +69,14 @@ def test_build_chain_halved_alpha_fails():
 
 def test_alpha_levels_strictly_decrease():
     cert = build_chain(P1, HALF, [1.0], 0.5, 1.0, 20)
-    alphas = cert.alphas()
+    alphas = cert.alphas
     assert np.all(np.diff(alphas) < 0.0)
 
 
 def test_corrupted_node_reports_offending_pair():
     alpha = compute_alpha(P1, HALF, [1.0], 0.5, 20)
     cert = build_chain(P1, HALF, [1.0], 0.5, alpha, 20)
-    x5, a5 = cert.nodes[5]
-    cert.nodes[5] = (x5 + 1.0, a5)
+    cert.X[5] += 1.0
     check = verify_order_pairs(cert, P1)
     assert check.worst_slack < 0.0
     assert 5 in check.index
@@ -110,8 +109,8 @@ def test_telescoping_slack_identity():
     rho = P1.evaluate
     for q in range(1, 31):
         for p in range(q):
-            xp, ap = cert.nodes[p]
-            xq, aq = cert.nodes[q]
+            xp, ap = cert.X[p], cert.alphas[p]
+            xq, aq = cert.X[q], cert.alphas[q]
             slack = (ap - aq) - rho(xp - xq)
             expected = ALPHA_MARGIN * (0.5**p - 0.5**q)
             assert abs(slack - expected) <= 8.0 * np.spacing(ap - aq)
@@ -145,7 +144,7 @@ def test_certificate_soundness_direct_recheck():
     for eps, n_eps in cauchy_modulus(cert):
         if n_eps is None:
             continue
-        xs = [x for x, _ in cert.nodes[n_eps:]]
+        xs = cert.X[n_eps:]
         for i in range(len(xs)):
             for j in range(i + 1, len(xs)):
                 assert P1.evaluate(xs[i] - xs[j]) < eps

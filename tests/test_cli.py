@@ -99,6 +99,18 @@ def test_bad_map_key_named_once(tmp_path, capsys):
     assert err.startswith("config error: map.lam: ")
 
 
+@pytest.mark.parametrize("section,key", [("", "sead"), ("space", "familly"), ("map", "lamda"),
+                                         ("solve", "tolerance"), ("check", "trails"),
+                                         ("chain", "n")])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, section, key):
+    tree = yaml.safe_load(Path(half_cfg(tmp_path)).read_text())
+    (tree[section] if section else tree)[key] = 3
+    cfg = write_cfg(tmp_path / "typo.yaml", tree)
+    assert main(["certificate", "--config", cfg, "--quiet"]) == 2
+    name = f"{section}.{key}" if section else key
+    assert capsys.readouterr().err == f"config error: {name}: unknown key\n"
+
+
 @pytest.mark.parametrize("override", [
     {"space": {"family": [1]}},
     {"space": {"family": "ppower", "p": -1}},
@@ -276,6 +288,20 @@ def test_certificate_without_factor_below_1_writes_summary(tmp_path):
     assert summary["seed"] == 42
 
 
+def test_certificate_unbounded_orbit_writes_the_same_summary(tmp_path):
+    # omega - T^2 omega = 750 and exp(750) overflows: the orbit is unbounded
+    cfg = half_cfg(tmp_path, space={"family": "orlicz", "phi": "exp_minus_one",
+                                    "quadrature_nodes": 1}, initial_point=[1000.0])
+    assert main(["certificate", "--config", cfg, "--quiet"]) == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["certificate_summary.json"]
+    summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
+    assert set(summary) == {"all_pass", "error", "c_empirical", "scaled_form", "seed"}
+    assert summary["all_pass"] is False
+    assert summary["error"] == "rho(omega - T^2 omega) is infinite"
+    assert summary["scaled_form"] is None
+    assert summary["seed"] == 42
+
+
 # --- determinism and round-trips ----------------------------------------------
 
 def test_solve_deterministic_for_fixed_seed(tmp_path):
@@ -443,6 +469,11 @@ def test_config_parser_falls_back_to_pure_python(monkeypatch):
 def test_loaders_agree_on_shipped_configs(path):
     pure, fast = _both_loaders(path.read_text())
     assert pure == fast and isinstance(pure, dict)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_configs_load(path):
+    assert load_config(path).dim >= 1
 
 
 @_needs_libyaml

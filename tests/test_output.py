@@ -13,7 +13,6 @@ from rhofix import (
     IterationTrace,
     MapSpec,
     ModularSpec,
-    TraceStep,
     build_chain,
     picard_solve,
 )
@@ -48,7 +47,7 @@ def _reference_trace(path, trace):
 def _reference_certificate(path, cert, m):
     slacks = node_slacks(cert, m)
     _reference_rows(path, ["n", "alpha", "slack"] + [f"x{i}" for i in range(cert.omega.size)],
-                    ([n, a, slacks[n], *x] for n, (x, a) in enumerate(cert.nodes)))
+                    ([n, a, slacks[n], *x] for n, (x, a) in enumerate(zip(cert.X, cert.alphas))))
 
 
 def _bits(a):
@@ -68,12 +67,15 @@ def _diverged():
     return err.value.trace
 
 
+def _trace(*columns):
+    """A hand-built record from X, step_mod, residual and doubled_orbit."""
+    return IterationTrace(*(np.array(c, dtype=float) for c in columns))
+
+
 def _extremes():
     x = np.array(EXTREMES)
-    return IterationTrace(steps=[
-        TraceStep(0, x, math.nan, math.inf, -math.inf),
-        TraceStep(1, -x, -0.0, 5e-324, 1.7976931348623157e308),
-    ])
+    return _trace([x, -x], [math.nan, -0.0], [math.inf, 5e-324],
+                  [-math.inf, 1.7976931348623157e308])
 
 
 def _zero_iterations():
@@ -113,7 +115,7 @@ def test_read_trace_returns_stored_doubles_bit_for_bit(tmp_path, case):
 
 
 def test_read_header_only_trace_keeps_the_column_count(tmp_path):
-    write_trace(tmp_path / "t.csv", IterationTrace())
+    write_trace(tmp_path / "t.csv", _trace(np.empty((0, 0)), [], [], []))
     data = read_trace(tmp_path / "t.csv")
     assert data["n"].shape == (0,) and data["n"].dtype.kind == "i"
     assert data["residual"].shape == (0,)
@@ -123,8 +125,8 @@ def test_read_header_only_trace_keeps_the_column_count(tmp_path):
 def test_read_trace_memory_stays_near_the_result_size(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((500, 64)) * 10.0 ** rng.uniform(-30, 30, (500, 64))
-    write_trace(tmp_path / "t.csv", IterationTrace(steps=[
-        TraceStep(n, x, 1.0 / (n + 1), 2.0 / (n + 1), 3.0) for n, x in enumerate(X)]))
+    n = np.arange(500)
+    write_trace(tmp_path / "t.csv", _trace(X, 1.0 / (n + 1), 2.0 / (n + 1), np.full(500, 3.0)))
     tracemalloc.start()
     try:
         data = read_trace(tmp_path / "t.csv")
@@ -150,8 +152,8 @@ def _certificates():
     T = MapSpec.half()
     omega = [1.0, -2.0, 0.5]
     x = np.array(EXTREMES)
-    hand = ChainCertificate(omega=x, c=0.5, alpha=1.0, nodes=[(x, 1.0), (-x, -0.0)],
-                            limit_candidate=np.zeros(3))
+    # the last node is the limit candidate
+    hand = ChainCertificate(0.5, np.array([x, -x, np.zeros(3)]), np.array([1.0, -0.0, 0.0]))
     return m, {"N30": build_chain(m, T, omega, 0.5, None, 30),
                "N0": build_chain(m, T, omega, 0.5, None, 0),
                "extremes": hand}
@@ -165,5 +167,5 @@ def test_write_certificate_matches_csv_writer_bytes(tmp_path, case):
     _reference_certificate(tmp_path / "ref.csv", cert, m)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     data = read_certificate(tmp_path / "new.csv")
-    assert np.array_equal(_bits(data["alpha"]), _bits([a for _, a in cert.nodes]))
-    assert np.array_equal(_bits(data["x"]), _bits([x for x, _ in cert.nodes]))
+    assert np.array_equal(_bits(data["alpha"]), _bits(cert.alphas))
+    assert np.array_equal(_bits(data["x"]), _bits(cert.X))

@@ -22,7 +22,6 @@ from rhofix import (
     ModularSpec,
     NamedFunctional,
     Phi,
-    TraceStep,
     UnboundedOrbitError,
     build_chain,
     compute_alpha,
@@ -62,7 +61,12 @@ def _reference_picard(T, m, x0, tol, max_iter, power):
     """The per-step loop: one 3-row batch rho call per step."""
     rho = m.evaluate_batch
     x = prev = as_point(x0, m.dim).copy()
-    trace = IterationTrace(power=power)
+    steps = []
+
+    def record(**kwargs):
+        X, step_mod, residual, doubled = (np.array(col) for col in zip(*steps))
+        return IterationTrace(X, step_mod, residual, doubled, power=power, **kwargs)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iter + 1):
             fx = T.apply_power(x, power)
@@ -71,15 +75,13 @@ def _reference_picard(T, m, x0, tol, max_iter, power):
             step_mod, residual, doubled = (float(v) for v in rho(rows))
             step_mod = step_mod if n else math.nan
             residual = residual if ok else INF
-            trace.steps.append(TraceStep(n, x, step_mod, residual, doubled))
+            steps.append((x, step_mod, residual, doubled))
             if step_mod <= tol and residual <= tol:
-                trace.converged = True
-                trace.fixed_point = x.copy()
-                break
+                return record(converged=True, fixed_point=x.copy())
             if not ok and max_iter:
-                raise DivergenceError(f"non-finite iterate at step {n + 1}", trace=trace)
+                raise DivergenceError(f"non-finite iterate at step {n + 1}", trace=record())
             prev, x = x, fx
-    return trace
+    return record()
 
 
 def _reference_power(T, m, c, x0, tol, max_iter, k):
