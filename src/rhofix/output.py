@@ -1,10 +1,28 @@
 """Delimited trace/certificate files and JSON report summaries.
 
-All floats are written with 17 significant digits, so reading a file back
-reproduces the stored doubles exactly and recorded slacks can be
-re-verified losslessly. Both CSVs are written by one row formatter: a
-header line, then one `%` format per record, lines ending in CRLF as
+All floats are written with 17 significant digits, as '%.17g' writes them,
+so reading a file back reproduces the stored doubles exactly and recorded
+slacks can be re-verified losslessly. Both CSVs are written by one row
+writer: a header line, then one record per row, lines ending in CRLF as
 `csv.writer` ends them.
+
+The text comes from a numpy kernel that formats a block of values at once
+and gives the bytes of '%.17g' for each. It splits |v| into m 2^e with m
+normalized to 64 bits and multiplies m by a 64-bit mantissa of 10^(16 - k),
+k = floor(log10 |v|), from a table built at import: the integer part of
+that 128-bit product, rounded half to even, is the 17 digits. For
+0 <= 16 - k <= 27 the power is exact and so is the rounding; otherwise the
+product's error is below 2^-7.5, and a value whose fraction lies within
+2^-7 of one half is formatted by '%.17g' itself. So are nan and +-inf,
+values whose exponent has not settled after two corrections of k, and
+arrays too small to repay numpy's per-call cost. The digits are then laid
+out by %g's rules (fixed notation for -4 <= X < 17, trailing zeros
+stripped, exponents of at least two digits). Which path formats a value
+never shows in the bytes: tests pin both against '%.17g' itself and
+against a `csv.writer` reference.
+
+JSON reports are strict JSON: a non-finite float is written as the string
+"nan", "inf" or "-inf", as in the CSVs.
 """
 
 from __future__ import annotations
@@ -35,22 +53,214 @@ __all__ = [
 MAX_WITNESSES = 20
 
 
+# -- the %.17g kernel --------------------------------------------------------
+#
+# |v| = m 2^e with m normalized to 64 bits. With k = floor(log10 |v|), the
+# 17 digits are D = round(|v| 10^(16 - k)), in [10^16, 10^17]; 10^17 is the
+# carry into k + 1. 10^q is held as a 64-bit mantissa and a binary
+# exponent, so |v| 10^q is one 64x64 -> 128-bit product, shifted.
+
+_Q_LO, _Q_HI = -294, 342  # q = 16 - k for every finite double, +-2 for corrections
+_HALF, _BAND = np.uint64(1 << 63), np.uint64(1 << 57)  # one half; 2^-7, in 2^-64 units
+_LO32 = np.uint64(0xFFFFFFFF)
+_E8, _E16, _E17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
+
+
+def _pow10_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For q in [_Q_LO, _Q_HI]: 10^q ~ mant 2^exp with mant in [2^63, 2^64),
+    rounded to nearest, and whether that is exact (0 <= q <= 27)."""
+    mant, exp, exact = [], [], []
+    for q in range(_Q_LO, _Q_HI + 1):
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        e = num.bit_length() - den.bit_length() - 64
+        while True:
+            a, b = (num, den << e) if e >= 0 else (num << -e, den)
+            P, r = divmod(a, b)
+            if P < 1 << 64:
+                break
+            e += 1
+        P += 2 * r >= b
+        if P == 1 << 64:
+            P, e = 1 << 63, e + 1
+        mant.append(P)
+        exp.append(e)
+        exact.append(r == 0)
+    return np.array(mant, np.uint64), np.array(exp, np.int64), np.array(exact)
+
+
+def _round17(m, e, k):
+    """S = m 2^e 10^(16 - k): its integer part, whether it rounds up (half
+    to even), and where that cannot be decided: 10^(16 - k) is inexact and
+    the computed fraction lies within 2^-7 of one half, while the product's
+    error is below 2^-7.5 for S < 10^17."""
+    i = 16 - k - _Q_LO
+    P, exact = _P10_MANT[i], _P10_EXACT[i]
+    t = (-64 - e - _P10_EXP[i]).astype(np.uint64)  # the integer part is hi >> t
+    m1, m0, p1, p0 = m >> 32, m & _LO32, P >> 32, P & _LO32
+    ll, lh, hl = m0 * p0, m0 * p1, m1 * p0
+    mid = (ll >> 32) + (lh & _LO32) + (hl & _LO32)
+    lo = (ll & _LO32) | (mid << 32)
+    hi = m1 * p1 + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    D = hi >> t
+    frac = (hi << (64 - t)) | (lo >> t)  # top 64 bits of the fraction
+    below = (lo << (64 - t)) != 0        # fraction bits past those 64
+    up = (frac > _HALF) | ((frac == _HALF) & (below | ~exact | (D & 1).astype(bool)))
+    undecided = ~exact & (frac - (_HALF - _BAND) < 2 * _BAND)
+    return D, up, undecided
+
+
+# One value's text is laid out in six 8-byte words of fixed byte positions:
+#   [sign, "0.000" (the lead of -4 <= X < 0), d0, point]
+#   four words [d, point, d, point, d, point, d, point] of digits 1..16
+#   ["e", the exponent's sign, its two or three digits, NULs, ",", NUL],
+#     with NULs for the exponent in fixed notation
+# Each point slot holds ".", and one AND mask per shape (X in fixed
+# notation, or scientific, and the last digit kept) clears what that
+# shape does not print: all but one point, the trailing zeros and the
+# lead. The NULs left are dropped when the block is joined.
+_WIDTH = 48
+_SMALL = 200  # values; see _g17_fields
+_FIXED_X = range(-4, 17)  # %g's fixed notation: -4 <= X < 17
+_X_LO, _X_HI = -400, 400  # beyond every double's exponent
+
+
+def _shape_masks() -> np.ndarray:
+    """AND masks of the first five words, by shape key: (X + 4) * 17 + keep
+    in fixed notation, 21 * 17 + keep in scientific, where digits 0..keep
+    are printed."""
+    masks = np.zeros((22, 17, 40), np.uint8)
+    for s, x in enumerate(list(_FIXED_X) + [None]):
+        for keep in range(17):
+            row = masks[s, keep]
+            row[0] = 0xFF  # the sign
+            if x is not None and x < 0:
+                row[1:2 - x] = 0xFF  # "0.", then -x - 1 zeros
+            row[6:7 + 2 * keep:2] = 0xFF
+            point = 0 if x is None else x
+            if 0 <= point < keep:
+                row[7 + 2 * point] = 0xFF
+    return masks.reshape(-1, 40).view("<u8")
+
+
+def _exponent_words() -> np.ndarray:
+    """The last word of the field for each decimal exponent X."""
+    words = [(b"" if x in _FIXED_X else b"e%+03d" % x).ljust(6, b"\0") + b",\0"
+             for x in range(_X_LO, _X_HI + 1)]
+    return np.frombuffer(b"".join(words), "<u8")
+
+
+_P10_MANT, _P10_EXP, _P10_EXACT = _pow10_table()
+_LEAD = np.frombuffer(b"\0" + b"0.000" + b"0.", "<u8")[0]  # d0 and the sign go over it
+_MASKS = _shape_masks()
+_EXPONENTS = _exponent_words()
+_GROUP = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_GROUP = (_GROUP % 10).astype(np.uint8)  # the 4 decimal digits of each g < 10^4
+# _DIGITS4[g]: the 4 digits of "%04d" % g in ASCII, each followed by a point slot
+_DIGITS4 = np.full((10_000, 4, 2), ord("."), np.uint8)
+_DIGITS4[:, :, 0] = _GROUP + ord("0")
+_DIGITS4 = _DIGITS4.reshape(-1, 8).view("<u8").ravel()
+# _LAST4[g]: the length of "%04d" % g with its trailing zeros stripped
+_LAST4 = np.max((_GROUP > 0) * np.arange(1, 5, dtype=np.int8), axis=1)
+
+
+def _g17_fields(v: np.ndarray) -> np.ndarray:
+    """The text of '%.17g' % x for each x of the 1-D float array v, as
+    (len(v), _WIDTH) bytes holding NULs at fixed positions, the separator
+    ',' in the last two.
+
+    nan, +-inf, undecided roundings and exponents that do not settle in
+    two corrections are formatted by '%.17g' itself, one value each; so
+    are all values of an array smaller than _SMALL, where numpy's per-call
+    cost would exceed that of '%.17g'.
+    """
+    n = v.size
+    if n < _SMALL:
+        return _format_each(v, np.empty((n, _WIDTH), np.uint8), np.arange(n))
+    a = np.abs(v)
+    ok = np.isfinite(a) & (a > 0.0)
+    a = np.where(ok, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    sub = a < 2.2250738585072014e-308  # subnormal: scale by 2^64 exactly
+    bits = (a * np.where(sub, 2.0**64, 1.0)).view(np.uint64)
+    m = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) << np.uint64(11)
+    e = (bits >> np.uint64(52)).astype(np.int64) - (1075 + 11) - 64 * sub
+    D, up, undecided = _round17(m, e, k)
+    # k from log10 can be off by one near powers of ten: S must be in [10^16, 10^17)
+    todo = np.flatnonzero((D < _E16) | (D >= _E17))
+    for _ in range(2):
+        if not todo.size:
+            break
+        k[todo] += np.where(D[todo] >= _E17, 1, -1)
+        D[todo], up[todo], undecided[todo] = _round17(m[todo], e[todo], k[todo])
+        todo = todo[(D[todo] < _E16) | (D[todo] >= _E17)]
+    D += up
+    carry = D == _E17
+    D[carry | ~ok] = _E16
+    X = np.where(ok, k + carry, 0)  # the decimal exponent; 0 for +-0
+
+    W = np.empty((n, 6), "<u8")
+    F = W.view(np.uint8)
+    W[:, 0] = _LEAD
+    F[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    d0 = D // _E16
+    F[:, 6] = (d0 * ok).astype(np.uint8) + np.uint8(ord("0"))
+    rest = D - d0 * _E16
+    hi8 = (rest // _E8).astype(np.uint32)
+    lo8 = (rest - hi8 * _E8).astype(np.uint32)
+    g1, g3 = hi8 // 10_000, lo8 // 10_000
+    g2, g4 = hi8 - g1 * 10_000, lo8 - g3 * 10_000
+    W[:, 1:5] = _DIGITS4.take(np.stack((g1, g2, g3, g4), axis=1))
+    W[:, 5] = _EXPONENTS.take(np.clip(X, _X_LO, _X_HI) - _X_LO)
+    # the last nonzero digit, from the last nonzero group
+    last = np.where(g4, 12 + _LAST4.take(g4), np.where(
+        g3, 8 + _LAST4.take(g3), np.where(g2, 4 + _LAST4.take(g2), _LAST4.take(g1))))
+    fixed = (X >= -4) & (X < 17)
+    keep = np.maximum(last, np.where(fixed, X, -1))
+    W[:, :5] &= _MASKS.take(np.where(fixed, X + 4, 21) * 17 + keep, axis=0)
+
+    slow = undecided | ~np.isfinite(v)
+    slow[todo] = True
+    return _format_each(v, F, np.flatnonzero(slow))
+
+
+def _format_each(v: np.ndarray, F: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Write the fields of v[rows] into F by '%.17g', one value at a time."""
+    if rows.size:
+        text = b"".join((b"%.17g" % x).ljust(_WIDTH - 2, b"\0") + b",\0" for x in v[rows].tolist())
+        F[rows] = np.frombuffer(text, np.uint8).reshape(-1, _WIDTH)
+    return F
+
+
+_BLOCK_VALUES = 1 << 13  # values formatted per block: bounds the writer's memory
+
+
 def _write_rows(path, lead: list[str], X: np.ndarray, *cols: np.ndarray) -> None:
     """Write a trace or certificate CSV: a header of the `lead` column names
     and x0..x{d-1}, then one record per row of X: its index n, its entry in
     each column of `cols`, and its coordinates.
 
-    Each record is one `%` format on a template built once, with 17
-    significant digits per float; the bytes equal what `csv.writer` writes
-    for `format(v, ".17g")` fields, CRLF line ends included. Rows are
-    formatted one at a time, so a long trace is never held as text.
+    The bytes are those of `csv.writer` with `format(v, ".17g")` fields,
+    CRLF line ends included. Rows are formatted in blocks of about
+    `_BLOCK_VALUES` values by `_g17_fields`; n is formatted as a float,
+    whose %.17g text is the integer's own. Dropping the NULs from a block's
+    fields leaves its records.
     """
-    header = ",".join(lead + [f"x{i}" for i in range(X.shape[1])])
-    line = "%d," + ",".join(["%.17g"] * (len(cols) + X.shape[1])) + "\r\n"
-    values = zip(*(c.tolist() for c in cols))
-    with Path(path).open("w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(line % (n, *v, *x.tolist()) for n, (v, x) in enumerate(zip(values, X)))
+    rows, d = X.shape
+    width = 1 + len(cols) + d
+    header = ",".join(lead + [f"x{i}" for i in range(d)]) + "\r\n"
+    step = max(1, _BLOCK_VALUES // width)
+    with Path(path).open("wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            V = np.empty((stop - start, width))
+            V[:, 0] = np.arange(start, stop)
+            for j, c in enumerate(cols, 1):
+                V[:, j] = c[start:stop]
+            V[:, 1 + len(cols):] = X[start:stop]
+            F = _g17_fields(V.ravel()).reshape(stop - start, width * _WIDTH)
+            F[:, -2:] = (ord("\r"), ord("\n"))
+            fh.write(F.tobytes().translate(None, b"\0"))
 
 
 def write_trace(path, trace: IterationTrace) -> None:
@@ -98,15 +308,25 @@ def read_certificate(path) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, default=_jsonable) + "\n")
+    """Write the payload as strict JSON (RFC 8259): non-finite floats are
+    written as the strings "nan", "inf" and "-inf", their CSV spellings."""
+    Path(path).write_text(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _jsonable(obj):
+    """The payload with numpy arrays and scalars as Python values and every
+    non-finite float as its string."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
 
 
 def report_payload(checker: str, report: AxiomReport, extra: dict | None = None) -> dict:

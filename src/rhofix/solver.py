@@ -7,8 +7,8 @@ residual modulars below tol, which guards against declaring victory on a
 slowly moving orbit. The orbit depends on T alone, so it is computed first,
 in blocks of 8 rows doubling up to 256 (`MapSpec.orbit`); each block's
 modulars are then two batch calls, rho(X[1:] - X[:-1]) for residuals and
-steps alike and rho(2 X). The kept slices are joined once, when the run
-stops, into one record: the rows `X` and one float column per modular.
+steps alike and rho(2 X). Each block's kept rows are copied into one
+record as the run goes: the rows `X` and one float column per modular.
 
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
@@ -134,9 +134,29 @@ class MapSpec:
             return np.broadcast_to(self.value, x.shape).astype(float)
 
     def apply_power(self, x: np.ndarray, n: int) -> np.ndarray:
-        """The composite T^n, by n-fold application, to a point or a batch."""
-        for _ in range(n):
-            x = self.apply(x)
+        """The composite T^n, by n-fold application, to a point or a batch.
+
+        The first application is `apply`, which checks the point; the other
+        n - 1 repeat its arithmetic bit for bit, with the kind dispatched
+        once, in one loop under one errstate. T^n = T for a constant map.
+        """
+        if n < 1:
+            return x
+        x = self.apply(x)
+        if n == 1 or self.kind is MapKind.CONST:
+            return x
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind is MapKind.AFFINE:
+                A, b = self.matrix.T, self.offset
+                for _ in range(n - 1):
+                    x = x @ A + b
+            elif self.kind is MapKind.HALF:
+                for _ in range(n - 1):
+                    x = 0.5 * x
+            else:
+                lam = self.lam
+                for _ in range(n - 1):
+                    x = lam * x / (1.0 + np.abs(x))
         return x
 
     def orbit(self, x, steps: int, power: int = 1) -> np.ndarray:
@@ -281,7 +301,8 @@ def _run_picard(
         raise ValueError("max_iter must be >= 0")
     rho = m.evaluate_batch
     x = as_point(x0, _map_dim(T, m, x0))
-    blocks, error = [], None  # per block: its kept rows of X and their three columns
+    # the rows X and their step, residual and doubled-orbit columns, grown block by block
+    record, error = [np.empty((0, x.size)), np.empty(0), np.empty(0), np.empty(0)], None
     n, step, size = 0, math.nan, _BLOCK_MIN
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= max_iter:
@@ -297,19 +318,31 @@ def _run_picard(
             step_mods = np.concatenate(([step], res[:-1]))
             hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
             k = int(hit[0]) + 1 if hit.size else res.size
-            blocks.append((X[:k], step_mods[:k], res[:k], rho(2.0 * X[:k])))
+            _append(record, (X[:k], step_mods[:k], res[:k], rho(2.0 * X[:k])))
             if hit.size:
                 break
             if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
                 error = f"non-finite iterate at step {n + fin}"
                 break
             n, x, step, size = n + rows, X[rows], float(res[-1]), min(2 * size, _BLOCK_MAX)
-    trace = IterationTrace(*map(np.concatenate, zip(*blocks)), power=power)
+    trace = IterationTrace(*record, power=power)
     if hit.size:
         trace.converged, trace.fixed_point = True, trace.X[-1].copy()
     if error:
         raise DivergenceError(error, trace=trace)
     return trace
+
+
+def _append(record: list[np.ndarray], block: tuple[np.ndarray, ...]) -> None:
+    """Append a block's rows to the record arrays, in place. `resize`
+    reallocs, which moves a large buffer without copying it, so a run peaks
+    at its record plus one block; growing by more than the block would
+    commit the slack too, since `resize` zero-fills it. No view of a record
+    array may exist while it grows (hence refcheck=False)."""
+    for a, part in zip(record, block):
+        n = len(a)
+        a.resize((n + len(part), *a.shape[1:]), refcheck=False)
+        a[n:] = part
 
 
 def picard_solve(T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int) -> IterationTrace:

@@ -496,3 +496,34 @@ def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys, text):
     assert main(["solve", "--config", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "invalid YAML" in err and str(path) in err
+
+
+# --- strict JSON ----------------------------------------------------------------
+
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+SHIPPED_COMMANDS = ([("check", p.stem) for p in CONFIGS]
+                    + [(sub, name) for sub in ("solve", "certificate")
+                       for name in ("affine_p2", "half_p1", "weighted_logistic")])
+
+
+def test_every_json_report_is_strict_json(tmp_path):
+    runs = {f"{sub}-{name}": [sub, "--config", str(CONFIGS[0].parent / f"{name}.yaml")]
+            for sub, name in SHIPPED_COMMANDS}
+    runs["max_iter_0"] = ["solve", "--config", half_cfg(tmp_path, solve={"tol": 1e-10, "max_iter": 0})]
+    runs["diverging"] = ["solve", "--config", write_cfg(tmp_path / "div.yaml", {
+        "space": {"family": "ppower", "p": 2.0},
+        "map": {"kind": "affine", "matrix": [[2.0]], "offset": [0.0]},
+        "initial_point": [1.0], "solve": {"tol": 1e-10, "max_iter": 5_000}})]
+    written = {}
+    for run, argv in runs.items():
+        assert main(argv + ["--quiet", "--out", str(tmp_path / run)]) in (0, 1)
+        for path in (tmp_path / run).glob("*.json"):
+            written[run, path.name] = json.loads(path.read_text(), parse_constant=_not_json)
+    assert {run for run, _ in written} == set(runs)
+    # the non-finite values are spelled as in the CSVs
+    assert written["check-orlicz_check", "report_delta2.json"]["constant"] == "inf"
+    assert written["max_iter_0", "solve_summary.json"]["final_step_mod"] == "nan"
+    assert written["diverging", "solve_summary.json"]["final_residual"] == "inf"

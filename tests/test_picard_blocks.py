@@ -57,6 +57,18 @@ MAP_IDS = ["affine", "logistic", "half", "const"]
 P1 = ModularSpec.p_power(1.0, 1)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 138])
+@pytest.mark.parametrize("T", MAPS + [MapSpec.affine(2.0 * np.eye(DIM), [0.0, 0.0, 0.0])],
+                         ids=MAP_IDS + ["expanding"])
+def test_apply_power_is_n_fold_apply_bit_for_bit(T, n):
+    batch = np.array([X0, [1e300, -1e-300, 0.0], [math.inf, math.nan, -0.0]])
+    for x in (np.array(X0), batch):
+        want = x
+        for _ in range(n):
+            want = T.apply(want)
+        assert np.array_equal(T.apply_power(x, n).view(np.int64), want.view(np.int64))
+
+
 def _reference_picard(T, m, x0, tol, max_iter, power):
     """The per-step loop: one 3-row batch rho call per step."""
     rho = m.evaluate_batch
