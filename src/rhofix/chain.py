@@ -50,6 +50,8 @@ ALPHA_MARGIN = 1e-6
 # tolerance rows of the Cauchy-modulus table
 EPS_GRID = tuple(10.0**-j for j in range(1, 9))
 
+_MAX_TOL = 0.0  # headroom added to each level alpha_n in the maximum-element check
+
 @dataclass
 class ChainCertificate:
     """The chain (T^n omega, c**n alpha) with its verification results.
@@ -161,7 +163,7 @@ def compute_alpha(m: ModularLike, T: MapSpec, omega, c: float, N: int) -> float:
 
 
 def build_chain(
-    m: ModularLike, T: MapSpec, omega, c: float, alpha: float | None, N: int, *, max_tol: float = 0.0
+    m: ModularLike, T: MapSpec, omega, c: float, alpha: float | None, N: int
 ) -> ChainCertificate:
     """Materialize the chain of length N and verify its order inequalities.
 
@@ -187,7 +189,7 @@ def build_chain(
     cert = ChainCertificate(float(c), xs[: N + 1], powers * alpha)
     cert.orbit_sup, cert.orbit_stabilized = _orbit_bound(m, xs)
     pair = verify_order_pairs(cert, m)
-    mx = verify_maximum_element(cert, m, max_tol)
+    mx = verify_maximum_element(cert, m)
     cert.pair_check, cert.worst_pair = pair.worst_slack, pair.index
     cert.max_check, cert.worst_node = mx.worst_slack, mx.index
     thr = slack_tol(cert.alpha, 1.0)
@@ -214,28 +216,28 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
     return SlackCheck(worst, where)
 
 
-def node_slacks(cert: ChainCertificate, m: ModularLike, tol: float = 0.0) -> np.ndarray:
-    """Per-node slacks (alpha_n + tol) - rho(x_n - limit_candidate)."""
-    return (cert.alphas + tol) - m.evaluate_batch(cert.X - cert.limit_candidate)
+def node_slacks(cert: ChainCertificate, m: ModularLike) -> np.ndarray:
+    """Per-node slacks (alpha_n + _MAX_TOL) - rho(x_n - limit_candidate)."""
+    return (cert.alphas + _MAX_TOL) - m.evaluate_batch(cert.X - cert.limit_candidate)
 
 
-def verify_maximum_element(cert: ChainCertificate, m: ModularLike, tol: float = 0.0) -> SlackCheck:
-    """Worst slack of rho(x_n - limit) <= alpha_n + tol with the final
+def verify_maximum_element(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
+    """Worst slack of rho(x_n - limit) <= alpha_n + _MAX_TOL with the final
     iterate playing the maximum element at level 0."""
-    slacks = node_slacks(cert, m, tol)
+    slacks = node_slacks(cert, m)
     idx = int(np.argmin(slacks))
     return SlackCheck(float(slacks[idx]), idx)
 
 
-def cauchy_modulus(cert: ChainCertificate, eps_grid=EPS_GRID) -> list[tuple[float, int | None]]:
-    """For each eps, the least index N with alpha_N < eps (None if never).
+def cauchy_modulus(cert: ChainCertificate) -> list[tuple[float, int | None]]:
+    """For each eps of EPS_GRID, the least index N with alpha_N < eps (None if never).
 
     Once the order inequalities hold, every pairwise modular beyond that
     index sits below eps as well: rho(x_m - x_n) <= alpha_min(m,n) < eps.
     """
     alphas = cert.alphas
     rows: list[tuple[float, int | None]] = []
-    for eps in eps_grid:
+    for eps in EPS_GRID:
         hit = np.nonzero(alphas < eps)[0]
         rows.append((float(eps), int(hit[0]) if hit.size else None))
     return rows

@@ -50,6 +50,9 @@ __all__ = [
 # sit on round points and sign boundaries
 _SPECIAL_VALUES = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 
+_LOG_RANGE = (-3.0, 3.0)  # log10 of the least and greatest log-uniform magnitude
+_FATOU_DIRECTIONS = 8     # direction pairs the Fatou check samples
+
 
 class PointSampler:
     """Seeded point generator used by every randomized checker.
@@ -60,21 +63,19 @@ class PointSampler:
     only at extreme scales or on round points.
     """
 
-    def __init__(self, dim: int, seed: int = 0, log_min: float = 1e-3, log_max: float = 1e3):
+    def __init__(self, dim: int, seed: int = 0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self._lo = math.log10(log_min)
-        self._hi = math.log10(log_max)
 
     def points(self, n: int) -> np.ndarray:
         """An (n, dim) batch of mixture-sampled points."""
         rng = self.rng
         shape = (n, self.dim)
         out = rng.uniform(-1.0, 1.0, shape)
-        mags = 10.0 ** rng.uniform(self._lo, self._hi, shape)
+        mags = 10.0 ** rng.uniform(*_LOG_RANGE, shape)
         signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
         out = np.where(rng.random(shape) < 0.45, out, signs * mags)
         special = rng.random(shape) < 0.10
@@ -312,7 +313,6 @@ def check_fatou_sampled(
     *,
     sampler: PointSampler | None = None,
     directions: list[tuple] | None = None,
-    n_directions: int = 8,
 ) -> AxiomReport:
     """Finite surrogate check of the Fatou inequality.
 
@@ -340,7 +340,7 @@ def check_fatou_sampled(
             raise ValueError("either directions or a sampler is required")
         directions = []
         gap_signs = np.sign(xa - ya)
-        for _ in range(n_directions):
+        for _ in range(_FATOU_DIRECTIONS):
             v = sampler.point()
             w = sampler.point()
             aligned = np.where(gap_signs != 0.0, gap_signs * np.abs(w), w)

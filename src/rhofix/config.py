@@ -12,7 +12,8 @@ Recognized keys (dotted = nested):
     map.kind                affine | half | logistic_damped | const
     map.matrix, map.offset  affine data; offset doubles as the const target
     map.lam                 damping factor (logistic_damped)
-    map.c, map.k, map.s     claimed factors; (c, k, s) selects the scaled form
+    map.c, map.k, map.s     claimed factors; (c, k, s) selects the scaled form,
+                            and map.k is read only with map.s
     initial_point           list of reals; fixes the space dimension
     solve.tol, solve.max_iter
     check.trials, check.s   s triggers the s-convexity checker
@@ -21,8 +22,9 @@ Recognized keys (dotted = nested):
     seed                    64-bit unsigned
     out_dir                 report/trace output directory
 
-Anything malformed, an unknown key included, raises ConfigError naming the
-offending key.
+Anything malformed raises ConfigError naming the offending key. That
+includes an unknown key and a known one that the chosen family, integrand
+or map kind never reads ("not used by ...").
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import yaml
 
 from .checks import INVALID_FUNCTIONALS
 from .errors import ConfigError
-from .modular import Family, ModularLike, ModularSpec, Phi
+from .modular import ModularLike, ModularSpec, Phi
 from .solver import MapKind, MapSpec, _check_scaled
 
 __all__ = ["ProblemConfig", "load_config"]
@@ -53,11 +55,27 @@ _DEFAULTS = {
 }
 
 
+# the keys each space family and each map kind reads (an Orlicz family reads
+# `p` only for the power integrand); any other key would have no effect
+_SPACE_READS = {
+    "ppower": {"family", "p"},
+    "weighted_sum": {"family", "p", "weights"},
+    "orlicz": {"family", "phi", "quadrature_nodes", "p"},
+    **{name: {"family"} for name in INVALID_FUNCTIONALS},
+}
+_MAP_READS = {
+    MapKind.AFFINE: {"kind", "matrix", "offset", "c", "k", "s"},
+    MapKind.HALF: {"kind", "c", "k", "s"},
+    MapKind.LOGISTIC_DAMPED: {"kind", "lam", "c", "k", "s"},
+    MapKind.CONST: {"kind", "offset", "c", "k", "s"},
+}
+
+
 # the keys each section allows, "" being the top level; any other key is an error
 _KEYS = {
     "": {"space", "map", "initial_point", "solve", "check", "chain", "seed", "out_dir"},
-    "space": {"family", "p", "phi", "weights", "quadrature_nodes"},
-    "map": {"kind", "matrix", "offset", "lam", "c", "k", "s"},
+    "space": set().union(*_SPACE_READS.values()),
+    "map": set().union(*_MAP_READS.values()),
     "solve": {"tol", "max_iter"},
     "check": {"trials", "s", "fatou_ratio", "fatou_steps"},
     "chain": {"N", "alpha"},
@@ -103,6 +121,12 @@ def _as_float(value, path: str) -> float:
     return out
 
 
+def _optional_float(tree: dict, key: str, section: str) -> float | None:
+    """tree[key] as a finite float, or None when it is absent or null."""
+    value = tree.get(key)
+    return None if value is None else _as_float(value, f"{section}.{key}")
+
+
 def _as_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
@@ -113,26 +137,23 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 
 def _as_vector(value, path: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
     except (TypeError, ValueError):
         raise ConfigError(path, f"expected a list of numbers, got {value!r}") from None
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)):
         raise ConfigError(path, "expected a nonempty list of finite numbers")
     return arr
 
 
-def _check_keys(tree: dict, section: str) -> None:
+def _check_keys(tree: dict, section: str, allowed: set | None = None,
+                why: str = "unknown key") -> None:
     for key in tree:
-        if key not in _KEYS[section]:
-            raise ConfigError(f"{section}.{key}" if section else str(key), "unknown key")
+        if key not in (_KEYS[section] if allowed is None else allowed):
+            raise ConfigError(f"{section}.{key}" if section else str(key), why)
 
 
 def _subtree(tree: dict, key: str) -> dict:
-    sub = tree.get(key, {})
-    if sub is None:
-        sub = {}
+    sub = {} if tree.get(key) is None else tree[key]
     if not isinstance(sub, dict):
         raise ConfigError(key, f"expected a mapping, got {sub!r}")
     _check_keys(sub, key)
@@ -141,41 +162,37 @@ def _subtree(tree: dict, key: str) -> dict:
 
 def _load_space(tree: dict, dim: int) -> ModularLike:
     family = _get(tree, "family", "space", required=True)
-    if not isinstance(family, str):
-        raise ConfigError("space.family", f"expected a family name, got {family!r}")
+    if not isinstance(family, str) or family not in _SPACE_READS:
+        raise ConfigError("space.family", f"unknown family {family!r}")
+    _check_keys(tree, "space", _SPACE_READS[family], f"not used by {family}")
     if family in INVALID_FUNCTIONALS:
         fn, _ = INVALID_FUNCTIONALS[family]
         if dim != fn.dim:
             raise ConfigError("initial_point", f"{family} is {fn.dim}-dimensional")
         return fn
-    try:
-        fam = Family(family)
-    except ValueError:
-        raise ConfigError("space.family", f"unknown family {family!r}") from None
 
     try:
-        if fam is Family.PPOWER:
-            p = _as_float(_get(tree, "p", "space", required=True), "space.p")
+        if family == "orlicz":
+            phi_name = _get(tree, "phi", "space", required=True)
+            try:
+                phi = Phi(phi_name)
+            except ValueError:
+                raise ConfigError("space.phi", f"unknown integrand {phi_name!r}") from None
+            nodes = _as_int(_get(tree, "quadrature_nodes", "space", default=dim),
+                            "space.quadrature_nodes", 1)
+            if nodes != dim:
+                raise ConfigError("space.quadrature_nodes", f"must match the point dimension {dim}")
+            p = _get(tree, "p", "space", required=phi is Phi.POWER)
+            if p is not None and phi is not Phi.POWER:
+                raise ConfigError("space.p", f"not used by orlicz {phi.value}")
+            return ModularSpec.orlicz(phi, nodes, p=None if p is None else _as_float(p, "space.p"))
+        p = _as_float(_get(tree, "p", "space", required=True), "space.p")
+        if family == "ppower":
             return ModularSpec.p_power(p, dim)
-        if fam is Family.WEIGHTED_SUM:
-            p = _as_float(_get(tree, "p", "space", required=True), "space.p")
-            w = _as_vector(_get(tree, "weights", "space", required=True), "space.weights")
-            if w.size != dim:
-                raise ConfigError("space.weights", f"expected {dim} weights, got {w.size}")
-            return ModularSpec.weighted_sum(p, w)
-        phi_name = _get(tree, "phi", "space", required=True)
-        try:
-            phi = Phi(phi_name)
-        except ValueError:
-            raise ConfigError("space.phi", f"unknown integrand {phi_name!r}") from None
-        nodes = _as_int(_get(tree, "quadrature_nodes", "space", default=dim),
-                        "space.quadrature_nodes", 1)
-        if nodes != dim:
-            raise ConfigError("space.quadrature_nodes", f"must match the point dimension {dim}")
-        p = _get(tree, "p", "space")
-        if phi is Phi.POWER and p is None:
-            raise ConfigError("space.p", "the power integrand requires an exponent")
-        return ModularSpec.orlicz(phi, nodes, p=None if p is None else _as_float(p, "space.p"))
+        w = _as_vector(_get(tree, "weights", "space", required=True), "space.weights")
+        if w.size != dim:
+            raise ConfigError("space.weights", f"expected {dim} weights, got {w.size}")
+        return ModularSpec.weighted_sum(p, w)
     except ConfigError:
         raise
     except ValueError as exc:  # factory-level validation
@@ -190,13 +207,10 @@ def _load_map(tree: dict, dim: int) -> MapSpec | None:
         kind = MapKind(kind_name)
     except ValueError:
         raise ConfigError("map.kind", f"unknown map kind {kind_name!r}") from None
-
-    c = tree.get("c")
-    k = tree.get("k")
-    s = tree.get("s")
-    c = None if c is None else _as_float(c, "map.c")
-    k = None if k is None else _as_float(k, "map.k")
-    s = None if s is None else _as_float(s, "map.s")
+    _check_keys(tree, "map", _MAP_READS[kind], f"not used by {kind.value}")
+    c, k, s = (_optional_float(tree, key, "map") for key in "cks")
+    if "k" in tree and s is None:
+        raise ConfigError("map.k", "not used without map.s")
     claimed = None if s is not None else c  # with s set, (c, k, s) is the scaled form
 
     try:
@@ -208,8 +222,7 @@ def _load_map(tree: dict, dim: int) -> MapSpec | None:
             try:
                 A = np.asarray(matrix, dtype=float)
             except (TypeError, ValueError):
-                raise ConfigError("map.matrix",
-                                  f"expected rows of numbers, got {matrix!r}") from None
+                raise ConfigError("map.matrix", f"expected rows of numbers, got {matrix!r}") from None
             if A.ndim != 2 or A.shape != (dim, dim):
                 raise ConfigError("map.matrix", f"expected a {dim}x{dim} matrix, got shape {A.shape}")
             b = _as_vector(offset, "map.offset")
@@ -222,8 +235,7 @@ def _load_map(tree: dict, dim: int) -> MapSpec | None:
             lam = _as_float(_get(tree, "lam", "map", required=True), "map.lam")
             spec = MapSpec.logistic_damped(lam, c=claimed)
         else:
-            value = _get(tree, "offset", "map", required=True)
-            v = _as_vector(value, "map.offset")
+            v = _as_vector(_get(tree, "offset", "map", required=True), "map.offset")
             if v.size not in (1, dim):
                 raise ConfigError("map.offset", f"constant target must have dim 1 or {dim}")
             spec = MapSpec.const(v, c=0.0 if claimed is None else claimed)
@@ -267,19 +279,15 @@ def load_config(path) -> ProblemConfig:
     max_iter = _as_int(solve.get("max_iter", _DEFAULTS["max_iter"]), "solve.max_iter", 0)
     trials = _as_int(check.get("trials", _DEFAULTS["trials"]), "check.trials", 1)
     chain_n = _as_int(chain.get("N", _DEFAULTS["chain_n"]), "chain.N", 0)
-    chain_alpha = chain.get("alpha")
-    if chain_alpha is not None:
-        chain_alpha = _as_float(chain_alpha, "chain.alpha")
-        if chain_alpha < 0:
-            raise ConfigError("chain.alpha", f"must be >= 0, got {chain_alpha}")
+    chain_alpha = _optional_float(chain, "alpha", "chain")
+    if chain_alpha is not None and chain_alpha < 0:
+        raise ConfigError("chain.alpha", f"must be >= 0, got {chain_alpha}")
 
-    seed = _get(tree, "seed", "", default=_DEFAULTS["seed"])
-    seed = _as_int(seed, "seed", 0)
+    seed = _as_int(_get(tree, "seed", "", default=_DEFAULTS["seed"]), "seed", 0)
     if seed >= 2**64:
         raise ConfigError("seed", "must fit in 64 bits")
 
-    s = check.get("s")
-    s = None if s is None else _as_float(s, "check.s")
+    s = _optional_float(check, "s", "check")
     if s is not None and not 0.0 < s <= 1.0:
         raise ConfigError("check.s", f"must lie in (0, 1], got {s}")
     fatou_ratio = _as_float(check.get("fatou_ratio", _DEFAULTS["fatou_ratio"]), "check.fatou_ratio")

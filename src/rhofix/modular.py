@@ -230,20 +230,17 @@ class NamedFunctional:
 ModularLike = Union[ModularSpec, NamedFunctional]
 
 
-def f_norm(
-    m: ModularLike,
-    x,
-    tol: float = 1e-10,
-    *,
-    max_doublings: int = 200,
-    max_bisect: int = 128,
-) -> float:
+# bracket doublings and bisection steps `f_norm` may take
+_MAX_DOUBLINGS, _MAX_BISECT = 200, 128
+
+
+def f_norm(m: ModularLike, x, tol: float = 1e-10) -> float:
     """The F-norm inf{t > 0 : rho(x / t) <= t}, by bracketed bisection.
 
     g(t) = rho(x / t) - t is nonincreasing minus increasing, hence strictly
     decreasing where finite, so a sign bracket pins the infimum and
     bisection converges unconditionally. The upper end is found by doubling
-    from t = 1; failing to bracket within `max_doublings` doublings raises
+    from t = 1; failing to bracket within `_MAX_DOUBLINGS` doublings raises
     BracketSearchError. Returns 0 for the zero vector, and a value within
     `tol` of the infimum otherwise.
     """
@@ -259,13 +256,13 @@ def f_norm(
 
     hi = 1.0
     if g(hi) > 0:
-        for _ in range(max_doublings):
+        for _ in range(_MAX_DOUBLINGS):
             hi *= 2.0
             if g(hi) <= 0:
                 break
         else:
             raise BracketSearchError(
-                f"rho(x/t) stayed above t after {max_doublings} doublings (t = {hi:.3e})"
+                f"rho(x/t) stayed above t after {_MAX_DOUBLINGS} doublings (t = {hi:.3e})"
             )
         lo = hi / 2.0
     else:
@@ -278,7 +275,7 @@ def f_norm(
                 return lo
         hi = 2.0 * lo
 
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)

@@ -102,12 +102,34 @@ class MapSpec:
 
     @property
     def dim(self) -> int | None:
-        """Fixed dimension for affine maps; None for coordinatewise maps."""
+        """The width a point must have (affine maps, vector constants); else None."""
         if self.kind is MapKind.AFFINE:
             return self.matrix.shape[0]
         if self.kind is MapKind.CONST and self.value.size > 1:
             return self.value.size
         return None
+
+    def _checked(self, x) -> np.ndarray:
+        """x as floats, once its last axis fits the map's fixed dimension."""
+        x = np.asarray(x, dtype=float)
+        dim = self.dim
+        if dim is not None and x.shape[-1:] != (dim,):
+            raise DimensionMismatch(f"map is {dim}-dimensional, point has shape {x.shape}")
+        return x
+
+    def _step(self):
+        """The map's formula as a function of a checked point or batch: the
+        one place each kind's arithmetic is written."""
+        if self.kind is MapKind.AFFINE:
+            A, b = self.matrix.T, self.offset
+            return lambda x: x @ A + b
+        if self.kind is MapKind.HALF:
+            return lambda x: 0.5 * x
+        if self.kind is MapKind.LOGISTIC_DAMPED:
+            lam = self.lam
+            return lambda x: lam * x / (1.0 + np.abs(x))
+        value = self.value
+        return lambda x: np.broadcast_to(value, x.shape).astype(float)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply the map to a point, or row-wise to an (n, dim) batch.
@@ -115,58 +137,28 @@ class MapSpec:
         Overflow is not an error here; the solver watches iterates for
         non-finite values and raises DivergenceError with the trace.
         """
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind is MapKind.AFFINE:
-                if x.shape[-1] != self.matrix.shape[0]:
-                    raise DimensionMismatch(
-                        f"map is {self.matrix.shape[0]}-dimensional, point has shape {x.shape}"
-                    )
-                return x @ self.matrix.T + self.offset
-            if self.kind is MapKind.HALF:
-                return 0.5 * x
-            if self.kind is MapKind.LOGISTIC_DAMPED:
-                return self.lam * x / (1.0 + np.abs(x))
-            if self.value.size not in (1, x.shape[-1]):
-                raise DimensionMismatch(
-                    f"constant map target has dim {self.value.size}, point has shape {x.shape}"
-                )
-            return np.broadcast_to(self.value, x.shape).astype(float)
+        return self.apply_power(x, 1)
 
     def apply_power(self, x: np.ndarray, n: int) -> np.ndarray:
-        """The composite T^n, by n-fold application, to a point or a batch.
-
-        The first application is `apply`, which checks the point; the other
-        n - 1 repeat its arithmetic bit for bit, with the kind dispatched
-        once, in one loop under one errstate. T^n = T for a constant map.
-        """
-        if n < 1:
-            return x
-        x = self.apply(x)
-        if n == 1 or self.kind is MapKind.CONST:
-            return x
+        """The composite T^n, by n-fold application, to a point or a batch."""
+        x, step = self._checked(x), self._step()
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind is MapKind.AFFINE:
-                A, b = self.matrix.T, self.offset
-                for _ in range(n - 1):
-                    x = x @ A + b
-            elif self.kind is MapKind.HALF:
-                for _ in range(n - 1):
-                    x = 0.5 * x
-            else:
-                lam = self.lam
-                for _ in range(n - 1):
-                    x = lam * x / (1.0 + np.abs(x))
+            for _ in range(n):
+                x = step(x)
         return x
 
     def orbit(self, x, steps: int, power: int = 1) -> np.ndarray:
-        """Rows x, T^power x, ..., T^(power * steps) x, each one `apply_power` of
+        """Rows x, T^power x, ..., T^(power * steps) x, each `power` steps of
         the row before. Non-finite rows are kept; the caller decides what they mean."""
-        X = np.empty((steps + 1, np.size(x)))
+        x, step = self._checked(x), self._step()
+        X = np.empty((steps + 1, x.size))
         X[0] = x
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(steps):
-                X[n + 1] = self.apply_power(X[n], power)
+                y = X[n]
+                for _ in range(power):
+                    y = step(y)
+                X[n + 1] = y
         return X
 
 

@@ -111,6 +111,54 @@ def test_unknown_key_exits_2_naming_it(tmp_path, capsys, section, key):
     assert capsys.readouterr().err == f"config error: {name}: unknown key\n"
 
 
+def test_keys_without_effect_exit_2(tmp_path, capsys):
+    """Six keys the chosen family and kind never read: the first is named."""
+    cfg = half_cfg(tmp_path,
+                   space={"family": "ppower", "p": 1.0, "weights": [5.0], "phi": "u_log",
+                          "quadrature_nodes": 3},
+                   map={"kind": "half", "c": 0.5, "matrix": [[9.0]], "lam": 7.0, "k": 0.3})
+    assert main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: space.phi: not used by ppower\n"
+
+
+@pytest.mark.parametrize("section,tree,key,user", [
+    ("space", {"family": "ppower", "p": 1.0, "phi": "u_log"}, "phi", "ppower"),
+    ("space", {"family": "ppower", "p": 1.0, "weights": [5.0]}, "weights", "ppower"),
+    ("space", {"family": "ppower", "p": 1.0, "quadrature_nodes": 1}, "quadrature_nodes", "ppower"),
+    ("space", {"family": "weighted_sum", "p": 1.0, "weights": [1.0], "phi": "power"},
+     "phi", "weighted_sum"),
+    ("space", {"family": "weighted_sum", "p": 1.0, "weights": [1.0], "quadrature_nodes": 1},
+     "quadrature_nodes", "weighted_sum"),
+    ("space", {"family": "orlicz", "phi": "exp_minus_one", "p": 1.0}, "p", "orlicz exp_minus_one"),
+    ("space", {"family": "orlicz", "phi": "u_log", "p": 2.0}, "p", "orlicz u_log"),
+    ("space", {"family": "orlicz", "phi": "power", "p": 2.0, "weights": [1.0]},
+     "weights", "orlicz"),
+    ("space", {"family": "sine_bump", "p": 1.0}, "p", "sine_bump"),
+    ("map", {"kind": "half", "c": 0.5, "matrix": [[9.0]]}, "matrix", "half"),
+    ("map", {"kind": "half", "c": 0.5, "offset": [1.0]}, "offset", "half"),
+    ("map", {"kind": "half", "c": 0.5, "lam": 7.0}, "lam", "half"),
+    ("map", {"kind": "logistic_damped", "lam": 0.5, "offset": [1.0]}, "offset", "logistic_damped"),
+    ("map", {"kind": "affine", "matrix": [[0.5]], "offset": [1.0], "lam": 0.5}, "lam", "affine"),
+    ("map", {"kind": "const", "offset": [1.0], "matrix": [[0.5]]}, "matrix", "const"),
+    ("map", {"kind": "const", "offset": [1.0], "lam": 0.5}, "lam", "const"),
+])
+def test_key_the_choice_never_reads_exits_2_naming_it(tmp_path, capsys, section, tree, key, user):
+    cfg = half_cfg(tmp_path, **{section: tree})
+    assert main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {section}.{key}: not used by {user}\n"
+
+
+@pytest.mark.parametrize("tree", [
+    {"kind": "half", "c": 0.5, "k": 0.3},
+    {"kind": "affine", "matrix": [[0.5]], "offset": [1.0], "k": 2.0},
+    {"kind": "logistic_damped", "lam": 0.5, "k": 0.3, "s": None},
+], ids=["half", "affine", "s-null"])
+def test_map_k_without_s_exits_2(tmp_path, capsys, tree):
+    cfg = half_cfg(tmp_path, map=tree)
+    assert main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: map.k: not used without map.s\n"
+
+
 @pytest.mark.parametrize("override", [
     {"space": {"family": [1]}},
     {"space": {"family": "ppower", "p": -1}},
@@ -363,8 +411,8 @@ def _valid_tree(dim):
             _keys({"family": st.just("ppower"), "p": st.floats(0.5, 4)}),
             _keys({"family": st.just("weighted_sum"), "p": st.floats(0.5, 4),
                    "weights": st.lists(st.floats(0.1, 4), min_size=dim, max_size=dim)}),
-            _keys({"family": st.just("orlicz"), "p": st.floats(1, 3),
-                   "phi": st.sampled_from(["power", "exp_minus_one", "u_log"])}),
+            _keys({"family": st.just("orlicz"), "phi": st.just("power"), "p": st.floats(1, 3)}),
+            _keys({"family": st.just("orlicz"), "phi": st.sampled_from(["exp_minus_one", "u_log"])}),
             _keys({"family": st.sampled_from(["sine_bump", "sign_skewed", "dead_zone"])}),
         ),
         "map": st.one_of(

@@ -1,14 +1,21 @@
-"""Golden output bytes of `solve` and `certificate` on three shipped configs.
+"""Golden output bytes of `solve` and `certificate` on three shipped configs,
+and of `check` on all five.
 
-Each file a command writes (trace or certificate CSV, JSON summary) is
-pinned by its SHA-256, so a change that alters any output byte fails
-here, not only one that alters a verdict. The configs run at their own
-seeds. Their maps and modulars are affine, halving and damped-logistic
+Each file a command writes (trace or certificate CSV, JSON summary or
+report) is pinned by its SHA-256, so a change that alters any output byte
+fails here, not only one that alters a verdict. The configs run at their
+own seeds. Their maps and modulars are affine, halving and damped-logistic
 maps under p-power and weighted-sum modulars: no libm transcendental
 enters the traces or certificates. The summaries also hold the
 empirical contraction ratio, read off sampled points whose magnitudes
 are drawn as 10**u; a platform whose `pow` rounds differently could move
 that figure's last digits.
+
+The `check` reports rest on more libm than that. Every checker reads the
+same sampled points, drawn as 10**u, and `orlicz_check`'s modular is the
+Orlicz integrand exp(u) - 1, evaluated by `expm1`: a platform whose `pow`
+or `expm1` rounds differently could move the witnesses and constants in
+its reports.
 """
 
 import hashlib
@@ -48,9 +55,50 @@ GOLDEN = {
 }
 
 
+# (config, exit code) -> report file -> SHA-256 of `check`'s output
+CHECK_GOLDEN = {
+    ("affine_p2", 0): {
+        "report_axioms.json": "e53c7e4d559dd0122c5d5f2cf83c9a58a78f06ae79414ef1b0c7161ff626be4b",
+        "report_delta2.json": "f1bd66888bd4217a2ef8aa474a79ca56c7e69206586f90c9d991b03b02b86899",
+        "report_fatou.json": "0dd07b9db5a3072a3cf834ee5c6cec2c9b520f4c5a199e44bd447aebed3f066c",
+    },
+    ("bad_functional", 1): {
+        "report_axioms.json": "4b8e1bcf7b2fdaf6d85c00823f296502127ab7ef357617fa7c6e721dac52aa63",
+        "report_delta2.json": "d2efa3cfd92c34ca32cbd3df6a0673e07ce2a8b31c8bde685562f8ffeb000d7a",
+        "report_fatou.json": "0dd07b9db5a3072a3cf834ee5c6cec2c9b520f4c5a199e44bd447aebed3f066c",
+    },
+    ("half_p1", 0): {
+        "report_axioms.json": "e53c7e4d559dd0122c5d5f2cf83c9a58a78f06ae79414ef1b0c7161ff626be4b",
+        "report_delta2.json": "d2efa3cfd92c34ca32cbd3df6a0673e07ce2a8b31c8bde685562f8ffeb000d7a",
+        "report_fatou.json": "0dd07b9db5a3072a3cf834ee5c6cec2c9b520f4c5a199e44bd447aebed3f066c",
+        "report_s_convexity.json": "50d6b26dfd011f2372cc7e8f21a49d484a45098d0c22963bca85981f88ccd7ae",
+    },
+    ("orlicz_check", 0): {
+        "report_axioms.json": "e53c7e4d559dd0122c5d5f2cf83c9a58a78f06ae79414ef1b0c7161ff626be4b",
+        "report_delta2.json": "6ec848d49026bffa9597597c81c4c302900b89bd996d8b49888ce043b24f283c",
+        "report_fatou.json": "0dd07b9db5a3072a3cf834ee5c6cec2c9b520f4c5a199e44bd447aebed3f066c",
+    },
+    ("weighted_logistic", 0): {
+        "report_axioms.json": "e53c7e4d559dd0122c5d5f2cf83c9a58a78f06ae79414ef1b0c7161ff626be4b",
+        "report_delta2.json": "d2efa3cfd92c34ca32cbd3df6a0673e07ce2a8b31c8bde685562f8ffeb000d7a",
+        "report_fatou.json": "0dd07b9db5a3072a3cf834ee5c6cec2c9b520f4c5a199e44bd447aebed3f066c",
+    },
+}
+
+
+def _written(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 @pytest.mark.parametrize("command,name", sorted(GOLDEN), ids=[f"{c}-{n}" for c, n in sorted(GOLDEN)])
 def test_output_bytes_are_pinned(tmp_path, command, name):
     out = tmp_path / "out"
     assert main([command, "--config", str(CONFIGS / f"{name}.yaml"), "--quiet", "--out", str(out)]) == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == GOLDEN[command, name]
+    assert _written(out) == GOLDEN[command, name]
+
+
+@pytest.mark.parametrize("name,code", sorted(CHECK_GOLDEN), ids=[n for n, _ in sorted(CHECK_GOLDEN)])
+def test_check_report_bytes_are_pinned(tmp_path, name, code):
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(CONFIGS / f"{name}.yaml"), "--quiet", "--out", str(out)]) == code
+    assert _written(out) == CHECK_GOLDEN[name, code]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from rhofix import (
+    DimensionMismatch,
     DivergenceError,
     InconsistentContractionError,
     IterationTrace,
@@ -67,6 +68,33 @@ def test_apply_power_is_n_fold_apply_bit_for_bit(T, n):
         for _ in range(n):
             want = T.apply(want)
         assert np.array_equal(T.apply_power(x, n).view(np.int64), want.view(np.int64))
+
+
+EXPANDING = MapSpec.affine(2.0 * np.eye(DIM), [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("power", [1, 2, 138])
+@pytest.mark.parametrize("T", MAPS + [EXPANDING], ids=MAP_IDS + ["expanding"])
+def test_orbit_is_rowwise_apply_power_bit_for_bit(T, power):
+    """`orbit` picks the step once and runs it per row; each row must equal
+    one `apply_power` of the row before, down to the sign of zero and the
+    nan payload, also on rows that overflow to inf and nan. The suite turns
+    any RuntimeWarning into an error, so the orbit raises none either."""
+    for x0 in (X0, [1e300, -1e-300, 0.0], [math.inf, math.nan, -0.0]):
+        want = [np.array(x0)]
+        for _ in range(6):
+            want.append(T.apply_power(want[-1], power))
+        got = T.orbit(np.array(x0), 6, power)
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("T", [MAPS[0], MAPS[3]], ids=["affine", "const"])
+def test_wrong_width_point_raises_dimension_mismatch(T):
+    for x in (np.ones(DIM + 1), np.ones(DIM - 1), np.ones((2, DIM + 1))):
+        for call in (lambda: T.apply(x), lambda: T.apply_power(x, 1),
+                     lambda: T.apply_power(x, 7), lambda: T.orbit(x.ravel(), 3, 2)):
+            with pytest.raises(DimensionMismatch, match=f"map is {DIM}-dimensional"):
+                call()
 
 
 def _reference_picard(T, m, x0, tol, max_iter, power):
