@@ -26,7 +26,7 @@ from .checks import (
     delta2_type_estimate,
     exact_doubling_constant,
 )
-from .config import ProblemConfig, load_config
+from .config import ProblemConfig, check_seed, load_config
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -82,8 +82,7 @@ def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
     """Claimed factor if present, else the empirical max ratio (auto-fill).
     With `map.s` set, c belongs to the scaled form, whose verdict is returned
     as a summary entry (None without `s`)."""
-    T = cfg.map
-    claimed = T.c if T.s is None else None
+    T, claimed = cfg.map, cfg.c_claimed
     probe_c = claimed if claimed is not None else 1.0 - 1e-12
     report = verify_contraction(T, cfg.space, probe_c, sampler, VERIFY_TRIALS)
     c_emp = report.max_ratio
@@ -92,13 +91,14 @@ def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
                     f"(max observed ratio {c_emp:.6g})")
     c_eff = claimed if claimed is not None and report.passed else c_emp
     scaled = None
-    if T.s is not None:
-        rep_s = verify_s_contraction(T, cfg.space, T.c, T.k, T.s, sampler, VERIFY_TRIALS)
-        scaled = {"c": T.c, "k": T.k, "s": T.s, "passed": rep_s.passed,
+    if cfg.scaled_form is not None:
+        c, k, s = cfg.scaled_form
+        rep_s = verify_s_contraction(T, cfg.space, c, k, s, sampler, VERIFY_TRIALS)
+        scaled = {"c": c, "k": k, "s": s, "passed": rep_s.passed,
                   "max_ratio": None if math.isnan(rep_s.max_ratio) else rep_s.max_ratio,
                   "n_violations": len(rep_s.violations)}
         if not rep_s.passed:
-            _say(quiet, f"warning: scaled form (c, k, s) = ({T.c}, {T.k}, {T.s}) violated")
+            _say(quiet, f"warning: scaled form (c, k, s) = ({c}, {k}, {s}) violated")
     return c_eff, c_emp, report, scaled
 
 
@@ -169,7 +169,7 @@ def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
         and c_eff * k >= 0.5
     )
     extra = {
-        "c_claimed": cfg.map.c if cfg.map.s is None else None,
+        "c_claimed": cfg.c_claimed,
         "scaled_form": scaled,
         "c_effective": None if math.isnan(c_eff) else c_eff,
         "c_empirical": None if math.isnan(c_emp) else c_emp,
@@ -259,9 +259,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("seed", "must fit in 64 bits")
-            cfg.seed = args.seed
+            cfg.seed = check_seed(args.seed)
         if args.out is not None:
             cfg.out_dir = Path(args.out)
         runner = {"check": run_check, "solve": run_solve, "certificate": run_certificate}

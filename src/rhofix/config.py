@@ -12,8 +12,9 @@ Recognized keys (dotted = nested):
     map.kind                affine | half | logistic_damped | const
     map.matrix, map.offset  affine data; offset doubles as the const target
     map.lam                 damping factor (logistic_damped)
-    map.c, map.k, map.s     claimed factors; (c, k, s) selects the scaled form,
-                            and map.k is read only with map.s
+    map.c                   claimed factor in [0, 1); omit to auto-fill
+    map.k, map.s            with map.s, (c, k, s) is the scaled form and no
+                            factor is claimed; map.k is read only with map.s
     initial_point           list of reals; fixes the space dimension
     solve.tol, solve.max_iter
     check.trials, check.s   s triggers the s-convexity checker
@@ -25,6 +26,8 @@ Recognized keys (dotted = nested):
 Anything malformed raises ConfigError naming the offending key. That
 includes an unknown key and a known one that the chosen family, integrand
 or map kind never reads ("not used by ...").
+A factor belongs to the map and the modular together: the claim keys go to
+`ProblemConfig.c_claimed` and `.scaled_form`, never into the `MapSpec`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import ConfigError
 from .modular import ModularLike, ModularSpec, Phi
 from .solver import MapKind, MapSpec, _check_scaled
 
-__all__ = ["ProblemConfig", "load_config"]
+__all__ = ["ProblemConfig", "load_config", "check_seed"]
 
 _DEFAULTS = {
     "tol": 1e-10,
@@ -97,6 +100,8 @@ class ProblemConfig:
     fatou_ratio: float = _DEFAULTS["fatou_ratio"]
     fatou_steps: int = _DEFAULTS["fatou_steps"]
     chain_alpha: float | None = None
+    c_claimed: float | None = None  # map.c without map.s
+    scaled_form: tuple[float, float, float] | None = None  # (map.c, map.k, map.s)
 
     @property
     def dim(self) -> int:
@@ -171,32 +176,36 @@ def _load_space(tree: dict, dim: int) -> ModularLike:
             raise ConfigError("initial_point", f"{family} is {fn.dim}-dimensional")
         return fn
 
+    if family == "orlicz":
+        phi_name = _get(tree, "phi", "space", required=True)
+        try:
+            phi = Phi(phi_name)
+        except ValueError:
+            raise ConfigError("space.phi", f"unknown integrand {phi_name!r}") from None
+        nodes = _as_int(_get(tree, "quadrature_nodes", "space", default=dim),
+                        "space.quadrature_nodes", 1)
+        if nodes != dim:
+            raise ConfigError("space.quadrature_nodes", f"must match the point dimension {dim}")
+        p = _get(tree, "p", "space", required=phi is Phi.POWER)
+        if p is not None and phi is not Phi.POWER:
+            raise ConfigError("space.p", f"not used by orlicz {phi.value}")
+        p = None if p is None else _as_float(p, "space.p")
+        return _build("space.p", ModularSpec.orlicz, phi, nodes, p)
+    p = _as_float(_get(tree, "p", "space", required=True), "space.p")
+    if family == "ppower":
+        return _build("space.p", ModularSpec.p_power, p, dim)
+    w = _as_vector(_get(tree, "weights", "space", required=True), "space.weights")
+    if w.size != dim:
+        raise ConfigError("space.weights", f"expected {dim} weights, got {w.size}")
+    return _build("space", ModularSpec.weighted_sum, p, w)  # p or a weight
+
+
+def _build(key: str, factory, *args):
+    """factory(*args), with the factory's own validation error named as `key`."""
     try:
-        if family == "orlicz":
-            phi_name = _get(tree, "phi", "space", required=True)
-            try:
-                phi = Phi(phi_name)
-            except ValueError:
-                raise ConfigError("space.phi", f"unknown integrand {phi_name!r}") from None
-            nodes = _as_int(_get(tree, "quadrature_nodes", "space", default=dim),
-                            "space.quadrature_nodes", 1)
-            if nodes != dim:
-                raise ConfigError("space.quadrature_nodes", f"must match the point dimension {dim}")
-            p = _get(tree, "p", "space", required=phi is Phi.POWER)
-            if p is not None and phi is not Phi.POWER:
-                raise ConfigError("space.p", f"not used by orlicz {phi.value}")
-            return ModularSpec.orlicz(phi, nodes, p=None if p is None else _as_float(p, "space.p"))
-        p = _as_float(_get(tree, "p", "space", required=True), "space.p")
-        if family == "ppower":
-            return ModularSpec.p_power(p, dim)
-        w = _as_vector(_get(tree, "weights", "space", required=True), "space.weights")
-        if w.size != dim:
-            raise ConfigError("space.weights", f"expected {dim} weights, got {w.size}")
-        return ModularSpec.weighted_sum(p, w)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # factory-level validation
-        raise ConfigError("space", str(exc)) from None
+        return factory(*args)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 def _load_map(tree: dict, dim: int) -> MapSpec | None:
@@ -208,45 +217,50 @@ def _load_map(tree: dict, dim: int) -> MapSpec | None:
     except ValueError:
         raise ConfigError("map.kind", f"unknown map kind {kind_name!r}") from None
     _check_keys(tree, "map", _MAP_READS[kind], f"not used by {kind.value}")
-    c, k, s = (_optional_float(tree, key, "map") for key in "cks")
-    if "k" in tree and s is None:
-        raise ConfigError("map.k", "not used without map.s")
-    claimed = None if s is not None else c  # with s set, (c, k, s) is the scaled form
-
+    if kind is MapKind.HALF:
+        return MapSpec.half()
+    if kind is MapKind.LOGISTIC_DAMPED:
+        lam = _as_float(_get(tree, "lam", "map", required=True), "map.lam")
+        return _build("map.lam", MapSpec.logistic_damped, lam)
+    if kind is MapKind.CONST:
+        v = _as_vector(_get(tree, "offset", "map", required=True), "map.offset")
+        if v.size not in (1, dim):
+            raise ConfigError("map.offset", f"constant target must have dim 1 or {dim}")
+        return MapSpec.const(v)
+    matrix = _get(tree, "matrix", "map", required=True)
+    offset = _get(tree, "offset", "map", required=True)
     try:
-        if s is not None:
-            _check_scaled(c, k, s)
-        if kind is MapKind.AFFINE:
-            matrix = _get(tree, "matrix", "map", required=True)
-            offset = _get(tree, "offset", "map", required=True)
-            try:
-                A = np.asarray(matrix, dtype=float)
-            except (TypeError, ValueError):
-                raise ConfigError("map.matrix", f"expected rows of numbers, got {matrix!r}") from None
-            if A.ndim != 2 or A.shape != (dim, dim):
-                raise ConfigError("map.matrix", f"expected a {dim}x{dim} matrix, got shape {A.shape}")
-            b = _as_vector(offset, "map.offset")
-            if b.size != dim:
-                raise ConfigError("map.offset", f"expected {dim} entries, got {b.size}")
-            spec = MapSpec.affine(A, b, c=claimed)
-        elif kind is MapKind.HALF:
-            spec = MapSpec.half(c=0.5 if claimed is None else claimed)
-        elif kind is MapKind.LOGISTIC_DAMPED:
-            lam = _as_float(_get(tree, "lam", "map", required=True), "map.lam")
-            spec = MapSpec.logistic_damped(lam, c=claimed)
-        else:
-            v = _as_vector(_get(tree, "offset", "map", required=True), "map.offset")
-            if v.size not in (1, dim):
-                raise ConfigError("map.offset", f"constant target must have dim 1 or {dim}")
-            spec = MapSpec.const(v, c=0.0 if claimed is None else claimed)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # factory-level validation
-        raise ConfigError("map", str(exc)) from None
-    spec.k, spec.s = k, s
-    if s is not None:
-        spec.c = c  # scaled-form c may exceed 1 legitimately
-    return spec
+        A = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("map.matrix", f"expected rows of numbers, got {matrix!r}") from None
+    if A.ndim != 2 or A.shape != (dim, dim):
+        raise ConfigError("map.matrix", f"expected a {dim}x{dim} matrix, got shape {A.shape}")
+    b = _as_vector(offset, "map.offset")
+    if b.size != dim:
+        raise ConfigError("map.offset", f"expected {dim} entries, got {b.size}")
+    return _build("map.matrix", MapSpec.affine, A, b)
+
+
+def _load_claim(tree: dict) -> tuple[float | None, tuple[float, float, float] | None]:
+    """map.c, map.k and map.s as (c_claimed, scaled_form); a scaled-form c may exceed 1."""
+    c, k, s = (_optional_float(tree, key, "map") for key in "cks")
+    if s is None:
+        if "k" in tree:
+            raise ConfigError("map.k", "not used without map.s")
+        if c is not None and not 0.0 <= c < 1.0:
+            raise ConfigError("map.c", f"claimed contraction factor must lie in [0, 1), got {c}")
+        return c, None
+    fault = _check_scaled(c, k, s)
+    if fault:
+        raise ConfigError(f"map.{fault[0]}", fault[1])
+    return None, (c, k, s)
+
+
+def check_seed(seed) -> int:
+    """The seed rule, for a problem file and the command line alike."""
+    if not 0 <= _as_int(seed, "seed") < 2**64:
+        raise ConfigError("seed", f"must fit in 64 bits unsigned, got {seed}")
+    return seed
 
 
 def load_config(path) -> ProblemConfig:
@@ -267,7 +281,9 @@ def load_config(path) -> ProblemConfig:
     point = _as_vector(_get(tree, "initial_point", "", required=True), "initial_point")
     dim = point.size
     space = _load_space(_subtree(tree, "space"), dim)
-    map_spec = _load_map(_subtree(tree, "map"), dim)
+    map_tree = _subtree(tree, "map")
+    map_spec = _load_map(map_tree, dim)
+    c_claimed, scaled_form = _load_claim(map_tree)
 
     solve = _subtree(tree, "solve")
     check = _subtree(tree, "check")
@@ -283,9 +299,7 @@ def load_config(path) -> ProblemConfig:
     if chain_alpha is not None and chain_alpha < 0:
         raise ConfigError("chain.alpha", f"must be >= 0, got {chain_alpha}")
 
-    seed = _as_int(_get(tree, "seed", "", default=_DEFAULTS["seed"]), "seed", 0)
-    if seed >= 2**64:
-        raise ConfigError("seed", "must fit in 64 bits")
+    seed = check_seed(_get(tree, "seed", "", default=_DEFAULTS["seed"]))
 
     s = _optional_float(check, "s", "check")
     if s is not None and not 0.0 < s <= 1.0:
@@ -313,4 +327,6 @@ def load_config(path) -> ProblemConfig:
         fatou_ratio=fatou_ratio,
         fatou_steps=fatou_steps,
         chain_alpha=chain_alpha,
+        c_claimed=c_claimed,
+        scaled_form=scaled_form,
     )

@@ -103,7 +103,6 @@ class ModularSpec:
     p: float | None = None
     phi: Phi | None = None
     weights: tuple[float, ...] | None = None
-    quadrature_nodes: int | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -120,10 +119,6 @@ class ModularSpec:
             if not all(w > 0 for w in self.weights):
                 raise ValueError("WEIGHTED_SUM weights must all be > 0")
         elif self.family is Family.ORLICZ:
-            if self.quadrature_nodes is None or self.quadrature_nodes < 1:
-                raise ValueError("ORLICZ requires quadrature_nodes >= 1")
-            if self.quadrature_nodes != self.dim:
-                raise DimensionMismatch("ORLICZ coordinates are cell samples: dim must equal quadrature_nodes")
             if self.phi is None:
                 raise ValueError("ORLICZ requires an integrand phi")
             if self.phi is Phi.POWER and (self.p is None or not self.p > 0):
@@ -137,13 +132,7 @@ class ModularSpec:
 
     @classmethod
     def orlicz(cls, phi: Phi, quadrature_nodes: int, p: float | None = None) -> "ModularSpec":
-        return cls(
-            Family.ORLICZ,
-            dim=quadrature_nodes,
-            phi=phi,
-            p=None if p is None else float(p),
-            quadrature_nodes=quadrature_nodes,
-        )
+        return cls(Family.ORLICZ, dim=quadrature_nodes, phi=phi, p=None if p is None else float(p))
 
     @classmethod
     def weighted_sum(cls, p: float, weights) -> "ModularSpec":
@@ -175,7 +164,7 @@ class ModularSpec:
             elif self.family is Family.WEIGHTED_SUM:
                 tot = np.sum(self._w * U**self.p, axis=1)
             else:
-                tot = np.sum(self._phi_values(U), axis=1) / self.quadrature_nodes
+                tot = np.sum(self._phi_values(U), axis=1) / self.dim
         return np.where(np.isnan(tot), INF, tot)
 
     def _phi_values(self, u: np.ndarray) -> np.ndarray:

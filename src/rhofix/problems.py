@@ -50,7 +50,7 @@ def builtin_problems() -> list[Problem]:
         Problem(
             "half_p2",
             p2(1),
-            MapSpec.half(c=0.25),
+            MapSpec.half(),
             np.array([1.0]),
             c=0.25,
             fixed_point=np.array([0.0]),
@@ -58,7 +58,7 @@ def builtin_problems() -> list[Problem]:
         Problem(
             "affine_half_p1",
             p1(1),
-            MapSpec.affine([[0.5]], [1.0], c=0.5),
+            MapSpec.affine([[0.5]], [1.0]),
             np.array([0.0]),
             c=0.5,
             fixed_point=np.array([2.0]),
@@ -66,7 +66,7 @@ def builtin_problems() -> list[Problem]:
         Problem(
             "affine_half_p2",
             p2(1),
-            MapSpec.affine([[0.5]], [1.0], c=0.25),
+            MapSpec.affine([[0.5]], [1.0]),
             np.array([0.0]),
             c=0.25,
             fixed_point=np.array([2.0]),
@@ -74,7 +74,7 @@ def builtin_problems() -> list[Problem]:
         Problem(
             "affine_diag_2d",
             p1(2),
-            MapSpec.affine([[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0], c=0.5),
+            MapSpec.affine([[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0]),
             np.array([0.0, 0.0]),
             c=0.5,
             fixed_point=np.array([2.0, 2.0]),
@@ -82,7 +82,7 @@ def builtin_problems() -> list[Problem]:
         Problem(
             "logistic_p1",
             p1(2),
-            MapSpec.logistic_damped(0.8, c=0.8),
+            MapSpec.logistic_damped(0.8),
             np.array([1.0, -2.0]),
             c=0.8,
             fixed_point=np.array([0.0, 0.0]),
@@ -103,7 +103,7 @@ def builtin_problems() -> list[Problem]:
         Problem(
             "affine_mixed_2d",
             p1(2),
-            MapSpec.affine(A, b, c=l1_operator_norm(A)),
+            MapSpec.affine(A, b),
             np.array([0.0, 0.0]),
             c=l1_operator_norm(A),
             fixed_point=np.linalg.solve(np.eye(2) - A, b),
@@ -125,4 +125,4 @@ def random_affine_contraction(
     A = rng.normal(size=(dim, dim))
     A *= target / l1_operator_norm(A)
     b = rng.uniform(-1.0, 1.0, dim)
-    return MapSpec.affine(A, b, c=target)
+    return MapSpec.affine(A, b)

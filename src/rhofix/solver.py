@@ -61,10 +61,10 @@ class MapKind(Enum):
 class MapSpec:
     """A self-map of the space: affine, or a named 1-D map per coordinate.
 
-    `c` is the claimed factor for rho(Tx - Ty) <= c rho(x - y); the triple
-    (c, k, s) instead describes the scaled form rho(c (Tx - Ty)) <= k**s
-    rho(x - y) whenever `s` is set. Claims are verified empirically by
-    `verify_contraction` / `verify_s_contraction`, never trusted.
+    It holds no contraction factor: rho(Tx - Ty) <= c rho(x - y) is a
+    property of the map and the modular together (u -> u/2 has factor
+    2**-p under the p-power modular), so every function that needs a
+    factor takes it as an argument and checks it there.
     """
 
     kind: MapKind
@@ -72,33 +72,30 @@ class MapSpec:
     offset: np.ndarray | None = None
     lam: float | None = None
     value: np.ndarray | None = None
-    c: float | None = None
-    k: float | None = None
-    s: float | None = None
 
     @classmethod
-    def affine(cls, matrix, offset, c: float | None = None) -> "MapSpec":
+    def affine(cls, matrix, offset) -> "MapSpec":
         a = np.atleast_2d(np.asarray(matrix, dtype=float))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         b = as_point(offset, a.shape[0])
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        return cls(MapKind.AFFINE, matrix=a, offset=b, c=_check_c(c))
+        return cls(MapKind.AFFINE, matrix=a, offset=b)
 
     @classmethod
-    def half(cls, c: float | None = 0.5) -> "MapSpec":
-        return cls(MapKind.HALF, c=_check_c(c))
+    def half(cls) -> "MapSpec":
+        return cls(MapKind.HALF)
 
     @classmethod
-    def logistic_damped(cls, lam: float, c: float | None = None) -> "MapSpec":
+    def logistic_damped(cls, lam: float) -> "MapSpec":
         if not lam >= 0:
             raise ValueError("lam must be >= 0")
-        return cls(MapKind.LOGISTIC_DAMPED, lam=float(lam), c=_check_c(c))
+        return cls(MapKind.LOGISTIC_DAMPED, lam=float(lam))
 
     @classmethod
-    def const(cls, value, c: float | None = 0.0) -> "MapSpec":
-        return cls(MapKind.CONST, value=np.atleast_1d(np.asarray(value, dtype=float)), c=_check_c(c))
+    def const(cls, value) -> "MapSpec":
+        return cls(MapKind.CONST, value=np.atleast_1d(np.asarray(value, dtype=float)))
 
     @property
     def dim(self) -> int | None:
@@ -128,7 +125,8 @@ class MapSpec:
         if self.kind is MapKind.LOGISTIC_DAMPED:
             lam = self.lam
             return lambda x: lam * x / (1.0 + np.abs(x))
-        value = self.value
+        # a one-entry target is a scalar, so a 0-d point maps to a 0-d point
+        value = self.value[0] if self.value.size == 1 else self.value
         return lambda x: np.broadcast_to(value, x.shape).astype(float)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -160,15 +158,6 @@ class MapSpec:
                     y = step(y)
                 X[n + 1] = y
         return X
-
-
-def _check_c(c: float | None) -> float | None:
-    if c is None:
-        return None
-    c = float(c)
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"claimed contraction factor must lie in [0, 1), got {c}")
-    return c
 
 
 class TraceStep(NamedTuple):
@@ -211,12 +200,15 @@ def _map_dim(T: MapSpec, m: ModularLike, x0) -> int:
     return dims.pop()
 
 
-def _check_scaled(c: float | None, k: float | None, s: float) -> None:
-    """Preconditions of the scaled form rho(c (Tx - Ty)) <= k**s rho(x - y)."""
+def _check_scaled(c: float | None, k: float | None, s: float) -> tuple[str, str] | None:
+    """Preconditions of the scaled form rho(c (Tx - Ty)) <= k**s rho(x - y):
+    None when they hold, else the parameter at fault ("c", "k" or "s") and why."""
     if c is None or k is None or not (k >= 0.0 and c > max(1.0, k)):
-        raise ValueError(f"requires c > max(1, k) and k >= 0; got c = {c}, k = {k}")
+        at_fault = "c" if c is None or (k is not None and k >= 0.0) else "k"
+        return at_fault, f"requires c > max(1, k) and k >= 0; got c = {c}, k = {k}"
     if not 0.0 < s <= 1.0:
-        raise ValueError("s must lie in (0, 1]")
+        return "s", "s must lie in (0, 1]"
+    return None
 
 
 def _ratio_check(
@@ -277,7 +269,9 @@ def verify_s_contraction(
 ) -> AxiomReport:
     """Sampled check of the scaled form rho(c (Tx - Ty)) <= k**s rho(x - y):
     the contraction check applied to c T with factor k**s."""
-    _check_scaled(c, k, s)
+    fault = _check_scaled(c, k, s)
+    if fault:
+        raise ValueError(fault[1])
     return _ratio_check(T, m, c, k**s, sampler, trials, "s_contraction", (c, k, s))
 
 

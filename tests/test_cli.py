@@ -289,6 +289,54 @@ def test_scaled_form_needs_c_and_k(tmp_path, capsys):
     assert "map" in capsys.readouterr().err
 
 
+def test_half_without_claim_takes_the_true_factor(tmp_path, capsys):
+    # under p = 2 the halving map contracts by 1/4, and k = 4 gives power 2;
+    # nothing is claimed, so nothing is filled in or warned about
+    cfg = half_cfg(tmp_path, space={"family": "ppower", "p": 2.0}, map={"kind": "half"})
+    assert main(["solve", "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["c_claimed"] is None
+    assert summary["c_effective"] == summary["c_empirical"] == pytest.approx(0.25)
+    assert summary["solver"] == "power" and summary["power"] == 2
+    assert "warning" not in capsys.readouterr().out
+
+
+def test_unclaimed_factor_is_not_warned_about(tmp_path, capsys):
+    cfg = half_cfg(tmp_path, space={"family": "sine_bump"}, map={"kind": "half"})
+    main(["solve", "--config", cfg])
+    assert "warning" not in capsys.readouterr().out
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["c_claimed"] is None
+
+
+def test_const_without_claim_claims_nothing(tmp_path):
+    cfg = half_cfg(tmp_path, map={"kind": "const", "offset": [0.3]})
+    assert main(["solve", "--config", cfg, "--quiet"]) == 0
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["c_claimed"] is None
+    assert summary["c_effective"] == summary["c_empirical"] == 0.0
+
+
+@pytest.mark.parametrize("section,tree,key", [
+    ("map", {"kind": "half", "c": 1.0}, "map.c"),
+    ("map", {"kind": "half", "c": -0.5}, "map.c"),
+    ("map", {"kind": "half", "c": 1.5, "k": 2.0, "s": 1}, "map.c"),
+    ("map", {"kind": "half", "k": 0.5, "s": 1}, "map.c"),
+    ("map", {"kind": "half", "c": 1.5, "s": 1}, "map.k"),
+    ("map", {"kind": "half", "c": 1.5, "k": -0.5, "s": 1}, "map.k"),
+    ("map", {"kind": "half", "c": 1.5, "k": 0.75, "s": 1.5}, "map.s"),
+    ("map", {"kind": "logistic_damped", "lam": -1.0}, "map.lam"),
+    ("map", {"kind": "affine", "matrix": [[float("inf")]], "offset": [0.0]}, "map.matrix"),
+    ("space", {"family": "ppower", "p": -1.0}, "space.p"),
+    ("space", {"family": "orlicz", "phi": "power", "p": 0.0}, "space.p"),
+], ids=["c-1", "c-negative", "scaled-c-below-k", "scaled-no-c", "scaled-no-k", "scaled-k-negative",
+        "scaled-s-above-1", "lam-negative", "matrix-inf", "ppower-p", "orlicz-p"])
+def test_value_error_names_its_key(tmp_path, capsys, section, tree, key):
+    cfg = half_cfg(tmp_path, **{section: tree})
+    assert main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
 # --- certificate ---------------------------------------------------------------
 
 def test_certificate_pass_and_files(tmp_path):
@@ -367,6 +415,15 @@ def test_seed_override_recorded(tmp_path):
     assert main(["solve", "--config", cfg, "--quiet", "--seed", "7"]) == 0
     summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
     assert summary["seed"] == 7
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past-64-bits"])
+def test_seed_rule_is_one_for_file_and_flag(tmp_path, capsys, seed):
+    assert main(["solve", "--config", half_cfg(tmp_path), "--quiet", "--seed", str(seed)]) == 2
+    from_flag = capsys.readouterr().err
+    assert main(["solve", "--config", half_cfg(tmp_path, seed=seed), "--quiet"]) == 2
+    assert capsys.readouterr().err == from_flag
+    assert from_flag.startswith("config error: seed: must fit in 64 bits")
 
 
 def test_trace_roundtrip_reverifies(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from rhofix import (
     BracketSearchError,
     DimensionMismatch,
-    Family,
     ModularSpec,
     NamedFunctional,
     Phi,
@@ -83,7 +82,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ModularSpec.orlicz(Phi.POWER, 2)  # missing exponent
     with pytest.raises(ValueError):
-        ModularSpec(Family.ORLICZ, dim=2, phi=Phi.U_LOG, quadrature_nodes=0)
+        ModularSpec.orlicz(Phi.U_LOG, 0)
 
 
 def test_as_point_rejects_non_finite_and_empty():

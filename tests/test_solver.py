@@ -1,5 +1,6 @@
 """Contraction verification, Picard iteration, and the power path."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,11 +40,26 @@ def test_map_apply_shapes():
     assert np.allclose(lam.apply(np.array([1.0])), [0.4])
 
 
+@pytest.mark.parametrize("T", [MapSpec.half(), MapSpec.logistic_damped(0.8), MapSpec.const([2.0])],
+                         ids=["half", "logistic_damped", "const"])
+def test_map_of_any_shape_keeps_the_shape(T):
+    # a 0-d point maps to a 0-d point, a point and a batch row by row alike
+    for x in (np.float64(3.0), np.array([3.0, -1.0, 0.5]), np.array([[3.0, -1.0], [0.5, 4.0]])):
+        for n in (1, 3):
+            y = T.apply_power(x, n)
+            assert y.shape == np.shape(x)
+            assert np.array_equal(np.ravel(y), T.apply_power(np.ravel(x), n))
+        assert np.array_equal(T.apply(x), T.apply_power(x, 1))
+
+
+def test_map_spec_holds_the_map_alone():
+    # a contraction factor depends on the modular too; every function takes it
+    assert [f.name for f in dataclasses.fields(MapSpec)] == ["kind", "matrix", "offset", "lam", "value"]
+
+
 def test_map_validation():
     with pytest.raises(ValueError):
         MapSpec.affine([[1.0, 0.0]], [1.0])  # not square
-    with pytest.raises(ValueError):
-        MapSpec.half(c=1.0)  # claimed factor must be < 1
     with pytest.raises(DimensionMismatch):
         MapSpec.affine([[0.5]], [0.0]).apply(np.zeros(2))
 
