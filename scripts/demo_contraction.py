@@ -13,8 +13,7 @@ from rhofix import (
     builtin_problems,
     cauchy_modulus,
     check_modular_axioms,
-    delta2_type_estimate,
-    exact_doubling_constant,
+    doubling_constant,
     picard_solve,
     solve_via_power,
     verify_contraction,
@@ -45,12 +44,8 @@ def main() -> None:
     rep = check_modular_axioms(m, PointSampler(dim, args.seed), 10_000)
     print(f"axioms: {'ok' if rep.passed else 'VIOLATED'} over {rep.trials} trials")
 
-    k = exact_doubling_constant(m)
-    if k is None:
-        k = delta2_type_estimate(m, PointSampler(dim, args.seed), 2_000).constant
-        print(f"doubling constant (estimated): {k:.6g}")
-    else:
-        print(f"doubling constant (exact): {k:.6g}")
+    k = doubling_constant(m, PointSampler(dim, args.seed), 2_000)
+    print(f"doubling constant: {k:.6g}")
 
     ver = verify_contraction(T, m, prob.c, PointSampler(dim, args.seed), 1_000)
     print(f"contraction at c = {prob.c}: {'ok' if ver.passed else 'VIOLATED'} "

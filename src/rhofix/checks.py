@@ -39,6 +39,7 @@ __all__ = [
     "Delta2Result",
     "delta2_type_estimate",
     "exact_doubling_constant",
+    "doubling_constant",
     "check_fatou_sampled",
     "sine_bump",
     "sign_skewed",
@@ -260,12 +261,17 @@ class Delta2Result(NamedTuple):
 
 
 def exact_doubling_constant(m: ModularLike) -> float | None:
-    """2**p for the families where rho(2x) = 2**p rho(x) holds identically."""
+    """The doubling constant where a closed form gives it, else None: 2**p
+    for the families where rho(2x) = 2**p rho(x) holds identically, and +inf
+    for the Orlicz integrand e**u - 1, whose phi(2u) / phi(u) = e**u + 1 is
+    unbounded."""
     if isinstance(m, ModularSpec):
         if m.family in (Family.PPOWER, Family.WEIGHTED_SUM):
             return 2.0**m.p
         if m.family is Family.ORLICZ and m.phi is Phi.POWER:
             return 2.0**m.p
+        if m.family is Family.ORLICZ and m.phi is Phi.EXP_MINUS_ONE:
+            return INF
     return None
 
 
@@ -302,6 +308,21 @@ def delta2_type_estimate(m: ModularLike, sampler: PointSampler, trials: int) -> 
         if best_before_top > 0.0:
             unbounded = best > 1.01 * best_before_top
     return Delta2Result(best, unbounded)
+
+
+def doubling_constant(m: ModularLike, sampler: PointSampler, trials: int) -> float | None:
+    """The doubling constant a solve relies on: the exact one where known, else
+    the `delta2_type_estimate` constant (the only use of the sampler). None
+    when no finite k > 0 exists: k is unbounded, every sample was infinite
+    (estimate 0), or rho vanishes off zero (InvalidModularError)."""
+    k = exact_doubling_constant(m)
+    if k is None:
+        try:
+            est = delta2_type_estimate(m, sampler, trials)
+        except InvalidModularError:
+            return None
+        k = INF if est.unbounded else est.constant
+    return k if 0.0 < k < INF else None
 
 
 def check_fatou_sampled(

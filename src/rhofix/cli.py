@@ -24,7 +24,7 @@ from .checks import (
     check_modular_axioms,
     check_s_convexity,
     delta2_type_estimate,
-    exact_doubling_constant,
+    doubling_constant,
 )
 from .config import ProblemConfig, check_seed, load_config
 from .errors import (
@@ -42,7 +42,8 @@ from .output import (
     write_json,
     write_trace,
 )
-from .solver import picard_solve, solve_via_power, verify_contraction, verify_s_contraction
+from .solver import (picard_solve, power_index, solve_via_power, verify_contraction,
+                     verify_s_contraction)
 
 __all__ = ["main", "console", "run_check", "run_solve", "run_certificate"]
 
@@ -78,6 +79,15 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
+def _out_dir(cfg: ProblemConfig) -> Path:
+    """The output directory, made if missing; a path that cannot be one is a config error."""
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot make directory {cfg.out_dir}: {exc.strerror}") from None
+    return cfg.out_dir
+
+
 def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
     """Claimed factor if present, else the empirical max ratio (auto-fill).
     With `map.s` set, c belongs to the scaled form, whose verdict is returned
@@ -103,8 +113,7 @@ def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
 
 
 def run_check(cfg: ProblemConfig, quiet: bool = False) -> int:
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     sampler = PointSampler(cfg.dim, cfg.seed)
     failed = False
 
@@ -149,39 +158,26 @@ def run_check(cfg: ProblemConfig, quiet: bool = False) -> int:
 def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
     if cfg.map is None:
         raise ConfigError("map", "required for solve")
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     sampler = PointSampler(cfg.dim, cfg.seed)
     c_eff, c_emp, report, scaled = _effective_c(cfg, sampler, quiet)
 
-    k = exact_doubling_constant(cfg.space)
-    if k is None:
-        try:
-            est = delta2_type_estimate(cfg.space, sampler, min(cfg.trials, 2048))
-            k = None if est.unbounded else est.constant
-        except InvalidModularError:
-            k = None
-
-    power_path = (
-        k is not None
-        and not math.isnan(c_eff)
-        and 0.0 <= c_eff < 1.0
-        and c_eff * k >= 0.5
-    )
+    k = doubling_constant(cfg.space, sampler, min(cfg.trials, 2048))
+    power = power_index(c_eff, k) if k is not None and 0.0 <= c_eff < 1.0 else 1
     extra = {
         "c_claimed": cfg.c_claimed,
         "scaled_form": scaled,
         "c_effective": None if math.isnan(c_eff) else c_eff,
         "c_empirical": None if math.isnan(c_emp) else c_emp,
         "contraction_violations": len(report.violations),
-        "solver": "power" if power_path else "picard",
+        "solver": "power" if power > 1 else "picard",
         "tol": cfg.tol,
         "seed": cfg.seed,
     }
 
     status = EXIT_OK
     try:
-        if power_path:
+        if power > 1:
             trace = solve_via_power(
                 cfg.map, cfg.space, c_eff, cfg.initial_point, cfg.tol, cfg.max_iter, k=k
             )
@@ -206,8 +202,7 @@ def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
 def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
     if cfg.map is None:
         raise ConfigError("map", "required for certificate")
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     sampler = PointSampler(cfg.dim, cfg.seed)
     c_eff, c_emp, _, scaled = _effective_c(cfg, sampler, quiet)
     failure = {  # the summary of either failure exit, once "error" is filled in

@@ -13,7 +13,8 @@ record as the run goes: the rows `X` and one float column per modular.
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
 iterate the n-fold composite, then confirm the point is fixed for the
-single map.
+single map. k comes from the caller or a closed form, never from samples
+(`checks.doubling_constant` resolves it once per solve).
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from enum import Enum
 from typing import NamedTuple
 import numpy as np
 
-from .checks import (
-    AxiomReport,
-    PointSampler,
-    _ineq_violations,
-    delta2_type_estimate,
-    exact_doubling_constant,
-)
+from .checks import AxiomReport, PointSampler, _ineq_violations, exact_doubling_constant
 from .errors import (
     DimensionMismatch,
     DivergenceError,
@@ -365,36 +360,23 @@ def power_index(c: float, k: float) -> int:
 
 
 def solve_via_power(
-    T: MapSpec,
-    m: ModularLike,
-    c: float,
-    x0,
-    tol: float,
-    max_iter: int,
-    *,
-    k: float | None = None,
-    sampler: PointSampler | None = None,
-    trials: int = 256,
+    T: MapSpec, m: ModularLike, c: float, x0, tol: float, max_iter: int, *, k: float | None = None
 ) -> IterationTrace:
     """Picard on the composite T^n with n = power_index(c, k), then confirm
     the result is fixed for T itself.
 
-    The doubling constant k is taken exactly where the family scales
-    exactly, otherwise estimated from samples (a sampler is then required).
-    The composite is applied by n-fold application per step. A composite
-    fixed point whose single-map residual exceeds tol raises
+    Without `k` the family's exact doubling constant is used; ValueError
+    when it has none (pass k, e.g. from `checks.doubling_constant`) or it is
+    unbounded. The composite is applied by n-fold application per step. A
+    composite fixed point whose single-map residual exceeds tol raises
     InconsistentContractionError: the contraction claim c is then false
     (e.g. the map has a periodic orbit).
     """
     if k is None:
         k = exact_doubling_constant(m)
     if k is None:
-        if sampler is None:
-            raise ValueError("sampler required to estimate the doubling constant")
-        est = delta2_type_estimate(m, sampler, trials)
-        if est.unbounded:
-            raise ValueError("doubling constant unbounded; power path not applicable")
-        k = est.constant
+        raise ValueError("no exact doubling constant for this modular; pass k "
+                         "(checks.doubling_constant estimates one)")
     n = power_index(c, float(k))
     trace = _run_picard(T, m, x0, tol, max_iter, power=n)
     trace.k_used = float(k)

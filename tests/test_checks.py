@@ -19,6 +19,7 @@ from rhofix import (
     check_s_convexity,
     dead_zone,
     delta2_type_estimate,
+    doubling_constant,
     exact_doubling_constant,
     sine_bump,
     sign_skewed,
@@ -285,6 +286,50 @@ def test_exact_doubling_constant():
     assert exact_doubling_constant(ModularSpec.weighted_sum(1.0, [1.0, 2.0])) == 2.0
     assert exact_doubling_constant(ModularSpec.orlicz(Phi.POWER, 2, p=3.0)) == 8.0
     assert exact_doubling_constant(ModularSpec.orlicz(Phi.U_LOG, 2)) is None
+
+
+def test_exact_doubling_constant_of_exponential_orlicz_is_unbounded():
+    # phi(2u) / phi(u) = e**u + 1 grows without bound
+    assert exact_doubling_constant(ModularSpec.orlicz(Phi.EXP_MINUS_ONE, 2)) == math.inf
+
+
+@pytest.mark.parametrize("m,k", [
+    (ModularSpec.p_power(0.5, 3), 2.0**0.5),
+    (ModularSpec.weighted_sum(2.0, [0.5, 1.5]), 4.0),
+    (ModularSpec.orlicz(Phi.POWER, 4, p=3.0), 8.0),
+])
+def test_doubling_constant_exact_families(m, k):
+    sampler = PointSampler(m.dim, seed=3)
+    state = sampler.rng.bit_generator.state
+    assert doubling_constant(m, sampler, 500) == k
+    assert sampler.rng.bit_generator.state == state
+
+
+def test_doubling_constant_exponential_orlicz_is_none_without_sampling():
+    sampler = PointSampler(4, seed=3)
+    state = sampler.rng.bit_generator.state
+    assert doubling_constant(ModularSpec.orlicz(Phi.EXP_MINUS_ONE, 4), sampler, 2_000) is None
+    assert sampler.rng.bit_generator.state == state
+
+
+def test_doubling_constant_u_log_is_the_estimate():
+    m = ModularSpec.orlicz(Phi.U_LOG, 4)
+    k = doubling_constant(m, PointSampler(4, seed=3), 2_000)
+    assert k == delta2_type_estimate(m, PointSampler(4, seed=3), 2_000).constant
+    assert 2.0 <= k < 4.0 + 1e-9
+
+
+def test_doubling_constant_invalid_modular_is_none():
+    fn, _ = INVALID_FUNCTIONALS["dead_zone"]
+    assert doubling_constant(fn, PointSampler(1, seed=3), 500) is None
+
+
+def test_doubling_constant_zero_estimate_is_none():
+    # infinite at every nonzero point: every sampled ratio is inf / inf
+    fn = NamedFunctional("inf_off_zero", lambda x: np.where(x[..., 0] == 0.0, 0.0, np.inf),
+                         dim=1, batched=True)
+    assert delta2_type_estimate(fn, PointSampler(1, seed=3), 500) == (0.0, False)
+    assert doubling_constant(fn, PointSampler(1, seed=3), 500) is None
 
 
 # --- Fatou -----------------------------------------------------------------

@@ -259,6 +259,25 @@ def test_solve_power_path_reported(tmp_path):
     assert abs(summary["fixed_point"][0] - 2.0) < 1e-4
 
 
+def test_exponential_orlicz_solve_takes_picard_without_an_estimate(tmp_path, monkeypatch):
+    # exp(u) - 1 has an unbounded doubling constant in closed form: solve estimates none
+    import rhofix.checks
+    import rhofix.cli
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("delta2_type_estimate called")
+
+    for module in (rhofix.checks, rhofix.cli):
+        monkeypatch.setattr(module, "delta2_type_estimate", no_estimate)
+    cfg = half_cfg(tmp_path, space={"family": "orlicz", "phi": "exp_minus_one"},
+                   map={"kind": "logistic_damped", "lam": 0.8, "c": 0.8},
+                   initial_point=[0.5, -0.25, 0.1, 0.0])
+    assert main(["solve", "--config", cfg, "--quiet"]) == 0
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["solver"] == "picard" and summary["k_used"] is None
+    assert summary["converged"]
+
+
 def test_solve_scaled_form_recorded_not_claimed(tmp_path):
     # x -> 2x with (c, k, s) = (3, 0.5, 1): c belongs to the scaled form, which
     # fails (rho(3 (Tx - Ty)) = 6 rho(x - y)); no factor below 1 is claimed
@@ -444,6 +463,22 @@ def test_certificate_roundtrip_reverifies(tmp_path):
     result = reverify_certificate(tmp_path / "out" / "certificate.csv", loaded.space)
     assert result["max_node_slack_diff"] <= slack_tol(summary["alpha"])
     assert abs(result["pair_check"] - summary["pair_check"]) <= slack_tol(summary["alpha"])
+
+
+@pytest.mark.parametrize("command,where", [
+    ("solve", "--out file"), ("certificate", "--out file/sub"), ("check", "out_dir: file"),
+])
+def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys, command, where):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    target = blocker / "sub" if where.endswith("/sub") else blocker
+    if where.startswith("--out"):
+        argv = ["--config", half_cfg(tmp_path), "--out", str(target)]
+    else:
+        argv = ["--config", half_cfg(tmp_path, out_dir=str(target))]
+    assert main([command, *argv, "--quiet"]) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):

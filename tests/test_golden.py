@@ -1,5 +1,5 @@
 """Golden output bytes of `solve` and `certificate` on three shipped configs,
-and of `check` on all five.
+of `check` on all five, and of `solve` on two inline Orlicz problems.
 
 Each file a command writes (trace or certificate CSV, JSON summary or
 report) is pinned by its SHA-256, so a change that alters any output byte
@@ -16,6 +16,13 @@ same sampled points, drawn as 10**u, and `orlicz_check`'s modular is the
 Orlicz integrand exp(u) - 1, evaluated by `expm1`: a platform whose `pow`
 or `expm1` rounds differently could move the witnesses and constants in
 its reports.
+
+The inline Orlicz solves cover the two paths the shipped configs miss: an
+unbounded doubling constant (Picard) and a sampled one (the power path).
+Their traces are Orlicz modulars, evaluated by `expm1` for exp(u) - 1 and
+by `log1p` for u log(1 + u), and the u log(1 + u) run's power rests on its
+sampled doubling estimate; a platform whose `pow`, `expm1` or `log1p`
+rounds differently could move their bytes.
 """
 
 import hashlib
@@ -86,6 +93,22 @@ CHECK_GOLDEN = {
 }
 
 
+# inline problem (flow YAML) -> file -> SHA-256 of `solve`'s output
+INLINE_SOLVE_GOLDEN = {
+    # unbounded doubling constant: Picard, 86 iterations, k_used null
+    "{space: {family: orlicz, phi: exp_minus_one}, map: {kind: logistic_damped, lam: 0.8, c: 0.8},"
+    " initial_point: [0.5, -0.25, 0.1, 0.0], seed: 5}": {
+        "solve_summary.json": "bb11c6ff19946326d30fb126af12c6289c7f5566813a930299a599e9a091ef78",
+        "trace.csv": "d6e1e50b99eb4dab28d6dc47dd322e949fa5492c0bd45ef84117ece7ea62407c",
+    },
+    # sampled doubling constant 3.998151127820284: the power path with T^3
+    "{space: {family: orlicz, phi: u_log}, map: {kind: half}, initial_point: [1.0, 2.0], seed: 5}": {
+        "solve_summary.json": "12883ad76910da7b6a25705a2d9cc1217572ae246eb2ca81750c3b72f10b4d3f",
+        "trace.csv": "a18f901ba0c001f8faf0d70902834ca9cbe65addb12921980ae83dbae7b02d62",
+    },
+}
+
+
 def _written(out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
@@ -102,3 +125,11 @@ def test_check_report_bytes_are_pinned(tmp_path, name, code):
     out = tmp_path / "out"
     assert main(["check", "--config", str(CONFIGS / f"{name}.yaml"), "--quiet", "--out", str(out)]) == code
     assert _written(out) == CHECK_GOLDEN[name, code]
+
+
+@pytest.mark.parametrize("problem", list(INLINE_SOLVE_GOLDEN), ids=["exp_picard", "u_log_power"])
+def test_inline_orlicz_solve_bytes_are_pinned(tmp_path, problem):
+    config, out = tmp_path / "problem.yaml", tmp_path / "out"
+    config.write_text(problem + "\n")
+    assert main(["solve", "--config", str(config), "--quiet", "--out", str(out)]) == 0
+    assert _written(out) == INLINE_SOLVE_GOLDEN[problem]

@@ -16,6 +16,7 @@ from rhofix import (
     Phi,
     PointSampler,
     builtin_problems,
+    doubling_constant,
     orbit_bound_check,
     picard_solve,
     power_index,
@@ -285,9 +286,15 @@ def test_solve_via_power_affine_p2():
 def test_solve_via_power_estimates_k_when_not_exact():
     m = ModularSpec.orlicz(Phi.U_LOG, 1)
     tr = solve_via_power(MapSpec.half(), m, 0.5, [1.0], 1e-10, 500,
-                         sampler=PointSampler(1, seed=4))
+                         k=doubling_constant(m, PointSampler(1, seed=4), 256))
     assert tr.converged
     assert tr.k_used is not None and 2.0 <= tr.k_used <= 4.0 + 1e-9
+
+
+@pytest.mark.parametrize("phi,reason", [(Phi.U_LOG, "pass k"), (Phi.EXP_MINUS_ONE, "unbounded")])
+def test_solve_via_power_without_k_needs_an_exact_finite_one(phi, reason):
+    with pytest.raises(ValueError, match=reason):
+        solve_via_power(MapSpec.half(), ModularSpec.orlicz(phi, 1), 0.5, [1.0], 1e-10, 500)
 
 
 def test_solve_via_power_detects_false_claim_on_periodic_orbit():
