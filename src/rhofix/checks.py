@@ -264,13 +264,15 @@ def exact_doubling_constant(m: ModularLike) -> float | None:
     """The doubling constant where a closed form gives it, else None: 2**p
     for the families where rho(2x) = 2**p rho(x) holds identically, and +inf
     for the Orlicz integrand e**u - 1, whose phi(2u) / phi(u) = e**u + 1 is
-    unbounded."""
+    unbounded. A 2**p past the largest double is +inf too."""
     if isinstance(m, ModularSpec):
-        if m.family in (Family.PPOWER, Family.WEIGHTED_SUM):
-            return 2.0**m.p
-        if m.family is Family.ORLICZ and m.phi is Phi.POWER:
-            return 2.0**m.p
-        if m.family is Family.ORLICZ and m.phi is Phi.EXP_MINUS_ONE:
+        orlicz = m.family is Family.ORLICZ
+        if m.family in (Family.PPOWER, Family.WEIGHTED_SUM) or (orlicz and m.phi is Phi.POWER):
+            try:
+                return 2.0**m.p
+            except OverflowError:
+                return INF
+        if orlicz and m.phi is Phi.EXP_MINUS_ONE:
             return INF
     return None
 

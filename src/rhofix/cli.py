@@ -190,7 +190,7 @@ def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
         extra["error"] = str(exc)
         status = EXIT_MATH
 
-    write_trace(out / "trace.csv", trace)
+    write_trace(out / "trace.npy", trace)
     write_json(out / "solve_summary.json", trace_payload(trace, extra))
     _say(quiet, f"solve [{extra['solver']}]: "
                 f"{'converged' if trace.converged else 'did not converge'} at "
@@ -226,7 +226,7 @@ def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
         _say(quiet, f"certificate: unbounded orbit ({exc})")
         return EXIT_MATH
 
-    write_certificate(out / "certificate.csv", cert, cfg.space)
+    write_certificate(out / "certificate.npy", cert, cfg.space)
     write_json(out / "certificate_summary.json", {
         "alpha": cert.alpha,
         "c": cert.c,

@@ -212,7 +212,7 @@ def test_criterion_9_cli_determinism_and_roundtrip(tmp_path):
     ok &= main(["certificate", "--config", str(cfg), "--quiet"]) == 0
     summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
     m = ModularSpec.p_power(1.0, 1)
-    rt = reverify_certificate(tmp_path / "out" / "certificate.csv", m)
+    rt = reverify_certificate(tmp_path / "out" / "certificate.npy", m)
     eps = slack_tol(summary["alpha"])
     ok &= rt["max_node_slack_diff"] <= eps
     ok &= abs(rt["pair_check"] - summary["pair_check"]) <= eps

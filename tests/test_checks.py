@@ -288,6 +288,16 @@ def test_exact_doubling_constant():
     assert exact_doubling_constant(ModularSpec.orlicz(Phi.U_LOG, 2)) is None
 
 
+@pytest.mark.parametrize("m", [
+    ModularSpec.p_power(1100.0, 1),
+    ModularSpec.weighted_sum(1100.0, [1.0]),
+    ModularSpec.orlicz(Phi.POWER, 1, p=1100.0),
+], ids=["ppower", "weighted_sum", "orlicz_power"])
+def test_exact_doubling_constant_past_the_largest_double_is_inf(m):
+    # 2**1100 overflows a double: no OverflowError, no RuntimeWarning
+    assert exact_doubling_constant(m) == math.inf
+
+
 def test_exact_doubling_constant_of_exponential_orlicz_is_unbounded():
     # phi(2u) / phi(u) = e**u + 1 grows without bound
     assert exact_doubling_constant(ModularSpec.orlicz(Phi.EXP_MINUS_ONE, 2)) == math.inf

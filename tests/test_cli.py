@@ -217,7 +217,7 @@ def test_solve_half_converges_exit_0(tmp_path):
     summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
     assert summary["converged"]
     assert summary["final_residual"] <= 1e-10
-    trace = read_trace(tmp_path / "out" / "trace.csv")
+    trace = read_trace(tmp_path / "out" / "trace.npy")
     assert trace["n"][0] == 0 and np.isnan(trace["step_mod"][0])
 
 
@@ -232,7 +232,7 @@ def test_solve_expanding_map_exits_1(tmp_path):
 def test_solve_zero_iterations_trace_has_only_x0(tmp_path):
     cfg = half_cfg(tmp_path, solve={"tol": 1e-10, "max_iter": 0})
     assert main(["solve", "--config", cfg, "--quiet"]) == 1
-    trace = read_trace(tmp_path / "out" / "trace.csv")
+    trace = read_trace(tmp_path / "out" / "trace.npy")
     assert len(trace["n"]) == 1
     assert trace["x"][0][0] == 1.0
 
@@ -243,7 +243,7 @@ def test_solve_divergence_writes_partial_trace(tmp_path):
     assert main(["solve", "--config", cfg, "--quiet"]) == 1
     summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
     assert "error" in summary and not summary["converged"]
-    trace = read_trace(tmp_path / "out" / "trace.csv")
+    trace = read_trace(tmp_path / "out" / "trace.npy")
     assert len(trace["n"]) > 10
 
 
@@ -276,6 +276,15 @@ def test_exponential_orlicz_solve_takes_picard_without_an_estimate(tmp_path, mon
     summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
     assert summary["solver"] == "picard" and summary["k_used"] is None
     assert summary["converged"]
+
+
+def test_solve_with_overflowing_doubling_constant_gives_a_verdict(tmp_path, capsys):
+    # 2**1100 overflows a double: k is unbounded, so the solve takes Picard
+    cfg = half_cfg(tmp_path, space={"family": "ppower", "p": 1100.0})
+    assert main(["solve", "--config", cfg, "--quiet"]) in (0, 1)
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["solver"] == "picard" and summary["k_used"] is None
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_solve_scaled_form_recorded_not_claimed(tmp_path):
@@ -365,7 +374,7 @@ def test_certificate_pass_and_files(tmp_path):
     assert summary["all_pass"]
     assert summary["N"] == 30
     assert dict(map(tuple, summary["cauchy_modulus"]))  # table present
-    data = read_certificate(tmp_path / "out" / "certificate.csv")
+    data = read_certificate(tmp_path / "out" / "certificate.npy")
     assert len(data["n"]) == 31
 
 
@@ -426,7 +435,7 @@ def test_solve_deterministic_for_fixed_seed(tmp_path):
     sa = json.loads((tmp_path / "a" / "solve_summary.json").read_text())
     sb = json.loads((tmp_path / "b" / "solve_summary.json").read_text())
     assert sa == sb
-    assert (tmp_path / "a" / "trace.csv").read_text() == (tmp_path / "b" / "trace.csv").read_text()
+    assert (tmp_path / "a" / "trace.npy").read_bytes() == (tmp_path / "b" / "trace.npy").read_bytes()
 
 
 def test_seed_override_recorded(tmp_path):
@@ -450,7 +459,7 @@ def test_trace_roundtrip_reverifies(tmp_path):
     assert main(["solve", "--config", cfg, "--quiet"]) == 0
     loaded = load_config(cfg)
     summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
-    worst = reverify_trace(tmp_path / "out" / "trace.csv", loaded.space, loaded.map,
+    worst = reverify_trace(tmp_path / "out" / "trace.npy", loaded.space, loaded.map,
                            power=summary["power"])
     assert worst <= slack_tol(1.0)
 
@@ -460,7 +469,7 @@ def test_certificate_roundtrip_reverifies(tmp_path):
     assert main(["certificate", "--config", cfg, "--quiet"]) == 0
     loaded = load_config(cfg)
     summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
-    result = reverify_certificate(tmp_path / "out" / "certificate.csv", loaded.space)
+    result = reverify_certificate(tmp_path / "out" / "certificate.npy", loaded.space)
     assert result["max_node_slack_diff"] <= slack_tol(summary["alpha"])
     assert abs(result["pair_check"] - summary["pair_check"]) <= slack_tol(summary["alpha"])
 
@@ -663,7 +672,7 @@ def test_every_json_report_is_strict_json(tmp_path):
         for path in (tmp_path / run).glob("*.json"):
             written[run, path.name] = json.loads(path.read_text(), parse_constant=_not_json)
     assert {run for run, _ in written} == set(runs)
-    # the non-finite values are spelled as in the CSVs
+    # the non-finite values are spelled as Python spells them: str(float)
     assert written["check-orlicz_check", "report_delta2.json"]["constant"] == "inf"
     assert written["max_iter_0", "solve_summary.json"]["final_step_mod"] == "nan"
     assert written["diverging", "solve_summary.json"]["final_residual"] == "inf"

@@ -1,7 +1,7 @@
 """Golden output bytes of `solve` and `certificate` on three shipped configs,
 of `check` on all five, and of `solve` on two inline Orlicz problems.
 
-Each file a command writes (trace or certificate CSV, JSON summary or
+Each file a command writes (trace or certificate table, JSON summary or
 report) is pinned by its SHA-256, so a change that alters any output byte
 fails here, not only one that alters a verdict. The configs run at their
 own seeds. Their maps and modulars are affine, halving and damped-logistic
@@ -37,26 +37,26 @@ CONFIGS = Path(__file__).parents[1] / "configs"
 GOLDEN = {
     ("solve", "affine_p2"): {
         "solve_summary.json": "a229f4074631acdf4ed78a40dcbd602fc9c017820d3c3d9f136251a251e4e125",
-        "trace.csv": "f59aa0421deea528fe896f0841fa9ccd801bf6ef6b1aae22e9a3c330c7f3c92f",
+        "trace.npy": "eee1a56b89d317f320edbced9113741213b65eb015edd01a0b3f8e67f7328bdc",
     },
     ("solve", "half_p1"): {
         "solve_summary.json": "7afc07fcb456a1212adfb618c5cd7ee062fa3ed76202ae7e907d5b0ff2002c55",
-        "trace.csv": "cfd9de16d948e98c351c33b1e13a4d91ce7c182f475168145f2d9f431a3d677a",
+        "trace.npy": "544b9c9c4b9fc6af81e73ba4a9ea6f939d2f51780d24f8988764134aeb6922f2",
     },
     ("solve", "weighted_logistic"): {
         "solve_summary.json": "448be3441e6633d57a179f0c31dd3b5d6a52d115ee28efe679aef93a87e90011",
-        "trace.csv": "5bcf14cbaa9a982d3b1a3fa2f88cddb2e8a1cf87c1310ae5ae318ac3388cbb43",
+        "trace.npy": "4ecc86f6db65604c07b6221acb440689fd096b1bd9649c6f915de2bf5b6e4a79",
     },
     ("certificate", "affine_p2"): {
-        "certificate.csv": "08c6afdff6d458d5966a57f18a627f136d9d3be47a065f0f9cd651ba0bc1caaa",
+        "certificate.npy": "4963429798d06c8bc94f905fe863fe0a0dbaf6968772e06dab69ad8b44fbee4c",
         "certificate_summary.json": "a5597816dd579692012326ba67a08c201de60bf05306ab028e77a59bb040463f",
     },
     ("certificate", "half_p1"): {
-        "certificate.csv": "502038d7a36f21feb372f82bf998edb2c2b498b9ed08df20c1780a58602b88ab",
+        "certificate.npy": "a49072d86cedafc238fe8845cb0977216c9afc2ad2db526c8f637c08174d13b3",
         "certificate_summary.json": "29574d1fbdd16a4a04e66ff839d22ae7e22a0110f81c52a5b89cd2fef154fcef",
     },
     ("certificate", "weighted_logistic"): {
-        "certificate.csv": "286b43a3e286c67e505fb3aa36d80902be725b4eca86be77500a10b37c4f1b53",
+        "certificate.npy": "a271c1798f22fe5fa9b6e95ce75f9b1ccd70569929a8086281cb14cf5809d733",
         "certificate_summary.json": "7b908b75be2d260d333278c151471fb0e351983bcf4b7ed6eac82edba7566f29",
     },
 }
@@ -99,12 +99,12 @@ INLINE_SOLVE_GOLDEN = {
     "{space: {family: orlicz, phi: exp_minus_one}, map: {kind: logistic_damped, lam: 0.8, c: 0.8},"
     " initial_point: [0.5, -0.25, 0.1, 0.0], seed: 5}": {
         "solve_summary.json": "bb11c6ff19946326d30fb126af12c6289c7f5566813a930299a599e9a091ef78",
-        "trace.csv": "d6e1e50b99eb4dab28d6dc47dd322e949fa5492c0bd45ef84117ece7ea62407c",
+        "trace.npy": "bdecffa6dd651b31143a6f8f16710bf7aefcc71d66a80651854083ce1e536fbe",
     },
     # sampled doubling constant 3.998151127820284: the power path with T^3
     "{space: {family: orlicz, phi: u_log}, map: {kind: half}, initial_point: [1.0, 2.0], seed: 5}": {
         "solve_summary.json": "12883ad76910da7b6a25705a2d9cc1217572ae246eb2ca81750c3b72f10b4d3f",
-        "trace.csv": "a18f901ba0c001f8faf0d70902834ca9cbe65addb12921980ae83dbae7b02d62",
+        "trace.npy": "b4baf44afabcd609e0ab5f22c3dbeb5d8a9cb3a7fb3371ff8c6717be272f5e09",
     },
 }
 
