@@ -1,7 +1,8 @@
 """Randomized checkers for modular axioms, s-convexity, doubling, and Fatou.
 
 All checkers are deterministic for a given sampler seed and never raise on a
-mathematical violation: findings are collected into an AxiomReport with full
+mathematical violation: findings are collected into an AxiomReport, which
+counts every violation and keeps the first MAX_WITNESSES with full
 witnesses. The only exceptions are usage errors and the invalid-modular
 condition in `delta2_type_estimate`. Trials are drawn and evaluated in
 batches; a report is independent of how the batches were split.
@@ -31,6 +32,7 @@ from .modular import (
 )
 
 __all__ = [
+    "MAX_WITNESSES",
     "PointSampler",
     "Violation",
     "AxiomReport",
@@ -51,8 +53,19 @@ __all__ = [
 # sit on round points and sign boundaries
 _SPECIAL_VALUES = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 
+MAX_WITNESSES = 20        # violations a report keeps as witnesses
 _LOG_RANGE = (-3.0, 3.0)  # log10 of the least and greatest log-uniform magnitude
 _FATOU_DIRECTIONS = 8     # direction pairs the Fatou check samples
+
+
+def _row_sup(x: np.ndarray) -> np.ndarray:
+    """Each row's sup-norm, one column at a time: a row-wise reduction runs
+    one short inner loop per row."""
+    a = np.abs(x)
+    sup = a[:, 0].copy()
+    for col in a.T[1:]:
+        np.maximum(sup, col, out=sup)
+    return sup
 
 
 class PointSampler:
@@ -72,31 +85,53 @@ class PointSampler:
         self.rng = np.random.default_rng(seed)
 
     def points(self, n: int) -> np.ndarray:
-        """An (n, dim) batch of mixture-sampled points."""
+        """An (n, dim) batch of mixture-sampled points.
+
+        The stream is five full (n, dim) draws in turn -- uniform(-1, 1),
+        uniform(-3, 3) for log10 magnitudes, a sign draw, a mixture draw
+        (the uniform value where < 0.45) and a special draw (a special
+        value where < 0.10) -- then the special values' indices. Each draw
+        is consumed before the next is made, so three (n, dim) buffers
+        hold them all.
+        """
         rng = self.rng
         shape = (n, self.dim)
         out = rng.uniform(-1.0, 1.0, shape)
-        mags = 10.0 ** rng.uniform(*_LOG_RANGE, shape)
-        signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-        out = np.where(rng.random(shape) < 0.45, out, signs * mags)
-        special = rng.random(shape) < 0.10
-        k = int(special.sum())
+        draw = rng.uniform(*_LOG_RANGE, shape)
+        mags = np.power(10.0, draw)
+        rng.random(out=draw)
+        np.subtract(draw, 0.5, out=draw)
+        np.copysign(mags, draw, out=mags)
+        rng.random(out=draw)
+        take = draw < 0.45
+        # the mixture as a 64-bit blend, m ^ ((u ^ m) * take): exact and
+        # branch-free, where np.where mispredicts on a random mask
+        u, m, blend = out.view(np.int64), mags.view(np.int64), draw.view(np.int64)
+        np.bitwise_xor(u, m, out=blend)
+        np.multiply(blend, take, out=u)
+        np.bitwise_xor(u, m, out=u)
+        rng.random(out=draw)
+        special = draw < 0.10
+        k = np.count_nonzero(special)
         if k:
-            out[special] = rng.choice(_SPECIAL_VALUES, k)
+            # the draw rng.choice(_SPECIAL_VALUES, k) makes, without its argument checks
+            out[special] = _SPECIAL_VALUES[rng.integers(0, _SPECIAL_VALUES.size, k)]
         return out
 
     def point(self) -> np.ndarray:
         return self.points(1)[0]
 
     def directions(self, n: int) -> np.ndarray:
-        """An (n, dim) batch rescaled to unit sup-norm per row."""
+        """An (n, dim) batch rescaled to unit sup-norm per row; a row that
+        is all zeros is redrawn."""
         out = self.points(n)
-        sup = np.max(np.abs(out), axis=1)
-        while np.any(sup == 0.0):
-            bad = sup == 0.0
-            out[bad] = self.points(int(bad.sum()))
-            sup = np.max(np.abs(out), axis=1)
-        return out / sup[:, None]
+        sup = _row_sup(out)
+        redraw = np.flatnonzero(sup == 0.0)
+        while redraw.size:
+            out[redraw] = self.points(redraw.size)
+            sup[redraw] = _row_sup(out[redraw])
+            redraw = redraw[sup[redraw] == 0.0]
+        return np.divide(out, sup[:, None], out=out)
 
     def units(self, n: int) -> np.ndarray:
         return self.rng.uniform(size=n)
@@ -126,6 +161,8 @@ class Violation:
 class AxiomReport:
     """Outcome of a sampled checker run.
 
+    `violations` keeps the first `MAX_WITNESSES` witnesses in record order;
+    `n_violations` and `axiom_counts` count every recorded violation.
     `max_slack_violation` is 0 when no violation was recorded, else the
     largest offense. `max_ratio` is filled by the contraction checkers only.
     """
@@ -134,15 +171,16 @@ class AxiomReport:
     violations: list[Violation] = field(default_factory=list)
     max_slack_violation: float = 0.0
     max_ratio: float = math.nan
+    n_violations: int = 0
+    axiom_counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return self.n_violations == 0
 
     def record(self, axiom: str, points, scalars, lhs: float, rhs: float) -> None:
-        """Record one violation: the one-row case of `record_rows`, on a
-        copy of each point."""
-        self.record_rows(axiom, tuple(np.array(p, dtype=float)[None] for p in points),
+        """Record one violation: the one-row case of `record_rows`."""
+        self.record_rows(axiom, tuple(np.asarray(p, dtype=float)[None] for p in points),
                          tuple([s] for s in scalars), [lhs], [rhs])
 
     def record_rows(self, axiom: str, points, scalars, lhs, rhs) -> None:
@@ -150,24 +188,32 @@ class AxiomReport:
 
         `points` holds one (n, dim) array per witness point and `scalars`
         one length-n column (or a constant) per scalar; `lhs` and `rhs` are
-        length n. The point arrays are kept, so pass fresh ones (a
-        fancy-indexed copy): each witness point is a row of them.
+        length n. Witness points are copied, so the arrays may be reused.
         """
-        lhs = np.asarray(lhs, dtype=float).tolist()
-        rhs = np.asarray(rhs, dtype=float).tolist()
-        n = len(lhs)
-        rows = list(zip(*(np.asarray(p, dtype=float) for p in points))) or [()] * n
-        cols = (np.broadcast_to(np.asarray(c, dtype=float), (n,)).tolist() for c in scalars)
-        svals = list(zip(*cols)) or [()] * n
-        self.violations.extend(map(Violation, repeat(axiom), rows, svals, lhs, rhs))
-        best = self.max_slack_violation
-        for left, right in zip(lhs, rhs):
-            if left - right > best:  # each row's Violation.slack; a nan never wins
-                best = left - right
-        self.max_slack_violation = best
+        lhs = np.asarray(lhs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        n = lhs.size
+        if n == 0:
+            return
+        keep = min(n, MAX_WITNESSES - len(self.violations))
+        if keep > 0:
+            rows = list(zip(*(np.array(p[:keep], dtype=float) for p in points))) or [()] * keep
+            cols = (np.broadcast_to(np.asarray(c, dtype=float), (n,))[:keep].tolist()
+                    for c in scalars)
+            svals = list(zip(*cols)) or [()] * keep
+            self.violations.extend(map(Violation, repeat(axiom), rows, svals,
+                                       lhs[:keep].tolist(), rhs[:keep].tolist()))
+        self.n_violations += n
+        self.axiom_counts[axiom] = self.axiom_counts.get(axiom, 0) + n
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = lhs - rhs  # each row's Violation.slack
+        # a nan slack (inf - inf among them) never wins, as in a `>` scan
+        best = float(np.max(slack, initial=-INF, where=~np.isnan(slack)))
+        if best > self.max_slack_violation:
+            self.max_slack_violation = best
 
     def violated_axioms(self) -> set[str]:
-        return {v.axiom for v in self.violations}
+        return set(self.axiom_counts)
 
 
 def _resolve(m: ModularLike, sampler: PointSampler):

@@ -11,6 +11,7 @@ Exit codes: 0 success (no violations / converged / certificate passed),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -55,7 +56,9 @@ EXIT_USAGE = 2
 VERIFY_TRIALS = 512
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rhofix",
         description="Modular-space contraction toolkit: checkers, Picard solver, chain certificates.",
@@ -106,7 +109,7 @@ def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
         rep_s = verify_s_contraction(T, cfg.space, c, k, s, sampler, VERIFY_TRIALS)
         scaled = {"c": c, "k": k, "s": s, "passed": rep_s.passed,
                   "max_ratio": None if math.isnan(rep_s.max_ratio) else rep_s.max_ratio,
-                  "n_violations": len(rep_s.violations)}
+                  "n_violations": rep_s.n_violations}
         if not rep_s.passed:
             _say(quiet, f"warning: scaled form (c, k, s) = ({c}, {k}, {s}) violated")
     return c_eff, c_emp, report, scaled
@@ -119,7 +122,7 @@ def run_check(cfg: ProblemConfig, quiet: bool = False) -> int:
 
     rep = check_modular_axioms(cfg.space, sampler, cfg.trials)
     write_json(out / "report_axioms.json", report_payload("modular_axioms", rep))
-    _say(quiet, f"axioms: {'ok' if rep.passed else f'{len(rep.violations)} violation(s)'} "
+    _say(quiet, f"axioms: {'ok' if rep.passed else f'{rep.n_violations} violation(s)'} "
                 f"({cfg.trials} trials)")
     failed |= not rep.passed
 
@@ -128,7 +131,7 @@ def run_check(cfg: ProblemConfig, quiet: bool = False) -> int:
         write_json(out / "report_s_convexity.json",
                    report_payload("s_convexity", rep_s, {"s": cfg.s}))
         _say(quiet, f"s-convexity (s={cfg.s}): "
-                    f"{'ok' if rep_s.passed else f'{len(rep_s.violations)} violation(s)'}")
+                    f"{'ok' if rep_s.passed else f'{rep_s.n_violations} violation(s)'}")
         failed |= not rep_s.passed
 
     try:
@@ -149,7 +152,7 @@ def run_check(cfg: ProblemConfig, quiet: bool = False) -> int:
     write_json(out / "report_fatou.json", report_payload("fatou_sampled", rep_f, {
         "ratio": cfg.fatou_ratio, "steps": cfg.fatou_steps,
     }))
-    _say(quiet, f"fatou: {'ok' if rep_f.passed else f'{len(rep_f.violations)} violation(s)'}")
+    _say(quiet, f"fatou: {'ok' if rep_f.passed else f'{rep_f.n_violations} violation(s)'}")
     failed |= not rep_f.passed
 
     return EXIT_MATH if failed else EXIT_OK
@@ -169,7 +172,7 @@ def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
         "scaled_form": scaled,
         "c_effective": None if math.isnan(c_eff) else c_eff,
         "c_empirical": None if math.isnan(c_emp) else c_emp,
-        "contraction_violations": len(report.violations),
+        "contraction_violations": report.n_violations,
         "solver": "power" if power > 1 else "picard",
         "tol": cfg.tol,
         "seed": cfg.seed,

@@ -7,7 +7,8 @@ certificate, where `x` is a subarray of the d coordinates. The row index
 is n; it is not stored. The doubles are stored as they are, so reading a
 file back gives the recorded values bit for bit (nan, +-inf, -0.0 and
 subnormals included) and recorded slacks can be re-verified losslessly.
-Reading never unpickles: `np.load` runs with `allow_pickle=False`.
+Reading never unpickles: `np.load` runs with `allow_pickle=False`. A file
+whose array is not the record's table is a ValueError.
 
 JSON reports are strict JSON: a non-finite float is written as the string
 "nan", "inf" or "-inf".
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainCertificate, node_slacks, verify_order_pairs
-from .checks import AxiomReport, Delta2Result
+from .checks import MAX_WITNESSES, AxiomReport, Delta2Result
 from .modular import ModularLike
 from .solver import IterationTrace, MapSpec
 
@@ -38,9 +39,12 @@ __all__ = [
     "reverify_certificate",
 ]
 
-MAX_WITNESSES = 20
-
 _BLOCK_VALUES = 1 << 13  # values packed per written block: bounds the writer's memory
+
+
+def _table_dtype(fields: tuple[str, ...], d: int) -> np.dtype:
+    """A table row: a float64 field per name in `fields`, then the d coordinates as "x"."""
+    return np.dtype([(name, "<f8") for name in fields] + [("x", "<f8", (d,))])
 
 
 def _write_table(path, X: np.ndarray, **cols: np.ndarray) -> None:
@@ -52,7 +56,7 @@ def _write_table(path, X: np.ndarray, **cols: np.ndarray) -> None:
     not grow with the rows. The bytes are those of `np.save` of the table.
     """
     rows, d = X.shape
-    dtype = np.dtype([(name, "<f8") for name in cols] + [("x", "<f8", (d,))])
+    dtype = _table_dtype(tuple(cols), d)
     step = max(1, _BLOCK_VALUES // (len(cols) + d))
     with Path(path).open("wb") as fh:
         np.lib.format.write_array_header_1_0(fh, {
@@ -66,10 +70,16 @@ def _write_table(path, X: np.ndarray, **cols: np.ndarray) -> None:
             fh.write(block)
 
 
-def _read_table(path) -> dict:
-    """Read a trace or certificate table: the row index as "n", then each field."""
+def _read_table(path, fields: tuple[str, ...]) -> dict:
+    """Read a table written with these `fields`: the row index as "n", then
+    each field and "x". Any other array is a ValueError naming the fields."""
     table = np.load(path)
-    return {"n": np.arange(len(table)), **{name: table[name] for name in table.dtype.names}}
+    dtype = getattr(table, "dtype", None)  # an .npz loads as an archive, not an array
+    if (dtype is None or dtype.names != fields + ("x",) or table.ndim != 1
+            or dtype["x"].ndim != 1 or dtype != _table_dtype(fields, dtype["x"].shape[0])):
+        raise ValueError(f"{path}: expected a table of float64 fields {', '.join(fields)}, x; "
+                         f"found {getattr(dtype, 'names', None) or dtype}")
+    return {"n": np.arange(len(table)), **{name: table[name] for name in dtype.names}}
 
 
 def write_trace(path, trace: IterationTrace) -> None:
@@ -80,7 +90,7 @@ def write_trace(path, trace: IterationTrace) -> None:
 
 def read_trace(path) -> dict:
     """Read a trace table back into arrays: n, step_mod, residual, doubled_orbit, x."""
-    return _read_table(path)
+    return _read_table(path, ("step_mod", "residual", "doubled_orbit"))
 
 
 def write_certificate(path, cert: ChainCertificate, m: ModularLike) -> None:
@@ -90,7 +100,7 @@ def write_certificate(path, cert: ChainCertificate, m: ModularLike) -> None:
 
 def read_certificate(path) -> dict:
     """Read a certificate table back into arrays: n, alpha, slack, x."""
-    return _read_table(path)
+    return _read_table(path, ("alpha", "slack"))
 
 
 def write_json(path, payload: dict) -> None:
@@ -121,7 +131,7 @@ def report_payload(checker: str, report: AxiomReport, extra: dict | None = None)
         "checker": checker,
         "trials": report.trials,
         "passed": report.passed,
-        "n_violations": len(report.violations),
+        "n_violations": report.n_violations,
         "max_slack_violation": report.max_slack_violation,
         "violated_axioms": sorted(report.violated_axioms()),
         "violations": [

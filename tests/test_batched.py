@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rhofix import (
+    MAX_WITNESSES,
     MapSpec,
     ModularSpec,
     NamedFunctional,
@@ -63,7 +64,9 @@ def assert_matches_reference(rep, m, scale, factor, seed):
     X, Y, bad, best = reference_ratio_check(m, scale, factor, seed)
     assert 0 < len(bad) < len(X)  # the claim splits the pairs
     assert abs(rep.max_ratio - best) <= slack_tol(best)
-    assert len(rep.violations) == len(bad)
+    # every violation counted, the first MAX_WITNESSES kept as witnesses
+    assert rep.n_violations == len(bad)
+    assert len(rep.violations) == min(len(bad), MAX_WITNESSES)
     for v, i in zip(rep.violations, bad):
         assert np.array_equal(v.points[0], X[i]) and np.array_equal(v.points[1], Y[i])
 

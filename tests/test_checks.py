@@ -1,5 +1,6 @@
 """Sampled checkers: axioms, s-convexity, doubling constants, Fatou."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from rhofix import (
     INVALID_FUNCTIONALS,
+    MAX_WITNESSES,
     AxiomReport,
     DimensionMismatch,
     InvalidModularError,
@@ -14,6 +16,7 @@ from rhofix import (
     NamedFunctional,
     Phi,
     PointSampler,
+    Violation,
     check_fatou_sampled,
     check_modular_axioms,
     check_s_convexity,
@@ -26,6 +29,7 @@ from rhofix import (
     slack_tol,
 )
 from rhofix.checks import _ineq_violations
+from rhofix.output import report_payload, write_json
 
 VALID = [
     ModularSpec.p_power(0.5, 3),
@@ -194,7 +198,10 @@ def _nan_left(x):
 def test_bulk_recording_matches_per_index_records(fn):
     bulk = check_modular_axioms(fn, PointSampler(1, seed=2024), 4_000)
     ref = _per_index_axiom_report(fn, 2024, 4_000)
-    assert len(bulk.violations) == len(ref.violations) > 100
+    # every violation counted, the first MAX_WITNESSES kept bit for bit
+    assert bulk.n_violations == ref.n_violations > 100
+    assert bulk.axiom_counts == ref.axiom_counts
+    assert len(bulk.violations) == len(ref.violations) == MAX_WITNESSES
     for b, r in zip(bulk.violations, ref.violations):
         assert b.axiom == r.axiom
         assert len(b.points) == len(r.points)
@@ -214,6 +221,50 @@ def test_record_copies_the_point_and_rows_may_be_bare():
     rep.record_rows("bare", (), (), [3.0, 1.0], [0.5, 0.0])
     assert [(v.points, v.scalars, v.slack) for v in rep.violations[1:]] == [((), (), 2.5), ((), (), 1.0)]
     assert rep.max_slack_violation == 2.5
+
+
+def test_report_keeps_the_first_witnesses_and_counts_every_violation(tmp_path):
+    rep = check_modular_axioms(INVALID_FUNCTIONALS["sign_skewed"][0], PointSampler(1, seed=123),
+                               10_000)
+    assert len(rep.violations) == MAX_WITNESSES
+    assert rep.n_violations == sum(rep.axiom_counts.values()) == 9_833
+    assert rep.violated_axioms() == {"symmetry"} and not rep.passed
+    # the report's bytes as written before the cap, when all 9,833 witnesses were kept
+    write_json(tmp_path / "r.json", report_payload("modular_axioms", rep))
+    assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == (
+        "b013098a09189fa2e98cd94822eccdcfa119e1bf4e8a4de2d38df97dd8cd248d")
+
+
+def test_witness_cap_spans_calls_and_counts_every_axiom():
+    rep = AxiomReport(trials=1)
+    rep.record_rows("convexity", (np.arange(15.0)[:, None],), (), np.ones(15), np.zeros(15))
+    rep.record_rows("symmetry", (np.arange(10.0)[:, None],), (), np.full(10, 3.0), np.zeros(10))
+    rep.record("zero_iff", (np.zeros(1),), (), 9.0, 0.0)
+    rep.record_rows("fatou", (), (), [], [])
+    assert [v.axiom for v in rep.violations] == ["convexity"] * 15 + ["symmetry"] * 5
+    assert [v.points[0][0] for v in rep.violations[15:]] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert rep.n_violations == 26
+    assert rep.axiom_counts == {"convexity": 15, "symmetry": 10, "zero_iff": 1}
+    assert rep.violated_axioms() == {"convexity", "symmetry", "zero_iff"}
+    assert rep.max_slack_violation == 9.0
+
+
+def test_max_slack_matches_a_scan_of_each_violation_slack():
+    # nan and inf - inf never win; an overflowing difference is +inf; no warning
+    # is raised (RuntimeWarning is an error under this suite's settings)
+    inf, nan = math.inf, math.nan
+    batches = [([nan, inf, -inf, 1.0], [0.0, inf, -inf, nan]),
+               ([0.25, -0.0], [0.0, 0.0]),
+               ([2.0, 5.0], [1.5, 4.0]),
+               ([1e308], [-1e308])]
+    rep, best = AxiomReport(trials=1), 0.0
+    for lhs, rhs in batches:
+        rep.record_rows("a", (), (), lhs, rhs)
+        for v in (Violation("a", (), (), left, right) for left, right in zip(lhs, rhs)):
+            if v.slack > best:
+                best = v.slack
+        assert _bits(rep.max_slack_violation) == _bits(best)
+    assert best == inf
 
 
 def test_axioms_require_at_least_one_trial():

@@ -1,6 +1,9 @@
 """CLI: config parsing, exit codes, determinism, and file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,8 +12,9 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+import rhofix
 from rhofix import ModularSpec, load_config, slack_tol
-from rhofix.cli import main
+from rhofix.cli import build_parser, main
 from rhofix.output import read_certificate, read_trace, reverify_certificate, reverify_trace
 
 
@@ -488,6 +492,42 @@ def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys, command, where):
     assert main([command, *argv, "--quiet"]) == 2
     assert "out_dir" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n"
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_back_to_back_calls_write_what_separate_runs_write(tmp_path):
+    # check, solve and certificate, each with its own --seed and --out: one
+    # after another in this process, then each in a fresh interpreter
+    cfg = half_cfg(tmp_path)
+    argvs = [[cmd, "--config", cfg, "--seed", seed, "--quiet"]
+             for cmd, seed in [("check", "5"), ("solve", "6"), ("certificate", "7")]]
+    for i, argv in enumerate(argvs):
+        assert main([*argv, "--out", str(tmp_path / "one" / str(i))]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(rhofix.__file__).resolve().parents[1])}
+    for i, argv in enumerate(argvs):
+        run = [sys.executable, "-m", "rhofix", *argv, "--out", str(tmp_path / "each" / str(i))]
+        assert subprocess.run(run, env=env).returncode == 0
+    assert _files(tmp_path / "one") == _files(tmp_path / "each")
+    assert len(_files(tmp_path / "one")) == 7  # 3 check reports, 2 + 2 records
+
+
+def test_usage_error_then_a_good_call(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--seed", "3"])  # no --config
+    assert err.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["nope"])
+    cfg = half_cfg(tmp_path)
+    assert main(["solve", "--config", cfg, "--quiet", "--seed", "9"]) == 0
+    assert json.loads((tmp_path / "out" / "solve_summary.json").read_text())["seed"] == 9
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):

@@ -2,6 +2,7 @@
 bit-exact round trips, bounded writer memory, and no unpickling on read."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from rhofix.chain import ChainCertificate, node_slacks
 from rhofix.output import (
     read_certificate,
     read_trace,
+    reverify_certificate,
     reverify_trace,
     write_certificate,
     write_trace,
@@ -236,3 +238,39 @@ def test_read_trace_never_unpickles(tmp_path):
     np.save(tmp_path / "t.npy", np.array([_Trap()], dtype=object), allow_pickle=True)
     with pytest.raises(ValueError, match="allow_pickle"):
         read_trace(tmp_path / "t.npy")
+
+
+FIELDS = {"trace": ("step_mod", "residual", "doubled_orbit", "x"), "certificate": ("alpha", "slack", "x")}
+
+READERS = {  # name -> (the call on a path, the record it reads)
+    "read_trace": (read_trace, "trace"),
+    "reverify_trace": (lambda path: reverify_trace(path, ModularSpec.p_power(2.0, 4),
+                                                   MapSpec.logistic_damped(0.5)), "trace"),
+    "read_certificate": (read_certificate, "certificate"),
+    "reverify_certificate": (lambda path: reverify_certificate(path, ModularSpec.p_power(1.0, 3)),
+                             "certificate"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_refuse_a_plain_array_and_the_other_record(tmp_path, reader):
+    read, own = READERS[reader]
+    other = "certificate" if own == "trace" else "trace"
+    m, certs = _certificates()
+    paths = {name: tmp_path / f"{name}.npy" for name in ("plain", "trace", "certificate")}
+    np.save(paths["plain"], np.zeros((3, 4)))
+    write_trace(paths["trace"], _converged())
+    write_certificate(paths["certificate"], certs["N30"], m)
+    expected = f"fields {', '.join(FIELDS[own])}; found "
+    with pytest.raises(ValueError, match=re.escape(expected + "float64")):
+        read(paths["plain"])
+    with pytest.raises(ValueError, match=re.escape(expected + str(FIELDS[other]))):
+        read(paths[other])
+    read(paths[own])  # its own record reads back
+
+
+def test_read_table_refuses_a_table_whose_fields_are_not_float64(tmp_path):
+    table = np.zeros(2, [("alpha", "<f8"), ("slack", "<f4"), ("x", "<f8", (3,))])
+    np.save(tmp_path / "c.npy", table)
+    with pytest.raises(ValueError, match="float64 fields alpha, slack, x"):
+        read_certificate(tmp_path / "c.npy")
