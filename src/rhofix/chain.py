@@ -1,15 +1,23 @@
 """Finite chain certificates for contraction orbits.
 
-For a verified contraction T with factor c and base point omega, the chain
+For a contraction T with factor c and base point omega, the chain
 
     (x_n, alpha_n) = (T^n omega, c**n alpha),   n = 0..N
 
 is totally ordered by the relation "rho(x - y) <= alpha - beta" once alpha
 is chosen large enough that rho(omega - T^n omega) <= alpha - c**n alpha
 for every n. A ChainCertificate materializes this chain at finite N,
-numerically verifies every pairwise order inequality, checks the final
-iterate as a stand-in maximum element at level 0, and tabulates how fast
-the alphas (hence all pairwise modulars) fall below each tolerance.
+checks its pairwise order inequalities, checks the final iterate as a
+stand-in maximum element at level 0, and tabulates how fast the alphas
+(hence all pairwise modulars) fall below each tolerance.
+
+The pairs are checked in one of two ways, recorded as `pairs`. When the
+map has a certified factor (`checks.certified_factor`), the shift
+argument proves all N(N+1)/2 of them from the N pairs (0, j) in O(N):
+rho(x_p - x_q) <= c**p rho(x_0 - x_(q-p)) and alpha_p - alpha_q =
+c**p (alpha_0 - alpha_(q-p)). Otherwise, or when that bound is negative
+somewhere, every pair is evaluated (`verify_order_pairs`, O(N**2)); the
+same scan re-audits a stored certificate (`output.reverify_certificate`).
 
 The stand-in maximum is a surrogate: the genuine maximum element exists by
 a non-constructive argument, while the certificate only exhibits finite
@@ -24,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checks import certified_factor
 from .errors import UnboundedOrbitError
 from .modular import INF, ModularLike, as_point, slack_tol
 from .solver import MapSpec
@@ -57,13 +66,17 @@ class ChainCertificate:
     """The chain (T^n omega, c**n alpha) with its verification results.
 
     `pair_check` is the worst slack (alpha_p - alpha_q) - rho(x_p - x_q)
-    over pairs p < q; `max_check` the worst slack of the maximum-element
-    inequality rho(x_n - limit) <= alpha_n. `all_pass` holds when both
-    worst slacks clear -eps_num. `orbit_sup` and `orbit_stabilized` are the
-    orbit-boundedness figure of `orbit_bound_check`, taken from the same
-    orbit the chain is built on. `X` is a slice of that orbit, not a copy;
-    `omega`, `alpha` and `limit_candidate` read `X[0]`, `alphas[0]` and
-    `X[-1]`.
+    over pairs p < q, or a lower bound of it that the shift argument
+    proves (see `build_chain`); `max_check` the worst slack of the
+    maximum-element inequality rho(x_n - limit) <= alpha_n. `all_pass`
+    holds when both worst slacks clear -eps_num. `orbit_sup` and
+    `orbit_stabilized` are the orbit-boundedness figure of
+    `orbit_bound_check`, taken from the same orbit the chain is built on.
+    `pairs` says how the pairs were checked, "shift" (proved from the
+    certified factor `c_certified`) or "scan" (every pair evaluated);
+    `slacks` holds the per-node slacks of the maximum-element check. `X`
+    is a slice of the orbit, not a copy; `omega`, `alpha` and
+    `limit_candidate` read `X[0]`, `alphas[0]` and `X[-1]`.
     """
 
     c: float
@@ -76,6 +89,9 @@ class ChainCertificate:
     worst_node: int | None = None
     orbit_sup: float = math.nan
     orbit_stabilized: bool = False
+    pairs: str | None = None
+    c_certified: float | None = None
+    slacks: np.ndarray | None = None
 
     @property
     def omega(self) -> np.ndarray:
@@ -113,12 +129,16 @@ def _checked_orbit(T: MapSpec, omega: np.ndarray, steps: int) -> np.ndarray:
     return xs
 
 
-def _admissible_alpha(m: ModularLike, xs: np.ndarray, c: float, N: int) -> float:
-    r = m.evaluate_batch(xs[0] - xs[1 : N + 1])
+def _base_modulars(m: ModularLike, xs: np.ndarray, N: int) -> np.ndarray:
+    """r_n = rho(omega - T^n omega) for n = 1..N."""
+    return m.evaluate_batch(xs[0] - xs[1 : N + 1])
+
+
+def _admissible_alpha(r: np.ndarray, c: float) -> float:
     if np.any(np.isinf(r)):
         n = int(np.argmax(np.isinf(r))) + 1
         raise UnboundedOrbitError(f"rho(omega - T^{n} omega) is infinite")
-    levels = r / (1.0 - np.array([c**n for n in range(1, N + 1)]))
+    levels = r / (1.0 - np.array([c**n for n in range(1, len(r) + 1)]))
     return (1.0 + ALPHA_MARGIN) * float(np.max(levels))
 
 
@@ -159,7 +179,8 @@ def compute_alpha(m: ModularLike, T: MapSpec, omega, c: float, N: int) -> float:
         raise ValueError("c must lie in [0, 1)")
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _admissible_alpha(m, _checked_orbit(T, as_point(omega, m.dim), N), c, N)
+    xs = _checked_orbit(T, as_point(omega, m.dim), N)
+    return _admissible_alpha(_base_modulars(m, xs, N), c)
 
 
 def build_chain(
@@ -174,6 +195,30 @@ def build_chain(
     read off that orbit. The final iterate T^N omega stands in for the
     maximum element at level 0. N = 0 gives a singleton chain that passes
     vacuously.
+
+    The pairs are proved by the shift argument when `certified_factor`
+    gives a factor c* for (T, m). With c_m = max(c, c*), which keeps the
+    proof when the claim c and the computed c* differ by rounding, and
+    r_j = rho(omega - T^j omega) (the modulars the level is read off), every
+    pair (p, q) with gap j = q - p has slack at least
+    c**p (alpha_0 - alpha_j) - c_m**p r_j. Since c_m >= c, this bound is
+    nonincreasing in p while it is nonnegative, so when it is nonnegative
+    at p = N - j it is so at every p, and least there:
+
+        L_j = c**(N-j) (alpha_0 - alpha_j) - c_m**(N-j) r_j.
+
+    When every L_j >= 0, `pair_check` is min L_j, `worst_pair` its
+    (N - j, N), and `pairs` is "shift". Otherwise, or without c*, every
+    pair is evaluated (`verify_order_pairs`) and `pairs` is "scan". Both
+    pass under the same rule, a worst slack >= -slack_tol(alpha).
+
+    The two can disagree where the scan measures rounding, not order. Under
+    the p = 0.5 power modular the modular of a difference of a few ulps is
+    about 1e-8, so near the fixed point the scan can read a slack of -8e-8
+    on a pair that the exact chain orders, and fail a true factor. The
+    shift proof reads only the r_j, which are far from that noise, and
+    passes it. `output.reverify_certificate` stays the full scan of the
+    stored rows, an audit of the computed points, and reports that slack.
     """
     if alpha is not None and not alpha >= 0.0:
         raise ValueError("alpha must be >= 0")
@@ -181,20 +226,45 @@ def build_chain(
         raise ValueError("c must lie in [0, 1)")
     if N < 0:
         raise ValueError("N must be >= 0")
-    x0 = as_point(omega, m.dim)
-    xs = _checked_orbit(T, x0, max(2, N))
+    xs = _checked_orbit(T, as_point(omega, m.dim), max(2, N))
+    certified = certified_factor(T, m)
+    r = _base_modulars(m, xs, max(1, N)) if alpha is None or certified is not None else None
     if alpha is None:
-        alpha = _admissible_alpha(m, xs, c, max(1, N))
+        alpha = _admissible_alpha(r, c)
     powers = np.array([c**n for n in range(N + 1)], dtype=float)
     cert = ChainCertificate(float(c), xs[: N + 1], powers * alpha)
     cert.orbit_sup, cert.orbit_stabilized = _orbit_bound(m, xs)
-    pair = verify_order_pairs(cert, m)
-    mx = verify_maximum_element(cert, m)
+    pair = None
+    if certified is not None:
+        cert.c_certified = certified[0]
+        pair = _shift_check(cert, powers, r[:N], max(c, certified[0]))
+    cert.pairs = "scan" if pair is None else "shift"
+    if pair is None:
+        pair = verify_order_pairs(cert, m)
+    cert.slacks = node_slacks(cert, m)
+    mx = _worst_node(cert.slacks)
     cert.pair_check, cert.worst_pair = pair.worst_slack, pair.index
     cert.max_check, cert.worst_node = mx.worst_slack, mx.index
     thr = slack_tol(cert.alpha, 1.0)
     cert.all_pass = cert.pair_check >= -thr and cert.max_check >= -thr
     return cert
+
+
+def _shift_check(cert: ChainCertificate, powers: np.ndarray, r: np.ndarray,
+                 c_m: float) -> SlackCheck | None:
+    """The shift argument's least bound L_j over the gaps j = 1..N, at its
+    pair (N - j, N), or None when some L_j is negative (or nan): then it
+    proves nothing. `powers` are the chain's c**n, `r` the r_j."""
+    N = cert.length
+    gap = np.arange(N - 1, -1, -1)  # N - j for j = 1..N
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = powers[gap] * (cert.alphas[0] - cert.alphas[1:]) - np.power(c_m, gap) * r
+    if not np.all(bounds >= 0.0):
+        return None
+    if N == 0:
+        return SlackCheck(INF, None)
+    j = int(np.argmin(bounds)) + 1
+    return SlackCheck(float(bounds[j - 1]), (N - j, N))
 
 
 def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
@@ -204,7 +274,9 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
     "rho(x - y) <= alpha - beta" (equivalently the |alpha - beta| membership
     bound, since the levels decrease). Singleton chains are vacuous and
     report +inf. Each q costs one batch evaluation over the rows p < q; the
-    full pair block is never built, so memory stays O(N d).
+    full pair block is never built, so memory stays O(N d). This is the
+    O(N**2) scan that `build_chain` falls back to when the shift argument
+    proves nothing, and the audit `output.reverify_certificate` runs.
     """
     xs, alphas = cert.X, cert.alphas
     worst, where = INF, None
@@ -221,12 +293,15 @@ def node_slacks(cert: ChainCertificate, m: ModularLike) -> np.ndarray:
     return (cert.alphas + _MAX_TOL) - m.evaluate_batch(cert.X - cert.limit_candidate)
 
 
+def _worst_node(slacks: np.ndarray) -> SlackCheck:
+    idx = int(np.argmin(slacks))
+    return SlackCheck(float(slacks[idx]), idx)
+
+
 def verify_maximum_element(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
     """Worst slack of rho(x_n - limit) <= alpha_n + _MAX_TOL with the final
     iterate playing the maximum element at level 0."""
-    slacks = node_slacks(cert, m)
-    idx = int(np.argmin(slacks))
-    return SlackCheck(float(slacks[idx]), idx)
+    return _worst_node(node_slacks(cert, m))
 
 
 def cauchy_modulus(cert: ChainCertificate) -> list[tuple[float, int | None]]:

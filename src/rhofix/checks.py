@@ -42,6 +42,7 @@ __all__ = [
     "delta2_type_estimate",
     "exact_doubling_constant",
     "doubling_constant",
+    "certified_factor",
     "check_fatou_sampled",
     "sine_bump",
     "sign_skewed",
@@ -56,6 +57,8 @@ _SPECIAL_VALUES = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 MAX_WITNESSES = 20        # violations a report keeps as witnesses
 _LOG_RANGE = (-3.0, 3.0)  # log10 of the least and greatest log-uniform magnitude
 _FATOU_DIRECTIONS = 8     # direction pairs the Fatou check samples
+_EPS = float(np.finfo(float).eps)
+_TINY = math.ulp(0.0)     # the least subnormal double
 
 
 def _row_sup(x: np.ndarray) -> np.ndarray:
@@ -321,6 +324,70 @@ def exact_doubling_constant(m: ModularLike) -> float | None:
         if orlicz and m.phi is Phi.EXP_MINUS_ONE:
             return INF
     return None
+
+
+def _rounded_up(value, ops: int) -> float:
+    """An upper bound of a nonnegative quantity that was computed as `value`
+    in `ops` rounded operations, each within one ulp (pow's error bound):
+    `value` raised by a relative 2 eps and by one subnormal step per
+    operation (an underflow to 0 loses the whole quantity), then by one
+    more ulp for the rounding of that raise."""
+    return float(np.nextafter(value * (1.0 + 2.0 * ops * _EPS) + ops * _TINY, INF))
+
+
+def certified_factor(T, m: ModularLike) -> tuple[float, bool] | None:
+    """A true contraction factor of the map T under m where a closed form
+    gives one, as (c, tight), else None.
+
+    rho(Tx - Ty) <= c rho(x - y) holds for every pair, and `tight` says no
+    smaller factor does. The closed forms, with w = 1 for the p-power
+    family:
+
+    - `const` under any shipped family: 0, since Tx - Ty = 0;
+    - `half` under `ppower` / `weighted_sum`: 2**-p (rho(x/2) = 2**-p rho(x));
+    - `logistic_damped` under `ppower` / `weighted_sum`: lam**p, since
+      u -> lam u / (1 + |u|) is lam-Lipschitz, with slope lam at 0;
+    - `affine` x -> A x + b with p <= 1 under `ppower` / `weighted_sum`:
+      max_j sum_i w_i |a_ij|**p / w_j, by |s + t|**p <= |s|**p + |t|**p,
+      attained at the basis vector e_j;
+    - `affine` with p = 2: the largest squared singular value of
+      W**(1/2) A W**(-1/2), attained at its top singular vector (computed
+      as the top eigenvalue of B^T B, B that matrix).
+
+    Every case here is tight. The returned c is rounded up past the
+    rounding of its computation (`_rounded_up`), so it stays an upper
+    bound: 2**-1100 computes to 0.0, and is returned as a subnormal above
+    it. A factor past the largest double is +inf.
+    """
+    if not isinstance(m, ModularSpec):
+        return None
+    kind = T.kind.value  # MapKind lives in solver, which imports this module
+    if kind == "const":
+        return 0.0, True
+    if m.family not in (Family.PPOWER, Family.WEIGHTED_SUM):
+        return None
+    p = m.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "half":
+            return _rounded_up(np.power(0.5, p), 1), True
+        if kind == "logistic_damped":
+            return _rounded_up(np.power(T.lam, p), 1), True
+        if kind != "affine" or not (p <= 1.0 or p == 2.0):
+            return None
+        A, d = T.matrix, T.matrix.shape[0]
+        w = np.ones(d) if m.weights is None else np.asarray(m.weights)
+        if p <= 1.0:
+            columns = (w[:, None] * np.abs(A) ** p).sum(axis=0) / w
+            return _rounded_up(np.max(columns), d + 2), True
+        root = np.sqrt(w)
+        B = root[:, None] * A / root
+        # the top eigenvalue of B^T B is sigma_max**2, and at least each of
+        # its entries, so one past the largest double makes it +inf. Forming
+        # the product and LAPACK's backward-stable eigensolver each err by
+        # O(d**2) ulps of it at most; the count of roundings covers both
+        M = B.T @ B
+        top = np.linalg.eigvalsh(M)[-1] if np.all(np.isfinite(M)) else INF
+        return _rounded_up(top, d * d + 4), True
 
 
 def delta2_type_estimate(m: ModularLike, sampler: PointSampler, trials: int) -> Delta2Result:

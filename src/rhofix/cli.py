@@ -28,13 +28,7 @@ from .checks import (
     doubling_constant,
 )
 from .config import ProblemConfig, check_seed, load_config
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    InconsistentContractionError,
-    InvalidModularError,
-    UnboundedOrbitError,
-)
+from .errors import ConfigError, InvalidModularError, SolveError, UnboundedOrbitError
 from .output import (
     delta2_payload,
     report_payload,
@@ -188,7 +182,7 @@ def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
             trace = picard_solve(cfg.map, cfg.space, cfg.initial_point, cfg.tol, cfg.max_iter)
         if not trace.converged:
             status = EXIT_MATH
-    except (DivergenceError, InconsistentContractionError) as exc:
+    except SolveError as exc:
         trace = exc.trace
         extra["error"] = str(exc)
         status = EXIT_MATH
@@ -233,7 +227,9 @@ def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
     write_json(out / "certificate_summary.json", {
         "alpha": cert.alpha,
         "c": cert.c,
+        "c_certified": cert.c_certified,
         "N": cert.length,
+        "pairs": cert.pairs,
         "pair_check": cert.pair_check,
         "max_check": cert.max_check,
         "all_pass": cert.all_pass,

@@ -23,8 +23,8 @@ class UnboundedOrbitError(RhofixError, RuntimeError):
     """An orbit modular evaluated to +inf (or the orbit left the space)."""
 
 
-class DivergenceError(RhofixError, RuntimeError):
-    """Picard iteration produced a non-finite iterate.
+class SolveError(RhofixError, RuntimeError):
+    """A solve that ended without converging for a reason it can name.
 
     Carries the partial trace recorded up to the failure.
     """
@@ -34,16 +34,22 @@ class DivergenceError(RhofixError, RuntimeError):
         self.trace = trace
 
 
-class InconsistentContractionError(RhofixError, RuntimeError):
+class DivergenceError(SolveError):
+    """Picard iteration produced a non-finite iterate."""
+
+
+class InconsistentContractionError(SolveError):
     """A composite-map fixed point failed the single-map residual check.
 
     Signals that the claimed contraction factor is false (for example the
     map has a short periodic orbit instead of a fixed point).
     """
 
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+
+class ModularUnderflowError(SolveError):
+    """Picard would stop on a step or residual modular of 0 at a nonzero
+    difference: the modular underflowed (or vanishes off zero), so the
+    stopping test measured nothing."""
 
 
 class ConfigError(RhofixError, ValueError):

@@ -94,8 +94,12 @@ def read_trace(path) -> dict:
 
 
 def write_certificate(path, cert: ChainCertificate, m: ModularLike) -> None:
-    """Certificate table: one node per row: alpha_n, slack_n, then the coordinates x."""
-    _write_table(path, cert.X, alpha=cert.alphas, slack=node_slacks(cert, m))
+    """Certificate table: one node per row: alpha_n, slack_n, then the coordinates x.
+
+    The slacks are the certificate's own (`cert.slacks`, as `build_chain`
+    computed them), or computed here when it holds none."""
+    slacks = node_slacks(cert, m) if cert.slacks is None else cert.slacks
+    _write_table(path, cert.X, alpha=cert.alphas, slack=slacks)
 
 
 def read_certificate(path) -> dict:
@@ -202,7 +206,9 @@ def reverify_certificate(path, m: ModularLike) -> dict:
     """Recompute a stored certificate's slacks from its nodes.
 
     Returns the recomputed worst pair slack and the max absolute
-    discrepancy against the recorded per-node slacks.
+    discrepancy against the recorded per-node slacks. The pairs are
+    audited by the full scan (`verify_order_pairs`), whatever proved them
+    when the certificate was built: this measures the stored points.
     """
     data = read_certificate(path)
     cert = ChainCertificate(math.nan, data["x"], data["alpha"])

@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     DivergenceError,
     InconsistentContractionError,
+    ModularUnderflowError,
 )
 from .modular import INF, ModularLike, as_point
 
@@ -299,19 +300,32 @@ def _run_picard(
             step_mods = np.concatenate(([step], res[:-1]))
             hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
             k = int(hit[0]) + 1 if hit.size else res.size
+            if hit.size and _underflows(X[: k + 1], record[0], step_mods[k - 1], res[k - 1]):
+                error = ModularUnderflowError(
+                    f"modular underflow at step {n + k - 1}: rho is 0 at a nonzero step or "
+                    f"residual, so the stopping test (tol {tol:.3e}) measured nothing")
             _append(record, (X[:k], step_mods[:k], res[:k], rho(2.0 * X[:k])))
             if hit.size:
                 break
             if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
-                error = f"non-finite iterate at step {n + fin}"
+                error = DivergenceError(f"non-finite iterate at step {n + fin}")
                 break
             n, x, step, size = n + rows, X[rows], float(res[-1]), min(2 * size, _BLOCK_MAX)
     trace = IterationTrace(*record, power=power)
+    if error is not None:
+        error.trace = trace
+        raise error
     if hit.size:
         trace.converged, trace.fixed_point = True, trace.X[-1].copy()
-    if error:
-        raise DivergenceError(error, trace=trace)
     return trace
+
+
+def _underflows(X: np.ndarray, before: np.ndarray, step: float, res: float) -> bool:
+    """Whether the stopping row X[-2] passed on a modular of 0 at a nonzero
+    difference: its step from the row before (X[-3], else the record's last
+    row `before`) or its residual X[-1] - X[-2]. Only this row is judged."""
+    x, prev = X[-2], X[-3] if len(X) > 2 else before[-1]
+    return bool((step == 0.0 and np.any(x != prev)) or (res == 0.0 and np.any(X[-1] != x)))
 
 
 def _append(record: list[np.ndarray], block: tuple[np.ndarray, ...]) -> None:
@@ -331,6 +345,9 @@ def picard_solve(T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int) -> I
 
     Records every step; `fixed_point` is set only on convergence. A
     non-finite iterate raises DivergenceError carrying the partial trace.
+    A stop on a step or residual modular of 0 at a nonzero difference (an
+    underflow, e.g. 2**-1100 under the p = 1100 power modular) raises
+    ModularUnderflowError carrying the trace up to that row.
     With max_iter = 0 the trace holds only the initial point.
     """
     return _run_picard(T, m, x0, tol, max_iter, power=1)

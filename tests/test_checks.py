@@ -2,14 +2,18 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rhofix import (
     INVALID_FUNCTIONALS,
     MAX_WITNESSES,
+    REL_TOL,
     AxiomReport,
+    MapSpec,
     DimensionMismatch,
     InvalidModularError,
     ModularSpec,
@@ -20,6 +24,7 @@ from rhofix import (
     check_fatou_sampled,
     check_modular_axioms,
     check_s_convexity,
+    certified_factor,
     dead_zone,
     delta2_type_estimate,
     doubling_constant,
@@ -439,3 +444,135 @@ def test_fatou_validates_ratio():
     with pytest.raises(ValueError):
         check_fatou_sampled(VALID[0], np.ones(3), np.zeros(3), 1.0, 10,
                             directions=[(np.ones(3), np.ones(3))])
+
+
+# --- certified contraction factors ---------------------------------------------
+
+def test_certified_factor_closed_forms():
+    W = ModularSpec.weighted_sum(1.0, [2.0, 1.0, 0.5])
+    assert certified_factor(MapSpec.const([0.3]), ModularSpec.orlicz(Phi.EXP_MINUS_ONE, 2)) == (0.0, True)
+    c, tight = certified_factor(MapSpec.half(), ModularSpec.p_power(2.0, 2))
+    assert tight and 0.25 <= c <= 0.25 * (1 + 1e-14)
+    c, tight = certified_factor(MapSpec.logistic_damped(0.8), W)
+    assert tight and 0.8 < c <= 0.8 * (1 + 1e-14)
+    # columns of |A| weighted: (2 * 0.5 + 1 * 0.25) / 2 and (2 * 0.1 + 1 * 0.3) / 1
+    A = MapSpec.affine([[0.5, 0.1], [0.25, 0.3]], [0.0, 0.0])
+    c, _ = certified_factor(A, ModularSpec.weighted_sum(1.0, [2.0, 1.0]))
+    assert c == pytest.approx(0.625, rel=1e-14) and c >= 0.625
+    c, _ = certified_factor(MapSpec.affine([[0.0, 0.6], [0.0, 0.0]], [0.0, 0.0]),
+                            ModularSpec.p_power(2.0, 2))
+    assert c == pytest.approx(0.36, rel=1e-13) and c >= 0.36
+
+
+def test_certified_factor_stays_an_upper_bound_when_it_underflows():
+    # 2**-1100 computes to 0.0, below the true factor
+    c, tight = certified_factor(MapSpec.half(), ModularSpec.p_power(1100.0, 1))
+    assert tight and 0.0 < c < 1e-300
+
+
+@given(data=st.data(), dim=st.integers(1, 6))
+def test_certified_factor_bounds_the_exact_column_sums(data, dim):
+    # p = 1: each column sum is exact in rationals, and the float sums
+    # round below it about half the time; the returned factor never is
+    rows = st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)
+    A = data.draw(st.lists(rows, min_size=dim, max_size=dim))
+    w = data.draw(st.lists(st.floats(0.1, 4.0), min_size=dim, max_size=dim))
+    exact = max(sum(Fraction(w[i]) * abs(Fraction(A[i][j])) for i in range(dim)) / Fraction(w[j])
+                for j in range(dim))
+    c, _ = certified_factor(MapSpec.affine(A, [0.0] * dim), ModularSpec.weighted_sum(1.0, w))
+    assert exact <= Fraction(c) and c <= float(exact) * (1 + 1e-12) + 1e-300
+
+
+@pytest.mark.parametrize("T,m", [
+    (MapSpec.logistic_damped(1.5), ModularSpec.p_power(2000.0, 1)),
+    (MapSpec.affine([[1e200, 0.0], [0.0, 1.0]], [0.0, 0.0]), ModularSpec.p_power(2.0, 2)),
+    (MapSpec.affine([[1e300, 1.0], [1.0, 1.0]], [0.0, 0.0]), ModularSpec.weighted_sum(2.0, [1e300, 1e-300])),
+], ids=["logistic", "affine-p2", "affine-p2-weighted"])
+def test_certified_factor_past_the_largest_double_is_inf(T, m):
+    # no OverflowError, no RuntimeWarning
+    assert certified_factor(T, m) == (math.inf, True)
+
+
+@pytest.mark.parametrize("T,m", [
+    (MapSpec.half(), ModularSpec.orlicz(Phi.POWER, 2, p=2.0)),
+    (MapSpec.logistic_damped(0.8), ModularSpec.orlicz(Phi.U_LOG, 2)),
+    (MapSpec.affine([[0.5, 0.1], [0.2, 0.3]], [0.0, 0.0]), ModularSpec.p_power(1.5, 2)),
+    (MapSpec.half(), NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=2)),
+    (MapSpec.const([1.0]), NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=2)),
+], ids=["orlicz-half", "orlicz-logistic", "affine-p1.5", "named-half", "named-const"])
+def test_certified_factor_is_none_without_a_closed_form(T, m):
+    assert certified_factor(T, m) is None
+
+
+def _ratios(T, m, X, Y):
+    """rho(Tx - Ty) / rho(x - y) over the pairs with 0 < rho(x - y) < inf."""
+    d = m.evaluate_batch(X - Y)
+    lhs = m.evaluate_batch(T.apply(X) - T.apply(Y))
+    ok = (d > 0.0) & np.isfinite(d)
+    return lhs[ok] / d[ok]
+
+
+@st.composite
+def _certified_problems(draw):
+    """A (map, modular) pair that `certified_factor` covers. An affine map's
+    offset drops out of Tx - Ty; it is 0 here, so no cancellation against
+    it enters the sampled ratio."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["const", "half", "logistic_damped", "affine"]))
+    p = draw(st.floats(0.3, 1.0) | st.just(2.0)) if kind == "affine" else draw(st.floats(0.3, 4.0))
+    if draw(st.booleans()):
+        m = ModularSpec.p_power(p, dim)
+    else:
+        m = ModularSpec.weighted_sum(p, draw(st.lists(st.floats(0.1, 4.0), min_size=dim, max_size=dim)))
+    if kind == "const":
+        T = MapSpec.const(draw(st.lists(st.floats(-4, 4), min_size=dim, max_size=dim)))
+    elif kind == "half":
+        T = MapSpec.half()
+    elif kind == "logistic_damped":
+        T = MapSpec.logistic_damped(draw(st.floats(0.0, 1.5)))
+    else:
+        rows = st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)
+        T = MapSpec.affine(draw(st.lists(rows, min_size=dim, max_size=dim)), np.zeros(dim))
+    return T, m
+
+
+@given(problem=_certified_problems(), seed=st.integers(0, 2**32 - 1))
+def test_sampled_ratio_never_exceeds_the_certified_factor(problem, seed):
+    T, m = problem
+    c, _ = certified_factor(T, m)
+    sampler = PointSampler(m.dim, seed)
+    X, Y = sampler.points(200), sampler.points(200)
+    assert np.all(_ratios(T, m, X, Y) <= c * (1.0 + REL_TOL))
+
+
+def _witness(T, m):
+    """A point x near 0 whose ratio rho(Tx - T0) / rho(x) approaches the
+    certified factor: a tight factor is not loose. (An affine map's ratio
+    is the same at every scale; its offset is 0 in the cases below, since
+    T x - T 0 would cancel against it.)"""
+    w = np.asarray(m.weights) if m.weights is not None else np.ones(m.dim)
+    if T.kind.value in ("half", "logistic_damped"):
+        return 1e-9 * np.eye(m.dim)[0]
+    if m.p <= 1.0:  # the worst column's basis vector
+        return 1e-9 * np.eye(m.dim)[np.argmax((w[:, None] * np.abs(T.matrix) ** m.p).sum(axis=0) / w)]
+    root = np.sqrt(w)  # the top right singular vector of W^1/2 A W^-1/2, mapped back
+    _, _, vt = np.linalg.svd(root[:, None] * T.matrix / root)
+    return 1e-9 * vt[0] / root
+
+
+@pytest.mark.parametrize("T,m", [
+    (MapSpec.half(), ModularSpec.p_power(3.0, 2)),
+    (MapSpec.half(), ModularSpec.weighted_sum(0.5, [2.0, 0.25])),
+    (MapSpec.logistic_damped(0.8), ModularSpec.p_power(1.0, 3)),
+    (MapSpec.logistic_damped(0.6), ModularSpec.weighted_sum(2.5, [2.0, 1.0, 0.5])),
+    (MapSpec.affine([[0.5, -0.4, 0.1], [0.2, 0.3, -0.3], [0.05, 0.1, 0.2]], [0.0] * 3),
+     ModularSpec.p_power(0.5, 3)),
+    (MapSpec.affine([[0.5, -0.4], [0.2, 0.3]], [0.0, 0.0]), ModularSpec.weighted_sum(1.0, [3.0, 0.5])),
+    (MapSpec.affine([[0.5, -0.4], [0.2, 0.3]], [0.0, 0.0]), ModularSpec.weighted_sum(2.0, [3.0, 0.5])),
+], ids=["half-ppower", "half-weighted", "logistic-ppower", "logistic-weighted", "affine-p0.5",
+        "affine-weighted-p1", "affine-weighted-p2"])
+def test_tight_certified_factor_has_a_witness_near_zero(T, m):
+    c, tight = certified_factor(T, m)
+    x = _witness(T, m)
+    (ratio,) = _ratios(T, m, x[None], np.zeros((1, m.dim)))
+    assert tight and c * (1.0 - 1e-8) <= ratio <= c * (1.0 + REL_TOL)

@@ -291,6 +291,18 @@ def test_solve_with_overflowing_doubling_constant_gives_a_verdict(tmp_path, caps
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_solve_on_an_underflowed_modular_exits_1(tmp_path):
+    # rho(x_1 - x_0) = 0.5**1100 underflows to 0: no convergence at n = 1
+    cfg = write_cfg(tmp_path / "problem.yaml", {
+        "space": {"family": "ppower", "p": 1100}, "map": {"kind": "half", "c": 0.5},
+        "initial_point": [1.0], "out_dir": str(tmp_path / "out")})
+    assert main(["solve", "--config", cfg, "--quiet"]) == 1
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["converged"] is False and summary["fixed_point"] is None
+    assert summary["iterations"] == 1
+    assert summary["error"].startswith("modular underflow at step 1:")
+
+
 def test_solve_scaled_form_recorded_not_claimed(tmp_path):
     # x -> 2x with (c, k, s) = (3, 0.5, 1): c belongs to the scaled form, which
     # fails (rho(3 (Tx - Ty)) = 6 rho(x - y)); no factor below 1 is claimed

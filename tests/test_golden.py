@@ -9,7 +9,10 @@ maps under p-power and weighted-sum modulars: no libm transcendental
 enters the traces or certificates. The summaries also hold the
 empirical contraction ratio, read off sampled points whose magnitudes
 are drawn as 10**u; a platform whose `pow` rounds differently could move
-that figure's last digits.
+that figure's last digits. The certificate summaries hold the certified
+factor too, `pow` of the halving and damped-logistic factors and a LAPACK
+eigenvalue for the affine map (of a 1 x 1 matrix, so exact), and the
+shift bound `pair_check` built from it.
 
 The `check` reports rest on more libm than that. Every checker reads the
 same sampled points, drawn as 10**u, and `orlicz_check`'s modular is the
@@ -49,15 +52,15 @@ GOLDEN = {
     },
     ("certificate", "affine_p2"): {
         "certificate.npy": "4963429798d06c8bc94f905fe863fe0a0dbaf6968772e06dab69ad8b44fbee4c",
-        "certificate_summary.json": "a5597816dd579692012326ba67a08c201de60bf05306ab028e77a59bb040463f",
+        "certificate_summary.json": "1a237ac41df763723cc53a2ccd8a3b38d99bac0dac7ce4c1193e3deeb3e80029",
     },
     ("certificate", "half_p1"): {
         "certificate.npy": "a49072d86cedafc238fe8845cb0977216c9afc2ad2db526c8f637c08174d13b3",
-        "certificate_summary.json": "29574d1fbdd16a4a04e66ff839d22ae7e22a0110f81c52a5b89cd2fef154fcef",
+        "certificate_summary.json": "e1f7c7647c151a6d9806fa71fee5ba74f9fc694d3dfc3156864322d0f4f3093b",
     },
     ("certificate", "weighted_logistic"): {
         "certificate.npy": "a271c1798f22fe5fa9b6e95ce75f9b1ccd70569929a8086281cb14cf5809d733",
-        "certificate_summary.json": "7b908b75be2d260d333278c151471fb0e351983bcf4b7ed6eac82edba7566f29",
+        "certificate_summary.json": "524e2b641f7c570d739d6676b21f1d2224b2dc3ba3f83d402ae2379e5fbbca43",
     },
 }
 

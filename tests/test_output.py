@@ -171,6 +171,20 @@ def test_write_certificate_matches_np_save_bytes(tmp_path, case):
     assert np.array_equal(_bits(data["x"]), _bits(cert.X))
 
 
+def test_write_certificate_writes_the_slacks_the_chain_computed(tmp_path, monkeypatch):
+    m, certs = _certificates()
+    cert = certs["N30"]
+    assert np.array_equal(_bits(cert.slacks), _bits(node_slacks(cert, m)))
+    _reference_certificate(tmp_path / "ref.npy", cert, m)
+
+    def recomputed(cert, m):
+        raise AssertionError("write_certificate recomputed the node slacks")
+
+    monkeypatch.setattr(output, "node_slacks", recomputed)
+    write_certificate(tmp_path / "new.npy", cert, m)
+    assert (tmp_path / "new.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
+
+
 def _random_bits(rng, shape):
     return rng.integers(0, 2**64, shape, dtype=np.uint64).view(np.float64)
 

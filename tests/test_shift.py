@@ -1,0 +1,157 @@
+"""The shift argument: chain certificates whose order pairs are proved from
+a certified factor in O(N), against the full O(N**2) scan."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, strategies as st
+
+from rhofix import (
+    MapSpec,
+    ModularSpec,
+    Phi,
+    build_chain,
+    certified_factor,
+    random_affine_contraction,
+    slack_tol,
+    verify_order_pairs,
+)
+from rhofix.cli import main
+from rhofix.output import reverify_certificate, write_certificate
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+@st.composite
+def _certified_chains(draw):
+    """A certified (map, modular) pair with a factor below 1, a base point
+    and a chain length; the claimed c is the certified factor or above it."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["half", "logistic_damped", "affine"]))
+    p = draw(st.floats(0.5, 1.0) | st.just(2.0)) if kind == "affine" else draw(st.floats(0.5, 3.0))
+    if draw(st.booleans()):
+        m = ModularSpec.p_power(p, dim)
+    else:
+        m = ModularSpec.weighted_sum(p, draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim)))
+    if kind == "half":
+        T = MapSpec.half()
+    elif kind == "logistic_damped":
+        T = MapSpec.logistic_damped(draw(st.floats(0.05, 0.95)))
+    else:
+        A = np.array(draw(st.lists(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim),
+                                   min_size=dim, max_size=dim)))
+        T = MapSpec.affine(A, draw(st.lists(st.floats(-4, 4), min_size=dim, max_size=dim)))
+        c_star = certified_factor(T, m)[0]
+        if c_star > 1e-3:  # rescale to a factor in [0.1, 0.95]
+            scale = draw(st.floats(0.1, 0.95)) / c_star
+            T = MapSpec.affine(A * scale ** (1.0 / p), T.offset)
+    c_star = certified_factor(T, m)[0]
+    c = min(draw(st.sampled_from([c_star, c_star * (1 + 1e-3), 0.97])), 0.97)
+    omega = draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim))
+    return m, T, omega, max(c, 0.0), draw(st.integers(1, 60))
+
+
+@given(chain=_certified_chains())
+def test_shift_verdict_agrees_with_the_scan(chain):
+    m, T, omega, c, N = chain
+    cert = build_chain(m, T, omega, c, None, N)
+    scan = verify_order_pairs(cert, m)
+    thr = slack_tol(cert.alpha, 1.0)
+    if scan.worst_slack >= -thr:
+        assert cert.pairs == "shift" and cert.all_pass
+    if cert.pairs == "shift":
+        # min L_j bounds every pair's slack from below
+        assert cert.pair_check <= scan.worst_slack + thr
+
+
+def test_computed_factor_above_the_claim_still_takes_the_shift():
+    # after the YAML round trip the l1 factor of this matrix computes above
+    # 0.9 even before rounding up; c_m = max(c, c*) keeps the proof
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        T = random_affine_contraction(rng, 8, 0.9)
+        T = MapSpec.affine(yaml.safe_load(yaml.safe_dump(T.matrix.tolist())), T.offset)
+        if np.max(np.abs(T.matrix).sum(axis=0)) > 0.9:
+            break
+    else:
+        pytest.fail("no matrix computed above its claim")
+    m = ModularSpec.p_power(1.0, 8)
+    cert = build_chain(m, T, rng.uniform(-1.0, 1.0, 8), 0.9, None, 300)
+    assert cert.c_certified > 0.9
+    assert cert.pairs == "shift" and cert.all_pass
+
+
+def _p_half_case():
+    """p = 0.5, d = 4: a true factor the scan fails on rounding noise."""
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(4, 4))
+    A *= (0.9 / np.max((np.abs(A) ** 0.5).sum(axis=0))) ** 2
+    T = MapSpec.affine(A, 10 * rng.uniform(-1, 1, 4))
+    omega = rng.uniform(-1, 1, 4)
+    c = float(np.max((np.abs(A) ** 0.5).sum(axis=0)))
+    return ModularSpec.p_power(0.5, 4), T, omega, c
+
+
+def test_shift_passes_the_case_the_scan_fails_on_rounding(tmp_path):
+    m, T, omega, c = _p_half_case()
+    assert c == 0.9000000000000001
+    cert = build_chain(m, T, omega, c, None, 400)
+    assert cert.pairs == "shift" and cert.all_pass
+    assert cert.worst_pair == (399, 400) and cert.pair_check >= 0.0
+    # the stored rows audited pair by pair: the scan's noise near the fixed point
+    write_certificate(tmp_path / "certificate.npy", cert, m)
+    audit = reverify_certificate(tmp_path / "certificate.npy", m)
+    assert audit["pair_check"] < -slack_tol(cert.alpha, 1.0)
+    assert audit["max_node_slack_diff"] == 0.0
+
+
+def test_false_factor_falls_back_to_the_scan_and_fails(tmp_path):
+    # without map.c the auto-filled factor is the sampled 0.694 against the
+    # true lam = 0.8: the shift bound goes negative, and the scan fails
+    tree = yaml.safe_load((CONFIGS / "weighted_logistic.yaml").read_text())
+    del tree["map"]["c"]
+    tree["chain"]["N"] = 200
+    cfg = tmp_path / "problem.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    assert main(["certificate", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "out")]) == 1
+    summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
+    assert summary["c"] == pytest.approx(0.694, abs=1e-3)
+    assert summary["c_certified"] == pytest.approx(0.8, rel=1e-12)
+    assert summary["pairs"] == "scan" and summary["pair_check"] < 0.0
+
+
+@pytest.mark.parametrize("d,N", [(2, 100), (16, 150), (32, 200), (8, 300), (4, 400)])
+def test_certify_chain_shapes_take_the_shift(tmp_path, d, N):
+    # the shapes of the certify_chain benchmark: a fall back to the O(N**2)
+    # scan fails here, not only in timings
+    rng = np.random.default_rng(d * 1000 + N)
+    T = random_affine_contraction(rng, d, 0.9)
+    cfg = tmp_path / "problem.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "space": {"family": "ppower", "p": 1.0},
+        "map": {"kind": "affine", "matrix": T.matrix.tolist(), "offset": T.offset.tolist(), "c": 0.9},
+        "initial_point": rng.uniform(-1.0, 1.0, d).tolist(),
+        "chain": {"N": N},
+        "seed": 1,
+    }))
+    assert main(["certificate", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
+    assert summary["all_pass"] is True and summary["pairs"] == "shift" and summary["N"] == N
+
+
+@pytest.mark.parametrize("name", ["affine_p2", "half_p1", "weighted_logistic"])
+def test_shipped_certificates_take_the_shift(tmp_path, name):
+    assert main(["certificate", "--config", str(CONFIGS / f"{name}.yaml"), "--quiet",
+                 "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
+    assert summary["pairs"] == "shift" and summary["c_certified"] >= summary["c"]
+
+
+def test_without_a_certified_factor_the_scan_runs():
+    m = ModularSpec.orlicz(Phi.POWER, 2, p=2.0)
+    cert = build_chain(m, MapSpec.half(), [1.0, -0.5], 0.5, None, 20)
+    assert cert.c_certified is None and cert.pairs == "scan" and cert.all_pass
+    assert (cert.pair_check, cert.worst_pair) == verify_order_pairs(cert, m)

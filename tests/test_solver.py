@@ -13,6 +13,7 @@ from rhofix import (
     InconsistentContractionError,
     MapSpec,
     ModularSpec,
+    ModularUnderflowError,
     Phi,
     PointSampler,
     builtin_problems,
@@ -194,6 +195,24 @@ def test_picard_divergence_carries_partial_trace():
     trace = err.value.trace
     assert trace is not None and not trace.converged
     assert len(trace.steps) > 10
+
+
+@pytest.mark.parametrize("x0,step", [(1.0, 1), (128.0, 8)], ids=["first-block", "block-boundary"])
+def test_picard_stop_on_an_underflowed_modular_is_not_convergence(x0, step):
+    # under p = 1100 a step of 0.5 has modular 2**-1100, below the least
+    # double: it reads 0 at a nonzero difference. From 128 the steps halve
+    # from 64 and reach 0.5 at step 8, the first row of the second block
+    with pytest.raises(ModularUnderflowError, match=f"underflow at step {step}:") as err:
+        picard_solve(MapSpec.half(), ModularSpec.p_power(1100.0, 1), [x0], 1e-10, 100)
+    trace = err.value.trace
+    assert not trace.converged and trace.fixed_point is None and trace.iterations == step
+    assert trace.step_mod[-1] == 0.0 and trace.X[-1][0] != trace.X[-2][0]
+
+
+def test_picard_stop_on_a_zero_step_at_the_fixed_point_is_convergence():
+    # the step from 1.25 has modular 1; then the orbit sits at 0.25 exactly
+    tr = picard_solve(MapSpec.const([0.25]), ModularSpec.p_power(1100.0, 1), [1.25], 1e-10, 100)
+    assert tr.converged and tr.iterations == 2 and tr.fixed_point[0] == 0.25
 
 
 def test_picard_zero_iterations_records_initial_point_only():
