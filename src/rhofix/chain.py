@@ -6,18 +6,21 @@ For a contraction T with factor c and base point omega, the chain
 
 is totally ordered by the relation "rho(x - y) <= alpha - beta" once alpha
 is chosen large enough that rho(omega - T^n omega) <= alpha - c**n alpha
-for every n. A ChainCertificate materializes this chain at finite N,
-checks its pairwise order inequalities, checks the final iterate as a
-stand-in maximum element at level 0, and tabulates how fast the alphas
-(hence all pairwise modulars) fall below each tolerance.
+for every n. `build_chain` is the one producer of a certificate's figures:
+it walks the orbit once and reads off it the level alpha, the verdict on
+the pairwise order inequalities, the per-node slacks of the final iterate
+as a stand-in maximum element at level 0, and the orbit bound.
+`cauchy_modulus` tabulates how fast the alphas (hence all pairwise
+modulars) fall below each tolerance.
 
 The pairs are checked in one of two ways, recorded as `pairs`. When the
 map has a certified factor (`checks.certified_factor`), the shift
 argument proves all N(N+1)/2 of them from the N pairs (0, j) in O(N):
 rho(x_p - x_q) <= c**p rho(x_0 - x_(q-p)) and alpha_p - alpha_q =
 c**p (alpha_0 - alpha_(q-p)). Otherwise, or when that bound is negative
-somewhere, every pair is evaluated (`verify_order_pairs`, O(N**2)); the
-same scan re-audits a stored certificate (`output.reverify_certificate`).
+somewhere, every pair is evaluated (`verify_order_pairs`, O(N**2)). The
+auditor, `output.reverify_certificate`, recomputes a stored certificate's
+node slacks (`node_slacks`) and runs the same full scan.
 
 The stand-in maximum is a surrogate: the genuine maximum element exists by
 a non-constructive argument, while the certificate only exhibits finite
@@ -33,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .checks import certified_factor
-from .errors import UnboundedOrbitError
+from .errors import InvalidModularError, UnboundedOrbitError
 from .modular import INF, ModularLike, as_point, slack_tol
 from .solver import MapSpec
 
@@ -44,10 +47,8 @@ __all__ = [
     "SlackCheck",
     "OrbitBound",
     "orbit_bound_check",
-    "compute_alpha",
     "build_chain",
     "verify_order_pairs",
-    "verify_maximum_element",
     "node_slacks",
     "cauchy_modulus",
 ]
@@ -134,11 +135,13 @@ def _base_modulars(m: ModularLike, xs: np.ndarray, N: int) -> np.ndarray:
     return m.evaluate_batch(xs[0] - xs[1 : N + 1])
 
 
-def _admissible_alpha(r: np.ndarray, c: float) -> float:
+def _admissible_alpha(r: np.ndarray, powers: np.ndarray) -> float:
+    """Least admissible level, (1 + ALPHA_MARGIN) * max_n r_n / (1 - c**n),
+    from r_n = rho(omega - T^n omega) and the chain's c**n, n = 1..len(r)."""
     if np.any(np.isinf(r)):
         n = int(np.argmax(np.isinf(r))) + 1
         raise UnboundedOrbitError(f"rho(omega - T^{n} omega) is infinite")
-    levels = r / (1.0 - np.array([c**n for n in range(1, len(r) + 1)]))
+    levels = r / (1.0 - powers)
     return (1.0 + ALPHA_MARGIN) * float(np.max(levels))
 
 
@@ -166,23 +169,6 @@ def orbit_bound_check(T: MapSpec, m: ModularLike, omega, N: int) -> OrbitBound:
     return _orbit_bound(m, xs) if np.isfinite(xs).all() else OrbitBound(INF, False)
 
 
-def compute_alpha(m: ModularLike, T: MapSpec, omega, c: float, N: int) -> float:
-    """Least admissible chain level, with a (1 + 1e-6) safety margin.
-
-    Returns alpha = (1 + margin) * max_n rho(omega - T^n omega) / (1 - c**n)
-    over n = 1..N, so rho(omega - T^n omega) <= alpha - c**n alpha holds
-    strictly on the built range. A base point that is already fixed yields
-    the degenerate alpha = 0. Any infinite orbit modular raises
-    UnboundedOrbitError.
-    """
-    if not 0.0 <= c < 1.0:
-        raise ValueError("c must lie in [0, 1)")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    xs = _checked_orbit(T, as_point(omega, m.dim), N)
-    return _admissible_alpha(_base_modulars(m, xs, N), c)
-
-
 def build_chain(
     m: ModularLike, T: MapSpec, omega, c: float, alpha: float | None, N: int
 ) -> ChainCertificate:
@@ -190,11 +176,17 @@ def build_chain(
 
     The orbit is computed once, max(2, N) steps long; an orbit that leaves
     the space within those steps raises UnboundedOrbitError. With `alpha`
-    None the level is `compute_alpha` over max(1, N) steps, and the
-    certificate records `orbit_bound_check` over max(2, N) steps, both
-    read off that orbit. The final iterate T^N omega stands in for the
-    maximum element at level 0. N = 0 gives a singleton chain that passes
-    vacuously.
+    None the level is the least admissible one over n = 1..max(1, N),
+    (1 + ALPHA_MARGIN) * max_n rho(omega - T^n omega) / (1 - c**n), so
+    the order inequalities with omega hold strictly; an already fixed base
+    point gives alpha = 0, and an infinite modular raises
+    UnboundedOrbitError. The certificate records `orbit_bound_check` over
+    max(2, N) steps, read off the same orbit. The final iterate T^N omega
+    stands in for the maximum element at level 0: `slacks` holds
+    alpha_n - rho(x_n - x_N) per node, `max_check` and `worst_node` the
+    least of them. A node modular of 0 at x_n != x_N means rho vanishes
+    off zero (or underflowed) and raises InvalidModularError naming the
+    node. N = 0 gives a singleton chain that passes vacuously.
 
     The pairs are proved by the shift argument when `certified_factor`
     gives a factor c* for (T, m). With c_m = max(c, c*), which keeps the
@@ -229,10 +221,17 @@ def build_chain(
     xs = _checked_orbit(T, as_point(omega, m.dim), max(2, N))
     certified = certified_factor(T, m)
     r = _base_modulars(m, xs, max(1, N)) if alpha is None or certified is not None else None
+    powers = np.array([c**n for n in range(max(1, N) + 1)], dtype=float)  # N = 0 reads c**1
     if alpha is None:
-        alpha = _admissible_alpha(r, c)
-    powers = np.array([c**n for n in range(N + 1)], dtype=float)
-    cert = ChainCertificate(float(c), xs[: N + 1], powers * alpha)
+        alpha = _admissible_alpha(r, powers[1:])
+    cert = ChainCertificate(float(c), xs[: N + 1], powers[: N + 1] * alpha)
+    diffs = cert.X - cert.limit_candidate
+    node_mods = m.evaluate_batch(diffs)
+    vanished = np.flatnonzero((node_mods == 0.0) & np.any(diffs != 0.0, axis=1))
+    if vanished.size:
+        raise InvalidModularError(f"rho(x_n - x_N) = 0 at node n = {vanished[0]}, a nonzero "
+                                  "difference: rho vanishes off zero or underflowed")
+    cert.slacks = (cert.alphas + _MAX_TOL) - node_mods
     cert.orbit_sup, cert.orbit_stabilized = _orbit_bound(m, xs)
     pair = None
     if certified is not None:
@@ -241,10 +240,9 @@ def build_chain(
     cert.pairs = "scan" if pair is None else "shift"
     if pair is None:
         pair = verify_order_pairs(cert, m)
-    cert.slacks = node_slacks(cert, m)
-    mx = _worst_node(cert.slacks)
+    node = int(np.argmin(cert.slacks))
     cert.pair_check, cert.worst_pair = pair.worst_slack, pair.index
-    cert.max_check, cert.worst_node = mx.worst_slack, mx.index
+    cert.max_check, cert.worst_node = float(cert.slacks[node]), node
     thr = slack_tol(cert.alpha, 1.0)
     cert.all_pass = cert.pair_check >= -thr and cert.max_check >= -thr
     return cert
@@ -291,17 +289,6 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
 def node_slacks(cert: ChainCertificate, m: ModularLike) -> np.ndarray:
     """Per-node slacks (alpha_n + _MAX_TOL) - rho(x_n - limit_candidate)."""
     return (cert.alphas + _MAX_TOL) - m.evaluate_batch(cert.X - cert.limit_candidate)
-
-
-def _worst_node(slacks: np.ndarray) -> SlackCheck:
-    idx = int(np.argmin(slacks))
-    return SlackCheck(float(slacks[idx]), idx)
-
-
-def verify_maximum_element(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
-    """Worst slack of rho(x_n - limit) <= alpha_n + _MAX_TOL with the final
-    iterate playing the maximum element at level 0."""
-    return _worst_node(node_slacks(cert, m))
 
 
 def cauchy_modulus(cert: ChainCertificate) -> list[tuple[float, int | None]]:

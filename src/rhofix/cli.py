@@ -217,13 +217,14 @@ def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
 
     try:
         cert = build_chain(cfg.space, cfg.map, cfg.initial_point, c_eff, cfg.chain_alpha, cfg.chain_n)
-    except UnboundedOrbitError as exc:
+    except (UnboundedOrbitError, InvalidModularError) as exc:
         failure["error"] = str(exc)
         write_json(out / "certificate_summary.json", failure)
-        _say(quiet, f"certificate: unbounded orbit ({exc})")
+        kind = "unbounded orbit" if isinstance(exc, UnboundedOrbitError) else "invalid modular"
+        _say(quiet, f"certificate: {kind} ({exc})")
         return EXIT_MATH
 
-    write_certificate(out / "certificate.npy", cert, cfg.space)
+    write_certificate(out / "certificate.npy", cert)
     write_json(out / "certificate_summary.json", {
         "alpha": cert.alpha,
         "c": cert.c,

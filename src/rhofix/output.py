@@ -7,6 +7,9 @@ certificate, where `x` is a subarray of the d coordinates. The row index
 is n; it is not stored. The doubles are stored as they are, so reading a
 file back gives the recorded values bit for bit (nan, +-inf, -0.0 and
 subnormals included) and recorded slacks can be re-verified losslessly.
+A certificate's figures have one producer, `chain.build_chain`:
+`write_certificate` writes its levels and slacks as they are, and
+`reverify_certificate` recomputes them from the stored nodes as an audit.
 Reading never unpickles: `np.load` runs with `allow_pickle=False`. A file
 whose array is not the record's table is a ValueError.
 
@@ -93,13 +96,14 @@ def read_trace(path) -> dict:
     return _read_table(path, ("step_mod", "residual", "doubled_orbit"))
 
 
-def write_certificate(path, cert: ChainCertificate, m: ModularLike) -> None:
+def write_certificate(path, cert: ChainCertificate) -> None:
     """Certificate table: one node per row: alpha_n, slack_n, then the coordinates x.
 
-    The slacks are the certificate's own (`cert.slacks`, as `build_chain`
-    computed them), or computed here when it holds none."""
-    slacks = node_slacks(cert, m) if cert.slacks is None else cert.slacks
-    _write_table(path, cert.X, alpha=cert.alphas, slack=slacks)
+    The slacks are the certificate's own `cert.slacks`, as `build_chain`
+    computed them; a certificate without them is a ValueError."""
+    if cert.slacks is None:
+        raise ValueError("write_certificate: the certificate has no slacks (cert.slacks is None)")
+    _write_table(path, cert.X, alpha=cert.alphas, slack=cert.slacks)
 
 
 def read_certificate(path) -> dict:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 import numpy as np
 
 from .checks import AxiomReport, PointSampler, _ineq_violations, exact_doubling_constant
@@ -156,15 +155,6 @@ class MapSpec:
         return X
 
 
-class TraceStep(NamedTuple):
-    """One row of an `IterationTrace`, as its `steps` view presents it."""
-    n: int
-    x: np.ndarray  # a row view into the trace's X
-    step_mod: float
-    residual: float
-    doubled_orbit: float
-
-
 @dataclass
 class IterationTrace:
     """Full record of one Picard run: the iterates as rows of `X`, one column per modular."""
@@ -181,12 +171,6 @@ class IterationTrace:
     @property
     def iterations(self) -> int:
         return len(self.X) - 1
-
-    @property
-    def steps(self) -> tuple[TraceStep, ...]:
-        """The record row by row, built on each access, for reading."""
-        return tuple(map(TraceStep, range(len(self.X)), self.X, self.step_mod.tolist(),
-                         self.residual.tolist(), self.doubled_orbit.tolist()))
 
 
 def _map_dim(T: MapSpec, m: ModularLike, x0) -> int:

@@ -20,7 +20,6 @@ from rhofix import (
     builtin_problems,
     cauchy_modulus,
     check_modular_axioms,
-    compute_alpha,
     delta2_type_estimate,
     f_norm,
     picard_solve,
@@ -135,10 +134,10 @@ def test_criterion_5_geometric_decay():
     for _, _, ver, tr in runs:
         c_emp = ver.max_ratio
         prev = None
-        for s in tr.steps[1:]:
+        for step_mod in tr.step_mod[1:]:
             if prev is not None:
-                ok &= s.step_mod <= c_emp * prev * (1.0 + 1e-9)
-            prev = s.step_mod
+                ok &= step_mod <= c_emp * prev * (1.0 + 1e-9)
+            prev = step_mod
     report(5, ok, "step modulars decay by the verified empirical factor in every trace")
 
 
@@ -161,9 +160,9 @@ def test_criterion_7_chain_certificate():
     P1 = ModularSpec.p_power(1.0, 1)
     ok = True
     for T, omega in ((MapSpec.half(), [1.0]), (MapSpec.affine([[0.5]], [1.0]), [0.0])):
-        alpha = compute_alpha(P1, T, omega, 0.5, 30)
-        ok &= build_chain(P1, T, omega, 0.5, alpha, 30).all_pass
-        ok &= not build_chain(P1, T, omega, 0.5, alpha / 2.0, 30).all_pass
+        cert = build_chain(P1, T, omega, 0.5, None, 30)
+        ok &= cert.all_pass
+        ok &= not build_chain(P1, T, omega, 0.5, cert.alpha / 2.0, 30).all_pass
     unit_chain = build_chain(P1, MapSpec.half(), [1.0], 0.5, 1.0, 30)
     ok &= dict(cauchy_modulus(unit_chain))[1e-3] == 10
     elapsed = time.perf_counter() - t0

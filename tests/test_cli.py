@@ -442,6 +442,32 @@ def test_certificate_unbounded_orbit_writes_the_same_summary(tmp_path):
     assert summary["seed"] == 42
 
 
+VANISHING = {  # rho vanishes off zero on the chain: dead_zone below 1, 0.5**1100 underflows
+    "dead_zone": ({"family": "dead_zone"}, [0.5], {}, 0),
+    "dead_zone_alpha_1": ({"family": "dead_zone"}, [0.5], {"alpha": 1.0}, 0),
+    "ppower_1100": ({"family": "ppower", "p": 1100}, [1.0, 0.7], {}, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VANISHING))
+def test_certificate_on_a_vanishing_modular_exits_1(tmp_path, capsys, case):
+    space, omega, chain, node = VANISHING[case]
+    tree = {"space": space, "map": {"kind": "half"}, "initial_point": omega,
+            "out_dir": str(tmp_path / "out")}
+    if chain:
+        tree["chain"] = chain
+    assert main(["certificate", "--config", write_cfg(tmp_path / "problem.yaml", tree)]) == 1
+    assert "certificate: invalid modular (" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["certificate_summary.json"]
+    summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
+    assert set(summary) == {"all_pass", "error", "c_empirical", "scaled_form", "seed"}
+    assert summary["all_pass"] is False
+    assert summary["error"] == (f"rho(x_n - x_N) = 0 at node n = {node}, a nonzero difference: "
+                                "rho vanishes off zero or underflowed")
+    # solve on the same problem stops on the same defect
+    assert main(["solve", "--config", str(tmp_path / "problem.yaml"), "--quiet"]) == 1
+
+
 # --- determinism and round-trips ----------------------------------------------
 
 def test_solve_deterministic_for_fixed_seed(tmp_path):

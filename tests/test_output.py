@@ -93,14 +93,14 @@ def test_write_trace_matches_np_save_bytes(tmp_path, case):
     _reference_trace(tmp_path / "ref.npy", trace)
     data = (tmp_path / "new.npy").read_bytes()
     assert data == (tmp_path / "ref.npy").read_bytes()
-    assert np.load(tmp_path / "new.npy").shape == (len(trace.steps),)
+    assert np.load(tmp_path / "new.npy").shape == (len(trace.X),)
 
 
 def test_trace_cases_hold_the_special_values():
-    div = _diverged().steps
-    assert math.isnan(div[0].step_mod)
-    assert sum(math.isinf(s.residual) and s.residual > 0 for s in div) > 1
-    assert len(_zero_iterations().steps) == 1
+    div = _diverged()
+    assert math.isnan(div.step_mod[0])
+    assert np.count_nonzero(div.residual == math.inf) > 1
+    assert len(_zero_iterations().X) == 1
 
 
 @pytest.mark.parametrize("case", sorted(TRACES))
@@ -108,10 +108,10 @@ def test_read_trace_returns_stored_doubles_bit_for_bit(tmp_path, case):
     trace = TRACES[case]()
     write_trace(tmp_path / "t.npy", trace)
     data = read_trace(tmp_path / "t.npy")
-    assert data["n"].tolist() == [s.n for s in trace.steps]
+    assert data["n"].tolist() == list(range(len(trace.X)))
     for col in ("step_mod", "residual", "doubled_orbit"):
-        assert np.array_equal(_bits(data[col]), _bits([getattr(s, col) for s in trace.steps]))
-    assert np.array_equal(_bits(data["x"]), _bits([s.x for s in trace.steps]))
+        assert np.array_equal(_bits(data[col]), _bits(getattr(trace, col)))
+    assert np.array_equal(_bits(data["x"]), _bits(trace.X))
 
 
 def test_read_header_only_trace_keeps_the_column_count(tmp_path):
@@ -152,8 +152,9 @@ def _certificates():
     T = MapSpec.half()
     omega = [1.0, -2.0, 0.5]
     x = np.array(EXTREMES)
-    # the last node is the limit candidate
+    # the last node is the limit candidate; a hand-built certificate sets its own slacks
     hand = ChainCertificate(0.5, np.array([x, -x, np.zeros(3)]), np.array([1.0, -0.0, 0.0]))
+    hand.slacks = node_slacks(hand, m)
     return m, {"N30": build_chain(m, T, omega, 0.5, None, 30),
                "N0": build_chain(m, T, omega, 0.5, None, 0),
                "extremes": hand}
@@ -163,7 +164,7 @@ def _certificates():
 def test_write_certificate_matches_np_save_bytes(tmp_path, case):
     m, certs = _certificates()
     cert = certs[case]
-    write_certificate(tmp_path / "new.npy", cert, m)
+    write_certificate(tmp_path / "new.npy", cert)
     _reference_certificate(tmp_path / "ref.npy", cert, m)
     assert (tmp_path / "new.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
     data = read_certificate(tmp_path / "new.npy")
@@ -181,8 +182,15 @@ def test_write_certificate_writes_the_slacks_the_chain_computed(tmp_path, monkey
         raise AssertionError("write_certificate recomputed the node slacks")
 
     monkeypatch.setattr(output, "node_slacks", recomputed)
-    write_certificate(tmp_path / "new.npy", cert, m)
+    write_certificate(tmp_path / "new.npy", cert)
     assert (tmp_path / "new.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
+
+
+def test_write_certificate_without_slacks_raises(tmp_path):
+    cert = ChainCertificate(0.5, np.zeros((2, 3)), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match=r"cert\.slacks is None"):
+        write_certificate(tmp_path / "c.npy", cert)
+    assert not (tmp_path / "c.npy").exists()
 
 
 def _random_bits(rng, shape):
@@ -200,11 +208,10 @@ def test_write_trace_round_trips_random_bit_patterns(tmp_path):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_write_certificate_round_trips_random_bit_patterns(tmp_path, monkeypatch):
+def test_write_certificate_round_trips_random_bit_patterns(tmp_path):
     rng = np.random.default_rng(19)
     X, alphas, slacks = _random_bits(rng, (3000, 257)), *_random_bits(rng, (2, 3000))
-    monkeypatch.setattr(output, "node_slacks", lambda cert, m: slacks)
-    write_certificate(tmp_path / "c.npy", ChainCertificate(0.5, X, alphas), None)
+    write_certificate(tmp_path / "c.npy", ChainCertificate(0.5, X, alphas, slacks=slacks))
     data = read_certificate(tmp_path / "c.npy")
     assert list(data) == ["n", "alpha", "slack", "x"]
     assert np.array_equal(data["n"], np.arange(3000))
@@ -274,7 +281,7 @@ def test_readers_refuse_a_plain_array_and_the_other_record(tmp_path, reader):
     paths = {name: tmp_path / f"{name}.npy" for name in ("plain", "trace", "certificate")}
     np.save(paths["plain"], np.zeros((3, 4)))
     write_trace(paths["trace"], _converged())
-    write_certificate(paths["certificate"], certs["N30"], m)
+    write_certificate(paths["certificate"], certs["N30"])
     expected = f"fields {', '.join(FIELDS[own])}; found "
     with pytest.raises(ValueError, match=re.escape(expected + "float64")):
         read(paths["plain"])

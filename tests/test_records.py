@@ -1,7 +1,8 @@
 """The trace and certificate records: orbit rows X plus named float columns.
 
-`IterationTrace.steps` and the certificate's `omega`, `alpha` and
-`limit_candidate` are read off the record, bit for bit, and the record is
+A trace is its rows `X` and one column per modular, all of one length, and
+is read by those columns. The certificate's `omega`, `alpha` and
+`limit_candidate` are read off its record, bit for bit, and the record is
 all a solve or a chain keeps.
 """
 
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rhofix import DivergenceError, MapSpec, ModularSpec, build_chain, compute_alpha, picard_solve
+from rhofix import DivergenceError, MapSpec, ModularSpec, build_chain, picard_solve
 
 P1 = ModularSpec.p_power(1.0, 3)
 HALF = MapSpec.half()
@@ -44,16 +45,13 @@ COLUMNS = ("step_mod", "residual", "doubled_orbit")
 
 
 @pytest.mark.parametrize("case", sorted(TRACES))
-def test_steps_view_equals_the_columns(case):
+def test_trace_columns_are_float64_rows_of_the_record(case):
     tr = TRACES[case]()
-    steps = tr.steps
-    assert len(steps) == len(tr.X) == tr.iterations + 1
-    assert [s.n for s in steps] == list(range(len(tr.X)))
+    assert tr.X.ndim == 2 and tr.X.dtype == np.float64
     for name in COLUMNS:
-        assert all(type(getattr(s, name)) is float for s in steps)
-        assert np.array_equal(_bits([getattr(s, name) for s in steps]), _bits(getattr(tr, name)))
-    assert np.array_equal(_bits([s.x for s in steps]), _bits(tr.X))
-    assert all(np.shares_memory(s.x, tr.X) for s in steps)
+        col = getattr(tr, name)
+        assert col.shape == (len(tr.X),) == (tr.iterations + 1,) and col.dtype == np.float64
+    assert math.isnan(tr.step_mod[0])  # no step into row 0
 
 
 def test_divergence_partial_trace_is_whole():
@@ -68,7 +66,7 @@ def test_divergence_partial_trace_is_whole():
 def test_alphas_are_the_levels_bit_for_bit(c, alpha, N):
     cert = build_chain(P1, HALF, OMEGA, c, alpha, N)
     if alpha is None:
-        alpha = compute_alpha(P1, HALF, OMEGA, c, max(1, N))
+        alpha = cert.alpha
     assert np.array_equal(_bits(cert.alphas), _bits([c**n * alpha for n in range(N + 1)]))
 
 

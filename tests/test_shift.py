@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rhofix import (
+    InvalidModularError,
     MapSpec,
     ModularSpec,
     Phi,
@@ -54,9 +55,22 @@ def _certified_chains(draw):
     return m, T, omega, max(c, 0.0), draw(st.integers(1, 60))
 
 
+def _vanishing_node(m, T, omega, N) -> bool:
+    """Whether some node modular rho(x_n - x_N) is 0 at x_n != x_N, from
+    the chain's orbit walked here (a subnormal squared underflows to 0)."""
+    X = T.orbit(np.asarray(omega, dtype=float), max(2, N))[: N + 1]
+    return bool(np.any((m.evaluate_batch(X - X[-1]) == 0.0) & np.any(X != X[-1], axis=1)))
+
+
 @given(chain=_certified_chains())
+# the squared subnormal node modulars underflow to 0
+@example(chain=(ModularSpec.p_power(2.0, 1), MapSpec.half(), [2.2250738585e-313], 0.25, 1))
 def test_shift_verdict_agrees_with_the_scan(chain):
     m, T, omega, c, N = chain
+    if _vanishing_node(m, T, omega, N):
+        with pytest.raises(InvalidModularError, match="at node n = "):
+            build_chain(m, T, omega, c, None, N)
+        return
     cert = build_chain(m, T, omega, c, None, N)
     scan = verify_order_pairs(cert, m)
     thr = slack_tol(cert.alpha, 1.0)
@@ -102,7 +116,7 @@ def test_shift_passes_the_case_the_scan_fails_on_rounding(tmp_path):
     assert cert.pairs == "shift" and cert.all_pass
     assert cert.worst_pair == (399, 400) and cert.pair_check >= 0.0
     # the stored rows audited pair by pair: the scan's noise near the fixed point
-    write_certificate(tmp_path / "certificate.npy", cert, m)
+    write_certificate(tmp_path / "certificate.npy", cert)
     audit = reverify_certificate(tmp_path / "certificate.npy", m)
     assert audit["pair_check"] < -slack_tol(cert.alpha, 1.0)
     assert audit["max_node_slack_diff"] == 0.0

@@ -147,8 +147,8 @@ def test_picard_const_converges_immediately():
     tr = picard_solve(T, ModularSpec.p_power(1.0, 2), [9.0, 9.0], 1e-12, 50)
     assert tr.converged and tr.iterations == 2
     assert np.array_equal(tr.fixed_point, [0.25, -0.5])
-    assert np.array_equal(tr.steps[1].x, [0.25, -0.5])
-    assert tr.steps[1].residual == 0.0
+    assert np.array_equal(tr.X[1], [0.25, -0.5])
+    assert tr.residual[1] == 0.0
 
 
 def test_picard_half_closed_form_steps():
@@ -156,25 +156,24 @@ def test_picard_half_closed_form_steps():
     assert tr.converged
     assert 30 <= tr.iterations <= 36
     assert abs(tr.fixed_point[0]) <= 1e-9
-    for s in tr.steps[1:]:
-        assert s.step_mod == 2.0 ** -s.n  # dyadic orbit is exact in floats
+    for n in range(1, len(tr.X)):
+        assert tr.step_mod[n] == 2.0 ** -n  # dyadic orbit is exact in floats
 
 
 def test_picard_affine_geometric_error():
     T = MapSpec.affine([[0.5]], [1.0])
     tr = picard_solve(T, P1, [0.0], 1e-12, 100)
     assert tr.converged
-    for s in tr.steps[:20]:
-        assert abs(s.x[0] - 2.0) == 2.0 * 2.0 ** -s.n
+    for n in range(20):
+        assert abs(tr.X[n, 0] - 2.0) == 2.0 * 2.0 ** -n
 
 
 def test_picard_records_residual_and_doubled_orbit():
     tr = picard_solve(MapSpec.half(), P1, [1.0], 1e-10, 100)
-    for s in tr.steps:
-        x = s.x[0]
-        assert s.residual == abs(x / 2.0 - x)
-        assert s.doubled_orbit == abs(2.0 * x)
-    assert tr.steps[-1].residual <= 1e-10
+    for x, residual, doubled in zip(tr.X[:, 0], tr.residual, tr.doubled_orbit):
+        assert residual == abs(x / 2.0 - x)
+        assert doubled == abs(2.0 * x)
+    assert tr.residual[-1] <= 1e-10
 
 
 def test_picard_step_mod_decays_once_contraction_holds():
@@ -182,10 +181,10 @@ def test_picard_step_mod_decays_once_contraction_holds():
         tr = picard_solve(prob.map, prob.modular, prob.x0, 1e-10, 10_000)
         assert tr.converged, prob.name
         prev = None
-        for s in tr.steps[1:]:
+        for step_mod in tr.step_mod[1:]:
             if prev is not None and prev > 0.0:
-                assert s.step_mod <= prob.c * prev * (1.0 + 1e-9) + 1e-300, prob.name
-            prev = s.step_mod
+                assert step_mod <= prob.c * prev * (1.0 + 1e-9) + 1e-300, prob.name
+            prev = step_mod
 
 
 def test_picard_divergence_carries_partial_trace():
@@ -194,7 +193,7 @@ def test_picard_divergence_carries_partial_trace():
         picard_solve(T, P1, [1.0], 1e-10, 5_000)
     trace = err.value.trace
     assert trace is not None and not trace.converged
-    assert len(trace.steps) > 10
+    assert len(trace.X) > 10
 
 
 @pytest.mark.parametrize("x0,step", [(1.0, 1), (128.0, 8)], ids=["first-block", "block-boundary"])
@@ -218,8 +217,8 @@ def test_picard_stop_on_a_zero_step_at_the_fixed_point_is_convergence():
 def test_picard_zero_iterations_records_initial_point_only():
     tr = picard_solve(MapSpec.half(), P1, [1.0], 1e-10, 0)
     assert not tr.converged
-    assert len(tr.steps) == 1 and tr.steps[0].n == 0
-    assert math.isnan(tr.steps[0].step_mod)
+    assert len(tr.X) == len(tr.step_mod) == 1
+    assert math.isnan(tr.step_mod[0])
 
 
 def test_picard_rejects_bad_args():
@@ -338,12 +337,11 @@ def test_cauchy_tail_bound_on_power_trace():
     # the first sub-eps step stays within eps (checked on stored iterates)
     for m, c in ((P1, 0.5), (P2, 0.25)):
         tr = solve_via_power(MapSpec.half(), m, c, [1.0], 1e-12, 1_000)
-        steps = tr.steps
         for eps in (1e-2, 1e-4, 1e-6):
-            n_eps = next((s.n for s in steps[1:] if s.step_mod < eps), None)
-            if n_eps is None:
+            below = np.flatnonzero(tr.step_mod[1:] < eps)
+            if not below.size:
                 continue
-            tail = [s for s in steps if s.n > n_eps]
-            for i, si in enumerate(tail):
-                for sj in tail[i + 1:]:
-                    assert m.evaluate(si.x - sj.x) < eps
+            tail = tr.X[below[0] + 2:]  # the rows n > n_eps
+            for i, xi in enumerate(tail):
+                for xj in tail[i + 1:]:
+                    assert m.evaluate(xi - xj) < eps
