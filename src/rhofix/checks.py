@@ -311,9 +311,11 @@ class Delta2Result(NamedTuple):
 
 def exact_doubling_constant(m: ModularLike) -> float | None:
     """The doubling constant where a closed form gives it, else None: 2**p
-    for the families where rho(2x) = 2**p rho(x) holds identically, and +inf
+    for the families where rho(2x) = 2**p rho(x) holds identically, +inf
     for the Orlicz integrand e**u - 1, whose phi(2u) / phi(u) = e**u + 1 is
-    unbounded. A 2**p past the largest double is +inf too."""
+    unbounded, and 4 for u log(1 + u), whose phi(2u) / phi(u) =
+    2 log(1 + 2u) / log(1 + u) is at most 4, since (1 + u)**2 >= 1 + 2u,
+    and tends to 4 as u -> 0. A 2**p past the largest double is +inf too."""
     if isinstance(m, ModularSpec):
         orlicz = m.family is Family.ORLICZ
         if m.family in (Family.PPOWER, Family.WEIGHTED_SUM) or (orlicz and m.phi is Phi.POWER):
@@ -323,6 +325,8 @@ def exact_doubling_constant(m: ModularLike) -> float | None:
                 return INF
         if orlicz and m.phi is Phi.EXP_MINUS_ONE:
             return INF
+        if orlicz and m.phi is Phi.U_LOG:
+            return 4.0
     return None
 
 

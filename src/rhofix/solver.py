@@ -5,10 +5,14 @@ step modular rho(x_n - x_{n-1}), the residual rho(T x_n - x_n) and the
 doubled-orbit modular rho(2 x_n). Convergence requires BOTH the step and
 residual modulars below tol, which guards against declaring victory on a
 slowly moving orbit. The orbit depends on T alone, so it is computed first,
-in blocks of 8 rows doubling up to 256 (`MapSpec.orbit`); each block's
-modulars are then two batch calls, rho(X[1:] - X[:-1]) for residuals and
-steps alike and rho(2 X). Each block's kept rows are copied into one
-record as the run goes: the rows `X` and one float column per modular.
+in blocks (`MapSpec.orbit`, each row written in place by the map's step
+kernel); each block's modulars are then two batch calls, rho(X[1:] - X[:-1])
+for residuals and steps alike and rho(2 X). The first block has 8 rows.
+Each later one is sized from the geometric decay of the residuals over the
+block before: the rows left until tol, plus a small margin, within 8..256
+rows; it doubles instead while they do not decay. Each block's kept rows
+are copied into one record as the run goes: the rows `X` and one float
+column per modular.
 
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
@@ -109,20 +113,40 @@ class MapSpec:
             raise DimensionMismatch(f"map is {dim}-dimensional, point has shape {x.shape}")
         return x
 
-    def _step(self):
-        """The map's formula as a function of a checked point or batch: the
-        one place each kind's arithmetic is written."""
+    def _kernel(self, shape: tuple):
+        """The map's formula as an in-place kernel `step(y, out)` on arrays of
+        `shape`: the one place each kind's arithmetic is written. `out` may be
+        `y`: each kernel reads y before it overwrites it, and numpy buffers an
+        affine product whose output overlaps its input. A damped-logistic
+        kernel holds one scratch array of `shape`."""
+        # the ufuncs are bound once, so a step makes no module attribute lookups
         if self.kind is MapKind.AFFINE:
-            A, b = self.matrix.T, self.offset
-            return lambda x: x @ A + b
-        if self.kind is MapKind.HALF:
-            return lambda x: 0.5 * x
-        if self.kind is MapKind.LOGISTIC_DAMPED:
-            lam = self.lam
-            return lambda x: lam * x / (1.0 + np.abs(x))
-        # a one-entry target is a scalar, so a 0-d point maps to a 0-d point
-        value = self.value[0] if self.value.size == 1 else self.value
-        return lambda x: np.broadcast_to(value, x.shape).astype(float)
+            A, b, matmul, add = self.matrix.T, self.offset, np.matmul, np.add
+
+            def step(y, out):
+                matmul(y, A, out)
+                add(out, b, out)
+        elif self.kind is MapKind.HALF:
+            multiply = np.multiply
+
+            def step(y, out):
+                multiply(0.5, y, out)
+        elif self.kind is MapKind.LOGISTIC_DAMPED:
+            lam, t = self.lam, np.empty(shape)
+            absolute, add, multiply, divide = np.absolute, np.add, np.multiply, np.divide
+
+            def step(y, out):
+                absolute(y, t)
+                add(1.0, t, t)
+                multiply(lam, y, out)
+                divide(out, t, out)
+        else:
+            # a one-entry target is a scalar, so a 0-d point maps to a 0-d point
+            value = self.value[0] if self.value.size == 1 else self.value
+
+            def step(y, out):
+                np.copyto(out, value)
+        return step
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply the map to a point, or row-wise to an (n, dim) batch.
@@ -133,25 +157,37 @@ class MapSpec:
         return self.apply_power(x, 1)
 
     def apply_power(self, x: np.ndarray, n: int) -> np.ndarray:
-        """The composite T^n, by n-fold application, to a point or a batch."""
-        x, step = self._checked(x), self._step()
+        """The composite T^n, by n-fold application, to a point or a batch,
+        stepped in place in one new array (n = 0 returns x)."""
+        x = self._checked(x)
+        if n < 1:
+            return x
+        out = np.empty(x.shape)
+        step = self._kernel(x.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(n):
-                x = step(x)
-        return x
+            step(x, out)
+            for _ in range(n - 1):
+                step(out, out)
+        return out
 
     def orbit(self, x, steps: int, power: int = 1) -> np.ndarray:
         """Rows x, T^power x, ..., T^(power * steps) x, each `power` steps of
-        the row before. Non-finite rows are kept; the caller decides what they mean."""
-        x, step = self._checked(x), self._step()
+        the row before, each written in its slot (with power > 1, the steps
+        before the last alternate between two scratch rows). Non-finite rows
+        are kept; the caller decides what they mean."""
+        x = self._checked(x)
         X = np.empty((steps + 1, x.size))
         X[0] = x
+        if power < 1:  # T^0 is the identity
+            X[1:] = X[0]
+            return X
+        step, (s, t) = self._kernel(X[0].shape), np.empty((2, x.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(steps):
-                y = X[n]
-                for _ in range(power):
-                    y = step(y)
-                X[n + 1] = y
+            for y, out in zip(X[:-1], X[1:]):
+                for _ in range(power - 1):
+                    step(y, s)
+                    y, s, t = s, t, s
+                step(y, out)
         return X
 
 
@@ -201,7 +237,9 @@ def _ratio_check(
     `trials` sampled pairs: all x are drawn as one batch, then all y. Each
     side is mapped by one `T.apply` call and every modular is one batch
     evaluation. The report carries the largest observed ratio
-    rho(scale (Tx - Ty)) / rho(x - y).
+    rho(scale (Tx - Ty)) / rho(x - y) over the rows where both modulars
+    measure something: a 0 at x != y, or at Tx != Ty, is an underflow, and
+    so is a ratio of 0 between two positive modulars.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -216,9 +254,17 @@ def _ratio_check(
     rep = AxiomReport(trials=trials)
     i = _ineq_violations(lhs, rhs)
     rep.record_rows(axiom, (X[i], Y[i]), scalars, lhs[i], rhs[i])
-    ok = (d > 0.0) & (d < INF) & ~np.isinf(lhs)
-    if np.any(ok):
-        rep.max_ratio = float(np.max(lhs[ok] / d[ok]))
+    ok = np.flatnonzero((d > 0.0) & (d < INF) & ~np.isinf(lhs))
+    if ok.size:
+        top = float(np.max(lhs[ok] / d[ok]))
+        if top == 0.0:
+            # a ratio of 0 counts only where Tx = Ty exactly: at Tx != Ty
+            # rho(Tx - Ty), or the ratio itself, underflowed. The images are
+            # mapped again here, so the usual case holds no batch of them
+            z = ok[lhs[ok] == 0.0]
+            if not np.any(np.all(T.apply(X)[z] == T.apply(Y)[z], axis=-1)):
+                top = math.nan
+        rep.max_ratio = top
     return rep
 
 
@@ -255,7 +301,24 @@ def verify_s_contraction(
     return _ratio_check(T, m, c, k**s, sampler, trials, "s_contraction", (c, k, s))
 
 
-_BLOCK_MIN, _BLOCK_MAX = 8, 256  # rows per Picard orbit block: doubling, then capped
+_BLOCK_MIN, _BLOCK_MAX = 8, 256  # rows per Picard orbit block
+
+
+def _block_size(res: np.ndarray, tol: float) -> int:
+    """Rows for the next orbit block, from the last block's residuals `res`.
+    While they decay, their mean geometric rate gives the rows left until
+    step and residual reach tol, and the block is those rows plus a margin
+    of 1/16 and one row. Otherwise the block doubles. Either way it stays
+    within _BLOCK_MIN.._BLOCK_MAX."""
+    first, last = float(res[0]), float(res[-1])
+    if 0.0 < last < first < INF:
+        rate = (math.log(last) - math.log(first)) / (len(res) - 1)  # log decay per row
+        if rate < 0.0:
+            # the next block's row i has step modular last * e**(rate i), so it
+            # stops at the first i where that is <= tol and must map rows 0..i
+            need = math.ceil(max(0.0, (math.log(tol) - math.log(last)) / rate)) + 1
+            return min(max(need + need // 16 + 1, _BLOCK_MIN), _BLOCK_MAX)
+    return min(2 * len(res), _BLOCK_MAX)
 
 
 def _run_picard(
@@ -294,7 +357,7 @@ def _run_picard(
             if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
                 error = DivergenceError(f"non-finite iterate at step {n + fin}")
                 break
-            n, x, step, size = n + rows, X[rows], float(res[-1]), min(2 * size, _BLOCK_MAX)
+            n, x, step, size = n + rows, X[rows], float(res[-1]), _block_size(res, tol)
     trace = IterationTrace(*record, power=power)
     if error is not None:
         error.trace = trace

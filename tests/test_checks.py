@@ -341,7 +341,7 @@ def test_exact_doubling_constant():
     assert exact_doubling_constant(ModularSpec.p_power(2.0, 2)) == 4.0
     assert exact_doubling_constant(ModularSpec.weighted_sum(1.0, [1.0, 2.0])) == 2.0
     assert exact_doubling_constant(ModularSpec.orlicz(Phi.POWER, 2, p=3.0)) == 8.0
-    assert exact_doubling_constant(ModularSpec.orlicz(Phi.U_LOG, 2)) is None
+    assert exact_doubling_constant(ModularSpec.orlicz(Phi.U_LOG, 2)) == 4.0
 
 
 @pytest.mark.parametrize("m", [
@@ -378,11 +378,22 @@ def test_doubling_constant_exponential_orlicz_is_none_without_sampling():
     assert sampler.rng.bit_generator.state == state
 
 
-def test_doubling_constant_u_log_is_the_estimate():
+def test_doubling_constant_u_log_is_four_without_sampling():
+    # phi(2u) / phi(u) = 2 log(1 + 2u) / log(1 + u) <= 4, with limit 4 at
+    # u -> 0; the sampled estimate stays below it, so it is no bound
     m = ModularSpec.orlicz(Phi.U_LOG, 4)
+    sampler = PointSampler(4, seed=3)
+    state = sampler.rng.bit_generator.state
+    assert doubling_constant(m, sampler, 2_000) == 4.0
+    assert sampler.rng.bit_generator.state == state
+    assert delta2_type_estimate(m, PointSampler(4, seed=3), 2_000).constant < 4.0
+
+
+def test_doubling_constant_of_a_named_functional_is_the_estimate():
+    m = NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=4, batched=True)
     k = doubling_constant(m, PointSampler(4, seed=3), 2_000)
     assert k == delta2_type_estimate(m, PointSampler(4, seed=3), 2_000).constant
-    assert 2.0 <= k < 4.0 + 1e-9
+    assert k == pytest.approx(2.0)
 
 
 def test_doubling_constant_invalid_modular_is_none():

@@ -443,16 +443,17 @@ def test_certificate_unbounded_orbit_writes_the_same_summary(tmp_path):
 
 
 VANISHING = {  # rho vanishes off zero on the chain: dead_zone below 1, 0.5**1100 underflows
-    "dead_zone": ({"family": "dead_zone"}, [0.5], {}, 0),
-    "dead_zone_alpha_1": ({"family": "dead_zone"}, [0.5], {"alpha": 1.0}, 0),
-    "ppower_1100": ({"family": "ppower", "p": 1100}, [1.0, 0.7], {}, 1),
+    "dead_zone": ({"family": "dead_zone"}, [0.5], {}, 0, {}),
+    "dead_zone_alpha_1": ({"family": "dead_zone"}, [0.5], {"alpha": 1.0}, 0, {}),
+    # claimed: every sampled ratio underflows too, so auto-fill has no factor
+    "ppower_1100": ({"family": "ppower", "p": 1100}, [1.0, 0.7], {}, 1, {"c": 0.5}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(VANISHING))
 def test_certificate_on_a_vanishing_modular_exits_1(tmp_path, capsys, case):
-    space, omega, chain, node = VANISHING[case]
-    tree = {"space": space, "map": {"kind": "half"}, "initial_point": omega,
+    space, omega, chain, node, claim = VANISHING[case]
+    tree = {"space": space, "map": {"kind": "half", **claim}, "initial_point": omega,
             "out_dir": str(tmp_path / "out")}
     if chain:
         tree["chain"] = chain
@@ -466,6 +467,24 @@ def test_certificate_on_a_vanishing_modular_exits_1(tmp_path, capsys, case):
                                 "rho vanishes off zero or underflowed")
     # solve on the same problem stops on the same defect
     assert main(["solve", "--config", str(tmp_path / "problem.yaml"), "--quiet"]) == 1
+
+
+def test_underflowed_sampled_ratios_give_no_empirical_factor(tmp_path, capsys):
+    # under p = 1100 every sampled rho(Tx - Ty) of x -> x/2, or its ratio
+    # 2**-1100 to rho(x - y), underflows to 0: no ratio measures the factor
+    tree = {"space": {"family": "ppower", "p": 1100}, "map": {"kind": "half"},
+            "initial_point": [1.0, 0.7], "out_dir": str(tmp_path / "out")}
+    cfg = write_cfg(tmp_path / "problem.yaml", tree)
+    assert main(["certificate", "--config", cfg]) == 1
+    assert capsys.readouterr().out == "certificate: no contraction factor below 1 (empirical nan)\n"
+    summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
+    assert summary["c_empirical"] is None
+    assert summary["error"] == "no contraction factor below 1 (empirical nan)"
+    tree["map"]["c"] = 0.5
+    cfg = write_cfg(tmp_path / "problem.yaml", tree)
+    assert main(["solve", "--config", cfg, "--quiet"]) == 1
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["c_empirical"] is None and summary["c_effective"] == 0.5
 
 
 # --- determinism and round-trips ----------------------------------------------

@@ -104,9 +104,10 @@ INLINE_SOLVE_GOLDEN = {
         "solve_summary.json": "bb11c6ff19946326d30fb126af12c6289c7f5566813a930299a599e9a091ef78",
         "trace.npy": "bdecffa6dd651b31143a6f8f16710bf7aefcc71d66a80651854083ce1e536fbe",
     },
-    # sampled doubling constant 3.998151127820284: the power path with T^3
+    # closed-form doubling constant 4: the power path with T^3 (the sampled
+    # 3.998151127820284 picked the same power, so only k_used moved)
     "{space: {family: orlicz, phi: u_log}, map: {kind: half}, initial_point: [1.0, 2.0], seed: 5}": {
-        "solve_summary.json": "12883ad76910da7b6a25705a2d9cc1217572ae246eb2ca81750c3b72f10b4d3f",
+        "solve_summary.json": "c61b63e967a75814dd5031f5681c26e64664e2628cee608687889e565dc95182",
         "trace.npy": "b4baf44afabcd609e0ab5f22c3dbeb5d8a9cb3a7fb3371ff8c6717be272f5e09",
     },
 }

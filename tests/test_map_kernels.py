@@ -1,0 +1,115 @@
+"""Each map kind's in-place kernel against the allocating formula it replaced.
+
+`_formula` below writes out the earlier `MapSpec` arithmetic, one new array
+per operation, with `_apply_power` and `_orbit` around it as they were. The
+kernels behind `apply`, `apply_power` and `orbit` must give the same float64
+bits on every input: nan payloads, infinities, signed zeros, subnormals and
+affine products that overflow.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from rhofix import MapSpec
+from rhofix.solver import MapKind
+
+NAN_PAYLOAD = float(np.array([0x7FF8_0000_0000_0123], dtype=np.int64).view(np.float64)[0])
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, NAN_PAYLOAD, 5e-324, -2.5e-310,
+           2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]
+ELEMENTS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1e-300]),
+                   st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _formula(T):
+    """Each kind's allocating formula, one new array per operation."""
+    if T.kind is MapKind.AFFINE:
+        A, b = T.matrix.T, T.offset
+        return lambda x: x @ A + b
+    if T.kind is MapKind.HALF:
+        return lambda x: 0.5 * x
+    if T.kind is MapKind.LOGISTIC_DAMPED:
+        lam = T.lam
+        return lambda x: lam * x / (1.0 + np.abs(x))
+    value = T.value[0] if T.value.size == 1 else T.value
+    return lambda x: np.broadcast_to(value, x.shape).astype(float)
+
+
+def _apply_power(T, x, n):
+    x, step = np.asarray(x, dtype=float), _formula(T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            x = step(x)
+    return x
+
+
+def _orbit(T, x, steps, power):
+    x, step = np.asarray(x, dtype=float), _formula(T)
+    X = np.empty((steps + 1, x.size))
+    X[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(steps):
+            y = X[n]
+            for _ in range(power):
+                y = step(y)
+            X[n + 1] = y
+    return X
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def maps(draw, d):
+    kind = draw(st.sampled_from(list(MapKind)))
+    if kind is MapKind.AFFINE:
+        return MapSpec.affine(draw(arrays(np.float64, (d, d), elements=FINITE)),
+                              draw(arrays(np.float64, d, elements=FINITE)))
+    if kind is MapKind.HALF:
+        return MapSpec.half()
+    if kind is MapKind.LOGISTIC_DAMPED:
+        return MapSpec.logistic_damped(draw(st.sampled_from([0.0, 0.5, 0.995, 1.0, 3.0, 1e300])))
+    return MapSpec.const(draw(arrays(np.float64, draw(st.sampled_from([1, d])), elements=ELEMENTS)))
+
+
+@given(data=st.data())
+def test_kernels_match_the_allocating_formulas_bit_for_bit(data):
+    d = data.draw(st.integers(1, 5), label="d")
+    T = data.draw(maps(d), label="T")
+    shapes = [(d,), (data.draw(st.integers(1, 4), label="n"), d)]
+    if T.dim is None:
+        shapes.append(())  # a 0-d point only where the map fixes no width
+    x = data.draw(arrays(np.float64, data.draw(st.sampled_from(shapes)), elements=ELEMENTS), label="x")
+    x_copy = x.copy()
+    assert_bits(T.apply(x), _apply_power(T, x, 1))
+    for n in range(4):
+        assert_bits(T.apply_power(x, n), _apply_power(T, x, n))
+        assert_bits(T.orbit(np.ravel(x)[:d] if x.ndim else x, 3, n),
+                    _orbit(T, np.ravel(x)[:d] if x.ndim else x, 3, n))
+    assert_bits(x, x_copy)  # the input is never written
+
+
+def test_logistic_batch_apply_peaks_no_higher_than_the_formula():
+    # the kernel writes the result in place and holds one scratch array of
+    # the batch's shape, so it peaks at two batch arrays, as the formula's
+    # temporaries did; the allowance covers the call's few Python objects
+    x = np.random.default_rng(0).uniform(-3.0, 3.0, (768, 256))
+    T = MapSpec.logistic_damped(0.9)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    formula, kernel = peak(lambda: _apply_power(T, x, 1)), peak(lambda: T.apply(x))
+    assert formula >= 2 * x.nbytes
+    assert kernel <= formula + 4096

@@ -5,8 +5,10 @@
 per step. The solver now walks the orbit in blocks and evaluates each
 block's modulars in two batch calls, which must change no recorded bit:
 every trace field, the stopping step, the divergence message and the
-partial trace. Block boundaries fall after rows 7, 23, 55, 119, 247, 503,
-759, ... (blocks of 8, 16, ..., 256 rows).
+partial trace. The first block has 8 rows; each later one is sized from
+the decay of the residuals before it, so the tests read the boundaries off
+the schedule that `MapSpec.orbit` records, and stop runs on a block's last
+row and on the next block's first row.
 """
 
 import math
@@ -31,6 +33,7 @@ from rhofix import (
     solve_via_power,
 )
 from rhofix.modular import INF, as_point
+from rhofix.solver import _BLOCK_MIN
 
 DIM = 3
 X0 = [1.0, -2.0, 0.5]
@@ -211,6 +214,8 @@ def test_trace_rows_are_blocks_of_one_orbit():
 
 # --- block boundaries and max_iter --------------------------------------------
 
+# stops at assorted steps (the boundaries of an earlier fixed schedule);
+# the recorded-boundary tests below stop at the current schedule's
 BOUNDARY_STEPS = [1, 6, 7, 8, 9, 22, 23, 24, 25, 55, 56, 57, 119, 120, 247, 248, 503, 504,
                   759, 760, 1015, 1016]
 
@@ -230,6 +235,67 @@ def test_power_path_convergence_around_block_boundaries(n):
     got, want = _power(MapSpec.half(), P1, 0.5, [1.0], 7.0 * 2.0 ** (-3 * n), 10_000, 2.0)
     assert want[0].power == 3 and want[0].iterations == n
     assert_same(got, want)
+
+
+def _recorded_blocks(monkeypatch) -> list[int]:
+    """A list that collects the rows of every `MapSpec.orbit` call from now on."""
+    blocks, orbit = [], MapSpec.orbit
+
+    def recorded(self, x, steps, power=1):
+        blocks.append(steps)
+        return orbit(self, x, steps, power)
+
+    monkeypatch.setattr(MapSpec, "orbit", recorded)
+    return blocks
+
+
+def _stops_at_recorded_boundaries(monkeypatch, run, probe_n):
+    """Stop `run(n)` (a (got, want) pair that stops at row n) on each block's
+    last row and the next block's first row, as recorded in a run to probe_n."""
+    blocks = _recorded_blocks(monkeypatch)
+    run(probe_n)
+    last_rows = np.cumsum(blocks)[:-1] - 1
+    assert len(last_rows) >= 2
+    for b in last_rows.tolist():
+        for n in (b, b + 1):
+            blocks.clear()
+            got, want = run(n)
+            assert want[0].iterations == n and want[0].converged
+            assert_same(got, want)
+            # the stopping block ends at row b, or starts at row b + 1
+            assert (sum(blocks) - 1 if n == b else sum(blocks[:-1])) == n
+
+
+def test_convergence_at_recorded_block_boundaries(monkeypatch):
+    # halving from 1 under p = 1: tol 2**-n stops exactly at step n
+    _stops_at_recorded_boundaries(
+        monkeypatch, lambda n: _plain(MapSpec.half(), P1, [1.0], 2.0**-n, 10_000), 1016)
+
+
+def test_power_path_convergence_at_recorded_block_boundaries(monkeypatch):
+    # the composite T^3: tol 7 * 2**-3n stops exactly at step n
+    _stops_at_recorded_boundaries(
+        monkeypatch,
+        lambda n: _power(MapSpec.half(), P1, 0.5, [1.0], 7.0 * 2.0 ** (-3 * n), 10_000, 2.0), 340)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_blocks_map_few_rows_past_the_stop(monkeypatch, power):
+    # a slow solve of thousands of rows: lam = 0.995 at d = 16 under p = 1,
+    # plain or on T^2 (c = lam / 2 with k = 2). Sized blocks stop near the
+    # stopping row; a last block of 256 rows can overshoot by up to 255
+    T, m = MapSpec.logistic_damped(0.995), ModularSpec.p_power(1.0, 16)
+    x0 = np.random.default_rng(1).uniform(-1.0, 1.0, 16)
+    blocks = _recorded_blocks(monkeypatch)
+    if power == 1:
+        tr = picard_solve(T, m, x0, 1e-10, 100_000)
+    else:
+        tr = solve_via_power(T, m, 0.4975, x0, 1e-10, 100_000, k=2.0)
+    assert tr.converged and tr.power == power and tr.iterations > 1_000
+    needed = tr.iterations + 1  # every kept row and the image that gives its residual
+    past = sum(blocks) - needed
+    assert 0 <= past <= max(_BLOCK_MIN, blocks[-1] // 8)
+    assert sum(blocks) <= 1.03 * needed
 
 
 MAX_ITERS = [0, 1, 7, 8, 9, 255, 256, 257]

@@ -14,6 +14,7 @@ from rhofix import (
     MapSpec,
     ModularSpec,
     ModularUnderflowError,
+    NamedFunctional,
     Phi,
     PointSampler,
     builtin_problems,
@@ -67,6 +68,16 @@ def test_map_validation():
 
 
 # --- verify_contraction ------------------------------------------------------
+
+def test_underflowed_ratios_give_no_max_ratio():
+    # under p = 1100 each ratio 2**-1100 underflows, as do most rho(Tx - Ty)
+    m = ModularSpec.p_power(1100.0, 2)
+    rep = verify_contraction(MapSpec.half(), m, 0.5, PointSampler(2, seed=0), 512)
+    assert rep.passed and math.isnan(rep.max_ratio)
+    # a constant map's exact 0 (Tx = Ty) still counts
+    rep = verify_contraction(MapSpec.const([0.3, 0.1]), m, 0.5, PointSampler(2, seed=0), 512)
+    assert rep.max_ratio == 0.0
+
 
 def test_contraction_half_exact_ratio():
     rep = verify_contraction(MapSpec.half(), P1, 0.5, PointSampler(1, seed=1), 2_000)
@@ -301,18 +312,31 @@ def test_solve_via_power_affine_p2():
     assert P2.evaluate(tr.fixed_point - np.array([2.0])) <= 1e-9
 
 
+L1 = NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=1, batched=True)
+
+
 def test_solve_via_power_estimates_k_when_not_exact():
-    m = ModularSpec.orlicz(Phi.U_LOG, 1)
-    tr = solve_via_power(MapSpec.half(), m, 0.5, [1.0], 1e-10, 500,
-                         k=doubling_constant(m, PointSampler(1, seed=4), 256))
+    tr = solve_via_power(MapSpec.half(), L1, 0.5, [1.0], 1e-10, 500,
+                         k=doubling_constant(L1, PointSampler(1, seed=4), 256))
     assert tr.converged
-    assert tr.k_used is not None and 2.0 <= tr.k_used <= 4.0 + 1e-9
+    assert tr.k_used is not None and tr.k_used == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("phi,reason", [(Phi.U_LOG, "pass k"), (Phi.EXP_MINUS_ONE, "unbounded")])
+@pytest.mark.parametrize("phi,reason", [(Phi.EXP_MINUS_ONE, "unbounded")])
 def test_solve_via_power_without_k_needs_an_exact_finite_one(phi, reason):
     with pytest.raises(ValueError, match=reason):
         solve_via_power(MapSpec.half(), ModularSpec.orlicz(phi, 1), 0.5, [1.0], 1e-10, 500)
+
+
+def test_solve_via_power_without_k_needs_a_closed_form():
+    with pytest.raises(ValueError, match="pass k"):
+        solve_via_power(MapSpec.half(), L1, 0.5, [1.0], 1e-10, 500)
+
+
+def test_solve_via_power_takes_the_closed_form_k_of_u_log():
+    # c = 0.5 with k = 4: c**3 k = 1/2 is not below 1/2, so the power is 4
+    tr = solve_via_power(MapSpec.half(), ModularSpec.orlicz(Phi.U_LOG, 1), 0.5, [1.0], 1e-10, 500)
+    assert tr.converged and tr.k_used == 4.0 and tr.power == 4
 
 
 def test_solve_via_power_detects_false_claim_on_periodic_orbit():
