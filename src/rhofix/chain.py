@@ -60,7 +60,6 @@ ALPHA_MARGIN = 1e-6
 # tolerance rows of the Cauchy-modulus table
 EPS_GRID = tuple(10.0**-j for j in range(1, 9))
 
-_MAX_TOL = 0.0  # headroom added to each level alpha_n in the maximum-element check
 
 @dataclass
 class ChainCertificate:
@@ -231,7 +230,7 @@ def build_chain(
     if vanished.size:
         raise InvalidModularError(f"rho(x_n - x_N) = 0 at node n = {vanished[0]}, a nonzero "
                                   "difference: rho vanishes off zero or underflowed")
-    cert.slacks = (cert.alphas + _MAX_TOL) - node_mods
+    cert.slacks = cert.alphas - node_mods
     cert.orbit_sup, cert.orbit_stabilized = _orbit_bound(m, xs)
     pair = None
     if certified is not None:
@@ -287,8 +286,8 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
 
 
 def node_slacks(cert: ChainCertificate, m: ModularLike) -> np.ndarray:
-    """Per-node slacks (alpha_n + _MAX_TOL) - rho(x_n - limit_candidate)."""
-    return (cert.alphas + _MAX_TOL) - m.evaluate_batch(cert.X - cert.limit_candidate)
+    """Per-node slacks alpha_n - rho(x_n - limit_candidate)."""
+    return cert.alphas - m.evaluate_batch(cert.X - cert.limit_candidate)
 
 
 def cauchy_modulus(cert: ChainCertificate) -> list[tuple[float, int | None]]:

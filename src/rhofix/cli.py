@@ -96,6 +96,9 @@ def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
     if claimed is not None and not report.passed:
         _say(quiet, f"warning: claimed factor c = {claimed} violated "
                     f"(max observed ratio {c_emp:.6g})")
+    elif claimed is not None and math.isnan(c_emp):
+        _say(quiet, f"warning: claimed factor c = {claimed} not measured "
+                    "(every sampled ratio underflowed)")
     c_eff = claimed if claimed is not None and report.passed else c_emp
     scaled = None
     if cfg.scaled_form is not None:

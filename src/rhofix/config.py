@@ -28,11 +28,23 @@ includes an unknown key and a known one that the chosen family, integrand
 or map kind never reads ("not used by ...").
 A factor belongs to the map and the modular together: the claim keys go to
 `ProblemConfig.c_claimed` and `.scaled_form`, never into the `MapSpec`.
+
+The file is read from the event stream of PyYAML's `CSafeLoader` (libyaml),
+or of `SafeLoader` without libyaml, into the tree `yaml.load` builds with
+that loader: the same types, float bits and shared aliases. A sequence of
+plain scalars all spelled as digits, a dot and digits (`-0.25`, `1.`) or as
+a dot and digits (`.5`), each with an optional signed exponent (`e-3`),
+becomes its floats in one pass of float(); every other scalar and every
+key goes through the loader's `resolve` and `construct_object`. Numbers are YAML 1.1's: `1e3`, `1.5e10` and `+.5` are
+strings, `0x10`, `017`, `1_000` and `1:30` are integers, and `.inf`,
+`.nan` and `1_0.5` are floats. A document the builder does not handle (a
+merge key, a tag on a collection, an error) goes to `yaml.load` whole.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -263,6 +275,112 @@ def check_seed(seed) -> int:
     return seed
 
 
+# A plain scalar spelled like this resolves to a float under PyYAML's YAML 1.1
+# rules (the float pattern is tried first for its leading characters), and
+# float() of it is construct_yaml_float's value: no "_", ":", inf or nan.
+_PLAIN_FLOAT = re.compile(r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?")
+
+
+class _Unsupported(Exception):
+    """A document construct that _TreeBuilder leaves to `yaml.load`."""
+
+
+class _TreeBuilder:
+    """The tree `yaml.load(text, Loader=loader_class)` gives, built from the
+    loader's event stream. A sequence of plain float spellings becomes its
+    floats in one pass of float(); every other scalar goes through the
+    loader's own `resolve` and `construct_object`. Tags on collections, anchored or
+    non-scalar keys, recursive aliases, path resolvers and a second document
+    raise `_Unsupported`; a merge key ("<<") or value key ("=") has no
+    constructor of its own, so `construct_object` raises on it."""
+
+    def __init__(self, loader):
+        if loader.yaml_path_resolvers:
+            raise _Unsupported
+        self.loader = loader
+        self.next = loader.get_event
+        self.anchors = {}
+
+    def document(self):
+        self.next()  # StreamStart
+        if isinstance(self.next(), yaml.StreamEndEvent):
+            return None
+        data = self.node(self.next())
+        self.next()  # DocumentEnd
+        if not isinstance(self.next(), yaml.StreamEndEvent):
+            raise _Unsupported
+        return data
+
+    def node(self, event):
+        anchor = event.anchor
+        if isinstance(event, yaml.AliasEvent):
+            if anchor not in self.anchors:  # undefined, or inside its own node
+                raise _Unsupported
+            return self.anchors[anchor]
+        if anchor in self.anchors:
+            raise _Unsupported
+        if isinstance(event, yaml.ScalarEvent):
+            data = self.scalar(event)
+        elif event.tag is not None:
+            raise _Unsupported
+        elif isinstance(event, yaml.SequenceStartEvent):
+            data = self.sequence()
+        else:
+            data = self.mapping()
+        if anchor is not None:
+            self.anchors[anchor] = data
+        return data
+
+    def scalar(self, event):
+        tag = event.tag
+        if tag is None or tag == "!":
+            tag = self.loader.resolve(yaml.ScalarNode, event.value, event.implicit)
+        node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style)
+        return self.loader.construct_object(node, deep=True)
+
+    def sequence(self) -> list:
+        floats = []
+        event = self.next()
+        # implicit[0] with no tag is a plain scalar; libyaml reports its style
+        # as "" and the pure-Python parser as None, so style cannot tell
+        while (isinstance(event, yaml.ScalarEvent) and event.implicit[0] and event.tag is None
+               and event.anchor is None and _PLAIN_FLOAT.fullmatch(event.value)):
+            floats.append(event)
+            event = self.next()
+        if isinstance(event, yaml.SequenceEndEvent):
+            return [float(e.value) for e in floats]
+        data = [self.scalar(e) for e in floats]
+        while not isinstance(event, yaml.SequenceEndEvent):
+            data.append(self.node(event))
+            event = self.next()
+        return data
+
+    def mapping(self) -> dict:
+        data = {}
+        event = self.next()
+        while not isinstance(event, yaml.MappingEndEvent):
+            if not isinstance(event, yaml.ScalarEvent) or event.anchor is not None:
+                raise _Unsupported
+            key = self.scalar(event)
+            data[key] = self.node(self.next())
+            event = self.next()
+        return data
+
+
+def _parse_yaml(text: str, loader_class):
+    """`yaml.load(text, Loader=loader_class)`, built from the event stream where
+    _TreeBuilder can. Any other document goes to `yaml.load` whole: an
+    invalid one, so that its errors are the reference's own, and one nested
+    past the recursion limit, which libyaml's composer handles."""
+    loader = loader_class(text)
+    try:
+        return _TreeBuilder(loader).document()
+    except (_Unsupported, yaml.YAMLError, RecursionError):
+        return yaml.load(text, Loader=loader_class)
+    finally:
+        loader.dispose()
+
+
 def load_config(path) -> ProblemConfig:
     """Parse a YAML problem file into a validated ProblemConfig."""
     path = Path(path)
@@ -271,7 +389,7 @@ def load_config(path) -> ProblemConfig:
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
     try:
-        tree = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        tree = _parse_yaml(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(str(path), f"invalid YAML: {exc}") from None
     if not isinstance(tree, dict):

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, strategies as st
 
 import rhofix
-from rhofix import ModularSpec, load_config, slack_tol
+from rhofix import ModularSpec, config, load_config, slack_tol
 from rhofix.cli import build_parser, main
 from rhofix.output import read_certificate, read_trace, reverify_certificate, reverify_trace
 
@@ -487,6 +487,27 @@ def test_underflowed_sampled_ratios_give_no_empirical_factor(tmp_path, capsys):
     assert summary["c_empirical"] is None and summary["c_effective"] == 0.5
 
 
+@pytest.mark.parametrize("command", ["solve", "certificate"])
+def test_an_unmeasured_claim_is_warned_about(tmp_path, capsys, command):
+    # the claim c = 0.5 passes a check in which no row measured a ratio
+    tree = {"space": {"family": "ppower", "p": 1100}, "map": {"kind": "half", "c": 0.5},
+            "initial_point": [1.0, 0.7]}
+    cfg = write_cfg(tmp_path / "problem.yaml", tree)
+    summaries = []
+    for out, quiet in (("loud", []), ("quiet", ["--quiet"])):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / out)] + quiet) == 1
+        summaries.append((tmp_path / out / f"{command}_summary.json").read_bytes())
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "warning: claimed factor c = 0.5 not measured " \
+                       "(every sampled ratio underflowed)"
+    assert sum("warning" in line for line in lines) == 1  # none under --quiet
+    assert summaries[0] == summaries[1]
+    summary = json.loads(summaries[0])
+    assert summary["c_empirical"] is None
+    if command == "solve":
+        assert summary["contraction_violations"] == 0
+
+
 # --- determinism and round-trips ----------------------------------------------
 
 def test_solve_deterministic_for_fixed_seed(tmp_path):
@@ -693,8 +714,11 @@ def _both_loaders(text):
 
 
 def _loader_used(monkeypatch) -> type:
-    used, load = [], yaml.load
-    monkeypatch.setattr(yaml, "load", lambda text, Loader: used.append(Loader) or load(text, Loader))
+    """The class of the loader whose events built a shipped config's tree."""
+    used, start = [], config._TreeBuilder.__init__
+    monkeypatch.setattr(config._TreeBuilder, "__init__",
+                        lambda self, loader: used.append(type(loader)) or start(self, loader))
+    monkeypatch.setattr(yaml, "load", lambda *args, **kwargs: pytest.fail("fell back to yaml.load"))
     cfg = load_config(CONFIGS[0])
     assert used and cfg.dim >= 1
     return used[-1]
