@@ -19,8 +19,9 @@ argument proves all N(N+1)/2 of them from the N pairs (0, j) in O(N):
 rho(x_p - x_q) <= c**p rho(x_0 - x_(q-p)) and alpha_p - alpha_q =
 c**p (alpha_0 - alpha_(q-p)). Otherwise, or when that bound is negative
 somewhere, every pair is evaluated (`verify_order_pairs`, O(N**2)). The
-auditor, `output.reverify_certificate`, recomputes a stored certificate's
-node slacks (`node_slacks`) and runs the same full scan.
+auditor, `output.reverify_certificate`, replays `build_chain` on a stored
+certificate's first node and level, and reports the full scan of the
+stored rows separately.
 
 The stand-in maximum is a surrogate: the genuine maximum element exists by
 a non-constructive argument, while the certificate only exhibits finite
@@ -49,7 +50,6 @@ __all__ = [
     "orbit_bound_check",
     "build_chain",
     "verify_order_pairs",
-    "node_slacks",
     "cauchy_modulus",
 ]
 
@@ -208,8 +208,9 @@ def build_chain(
     about 1e-8, so near the fixed point the scan can read a slack of -8e-8
     on a pair that the exact chain orders, and fail a true factor. The
     shift proof reads only the r_j, which are far from that noise, and
-    passes it. `output.reverify_certificate` stays the full scan of the
-    stored rows, an audit of the computed points, and reports that slack.
+    passes it. `output.reverify_certificate` replays this function, so it
+    reaches the same verdict, and reports the full scan of the stored rows
+    beside it as a measurement of the computed points.
     """
     if alpha is not None and not alpha >= 0.0:
         raise ValueError("alpha must be >= 0")
@@ -273,7 +274,8 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
     report +inf. Each q costs one batch evaluation over the rows p < q; the
     full pair block is never built, so memory stays O(N d). This is the
     O(N**2) scan that `build_chain` falls back to when the shift argument
-    proves nothing, and the audit `output.reverify_certificate` runs.
+    proves nothing; `output.reverify_certificate` also runs it over the
+    stored rows, beside its replay of the verdict.
     """
     xs, alphas = cert.X, cert.alphas
     worst, where = INF, None
@@ -283,11 +285,6 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
         if slacks[p] < worst:
             worst, where = float(slacks[p]), (p, q)
     return SlackCheck(worst, where)
-
-
-def node_slacks(cert: ChainCertificate, m: ModularLike) -> np.ndarray:
-    """Per-node slacks alpha_n - rho(x_n - limit_candidate)."""
-    return cert.alphas - m.evaluate_batch(cert.X - cert.limit_candidate)
 
 
 def cauchy_modulus(cert: ChainCertificate) -> list[tuple[float, int | None]]:

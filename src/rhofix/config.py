@@ -35,10 +35,12 @@ that loader: the same types, float bits and shared aliases. A sequence of
 plain scalars all spelled as digits, a dot and digits (`-0.25`, `1.`) or as
 a dot and digits (`.5`), each with an optional signed exponent (`e-3`),
 becomes its floats in one pass of float(); every other scalar and every
-key goes through the loader's `resolve` and `construct_object`. Numbers are YAML 1.1's: `1e3`, `1.5e10` and `+.5` are
-strings, `0x10`, `017`, `1_000` and `1:30` are integers, and `.inf`,
-`.nan` and `1_0.5` are floats. A document the builder does not handle (a
-merge key, a tag on a collection, an error) goes to `yaml.load` whole.
+key goes through the loader's `resolve` and `construct_object`. Numbers
+are YAML 1.1's: `1e3`, `1.5e10` and `+.5` are strings, `0x10`, `017`,
+`1_000` and `1:30` are integers, and `.inf`, `.nan` and `1_0.5` are
+floats; `yes`, `off` and the like are booleans, which no real accepts. A
+document the builder does not handle (a merge key, a tag on a collection,
+an error) goes to `yaml.load` whole.
 """
 
 from __future__ import annotations
@@ -128,9 +130,18 @@ def _get(tree: dict, key: str, path: str, required: bool = False, default=None):
     return tree[key]
 
 
+def _holds_bool(value) -> bool:
+    """Whether value is a bool or a list holding one at any depth: YAML 1.1
+    reads yes/no/on/off as booleans, which no real may take as 1.0 or 0.0."""
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    types = set(map(type, value))
+    return bool in types or (list in types and any(map(_holds_bool, value)))
+
+
 def _as_float(value, path: str) -> float:
     try:
-        out = float(value)
+        out = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         out = math.nan
     if not math.isfinite(out):
@@ -154,6 +165,8 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 
 def _as_vector(value, path: str) -> np.ndarray:
     try:
+        if _holds_bool(value):
+            raise TypeError
         arr = np.atleast_1d(np.asarray(value, dtype=float))
     except (TypeError, ValueError):
         raise ConfigError(path, f"expected a list of numbers, got {value!r}") from None
@@ -242,6 +255,8 @@ def _load_map(tree: dict, dim: int) -> MapSpec | None:
     matrix = _get(tree, "matrix", "map", required=True)
     offset = _get(tree, "offset", "map", required=True)
     try:
+        if _holds_bool(matrix):
+            raise TypeError
         A = np.asarray(matrix, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError("map.matrix", f"expected rows of numbers, got {matrix!r}") from None

@@ -9,7 +9,8 @@ file back gives the recorded values bit for bit (nan, +-inf, -0.0 and
 subnormals included) and recorded slacks can be re-verified losslessly.
 A certificate's figures have one producer, `chain.build_chain`:
 `write_certificate` writes its levels and slacks as they are, and
-`reverify_certificate` recomputes them from the stored nodes as an audit.
+`reverify_certificate` replays `build_chain` from the stored first node and
+level, and compares; it reports the full pair scan of the stored rows apart.
 Reading never unpickles: `np.load` runs with `allow_pickle=False`. A file
 whose array is not the record's table is a ValueError.
 
@@ -22,13 +23,17 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chain import ChainCertificate, node_slacks, verify_order_pairs
+from .chain import build_chain, verify_order_pairs
 from .checks import MAX_WITNESSES, AxiomReport, Delta2Result
 from .modular import ModularLike
 from .solver import IterationTrace, MapSpec
+
+if TYPE_CHECKING:
+    from .chain import ChainCertificate
 
 __all__ = [
     "write_trace",
@@ -206,20 +211,26 @@ def reverify_trace(path, m: ModularLike, T: MapSpec, power: int = 1) -> float:
     return float(np.max(diffs, initial=0.0, where=~np.isnan(diffs)))
 
 
-def reverify_certificate(path, m: ModularLike) -> dict:
-    """Recompute a stored certificate's slacks from its nodes.
+def reverify_certificate(path, m: ModularLike, T: MapSpec, c: float) -> dict:
+    """Replay `build_chain` from a stored certificate's first node and level
+    with the `c` it was built with (the summary's), and compare.
 
-    Returns the recomputed worst pair slack and the max absolute
-    discrepancy against the recorded per-node slacks. The pairs are
-    audited by the full scan (`verify_order_pairs`), whatever proved them
-    when the certificate was built: this measures the stored points.
+    Returns the rebuilt verdict (`pairs`, `pair_check`, `all_pass`),
+    `replayed` (the rebuilt rows, levels and slacks equal the stored ones
+    bit for bit), `max_node_slack_diff`, and `scan_pair_check`: the full
+    pair scan of the stored rows, which measures the stored points.
     """
     data = read_certificate(path)
-    cert = ChainCertificate(math.nan, data["x"], data["alpha"])
-    recomputed = node_slacks(cert, m)
-    pair = verify_order_pairs(cert, m)
-    return {
-        "max_node_slack_diff": float(np.max(np.abs(recomputed - data["slack"]))),
-        "pair_check": pair.worst_slack,
-        "node_slacks": recomputed,
+    X, alphas, slacks = data["x"], data["alpha"], data["slack"]
+    cert = build_chain(m, T, X[0], c, float(alphas[0]), len(X) - 1)
+    verdict = {
+        "replayed": all(np.array_equal(new.view(np.int64), old.view(np.int64)) for new, old
+                        in zip((cert.X, cert.alphas, cert.slacks), (X, alphas, slacks))),
+        "max_node_slack_diff": float(np.max(np.abs(cert.slacks - slacks))),
+        "pairs": cert.pairs,
+        "pair_check": cert.pair_check,
+        "all_pass": cert.all_pass,
     }
+    cert.X, cert.alphas = X, alphas  # the scan measures the stored rows, not the replayed ones
+    verdict["scan_pair_check"] = verify_order_pairs(cert, m).worst_slack
+    return verdict

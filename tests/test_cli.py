@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -381,6 +382,35 @@ def test_value_error_names_its_key(tmp_path, capsys, section, tree, key):
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
+@pytest.mark.parametrize("key,section", [
+    ("space.p", "space: {family: ppower, p: yes}"),
+    ("space.p", "space: {family: orlicz, phi: power, p: On}"),
+    ("space.weights", "space: {family: weighted_sum, p: 1.0, weights: [off]}"),
+    ("map.matrix", "map: {kind: affine, matrix: [[off]], offset: [1.0]}"),
+    ("map.offset", "map: {kind: affine, matrix: [[0.5]], offset: [on]}"),
+    ("map.offset", "map: {kind: const, offset: [NO]}"),
+    ("map.lam", "map: {kind: logistic_damped, lam: true}"),
+    ("map.c", "map: {kind: half, c: no}"),
+    ("map.k", "map: {kind: half, c: 1.5, k: Off, s: 1}"),
+    ("map.s", "map: {kind: half, c: 1.5, k: 0.75, s: True}"),
+    ("initial_point", "initial_point: [yes]"),
+    ("initial_point", "initial_point: off"),
+    ("solve.tol", "solve: {tol: on}"),
+    ("check.s", "check: {s: yes}"),
+    ("check.fatou_ratio", "check: {fatou_ratio: off}"),
+    ("chain.alpha", "chain: {alpha: true}"),
+])
+def test_a_boolean_is_no_real_number(tmp_path, capsys, key, section):
+    # YAML 1.1 reads yes/no/on/off/true/false as booleans, which float() takes as 1.0 and 0.0
+    tree = yaml.safe_load(Path(half_cfg(tmp_path)).read_text())
+    del tree[section.split(":")[0]]
+    cfg = tmp_path / "problem.yaml"
+    cfg.write_text(yaml.safe_dump(tree) + section + "\n")
+    assert main(["solve", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: expected ") and ("True" in err or "False" in err)
+
+
 # --- certificate ---------------------------------------------------------------
 
 def test_certificate_pass_and_files(tmp_path):
@@ -546,14 +576,21 @@ def test_trace_roundtrip_reverifies(tmp_path):
     assert worst <= slack_tol(1.0)
 
 
+def _bits(x) -> bytes:
+    """The float64 bits of a summary figure ("inf" and "nan" are written as strings)."""
+    return struct.pack("<d", float(x))
+
+
 def test_certificate_roundtrip_reverifies(tmp_path):
     cfg = half_cfg(tmp_path)
     assert main(["certificate", "--config", cfg, "--quiet"]) == 0
     loaded = load_config(cfg)
     summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
-    result = reverify_certificate(tmp_path / "out" / "certificate.npy", loaded.space)
-    assert result["max_node_slack_diff"] <= slack_tol(summary["alpha"])
-    assert abs(result["pair_check"] - summary["pair_check"]) <= slack_tol(summary["alpha"])
+    result = reverify_certificate(tmp_path / "out" / "certificate.npy", loaded.space, loaded.map,
+                                  summary["c"])
+    assert result["replayed"] and result["max_node_slack_diff"] == 0.0
+    assert (result["pairs"], result["all_pass"]) == (summary["pairs"], summary["all_pass"])
+    assert _bits(result["pair_check"]) == _bits(summary["pair_check"])
 
 
 @pytest.mark.parametrize("command,where", [

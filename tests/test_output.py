@@ -16,8 +16,7 @@ from rhofix import (
     build_chain,
     picard_solve,
 )
-from rhofix import output
-from rhofix.chain import ChainCertificate, node_slacks
+from rhofix.chain import ChainCertificate
 from rhofix.output import (
     read_certificate,
     read_trace,
@@ -46,8 +45,13 @@ def _reference_trace(path, trace):
                     trace.step_mod, trace.residual, trace.doubled_orbit)
 
 
+def _node_slacks(cert, m):
+    """The per-node slacks alpha_n - rho(x_n - x_N), by their formula."""
+    return cert.alphas - m.evaluate_batch(cert.X - cert.X[-1])
+
+
 def _reference_certificate(path, cert, m):
-    _reference_rows(path, ["alpha", "slack"], cert.X, cert.alphas, node_slacks(cert, m))
+    _reference_rows(path, ["alpha", "slack"], cert.X, cert.alphas, _node_slacks(cert, m))
 
 
 def _bits(a):
@@ -154,7 +158,7 @@ def _certificates():
     x = np.array(EXTREMES)
     # the last node is the limit candidate; a hand-built certificate sets its own slacks
     hand = ChainCertificate(0.5, np.array([x, -x, np.zeros(3)]), np.array([1.0, -0.0, 0.0]))
-    hand.slacks = node_slacks(hand, m)
+    hand.slacks = _node_slacks(hand, m)
     return m, {"N30": build_chain(m, T, omega, 0.5, None, 30),
                "N0": build_chain(m, T, omega, 0.5, None, 0),
                "extremes": hand}
@@ -175,13 +179,13 @@ def test_write_certificate_matches_np_save_bytes(tmp_path, case):
 def test_write_certificate_writes_the_slacks_the_chain_computed(tmp_path, monkeypatch):
     m, certs = _certificates()
     cert = certs["N30"]
-    assert np.array_equal(_bits(cert.slacks), _bits(node_slacks(cert, m)))
+    assert np.array_equal(_bits(cert.slacks), _bits(_node_slacks(cert, m)))
     _reference_certificate(tmp_path / "ref.npy", cert, m)
 
-    def recomputed(cert, m):
-        raise AssertionError("write_certificate recomputed the node slacks")
+    def recomputed(self, X):
+        raise AssertionError("write_certificate evaluated the modular")
 
-    monkeypatch.setattr(output, "node_slacks", recomputed)
+    monkeypatch.setattr(ModularSpec, "evaluate_batch", recomputed)
     write_certificate(tmp_path / "new.npy", cert)
     assert (tmp_path / "new.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
 
@@ -268,8 +272,8 @@ READERS = {  # name -> (the call on a path, the record it reads)
     "reverify_trace": (lambda path: reverify_trace(path, ModularSpec.p_power(2.0, 4),
                                                    MapSpec.logistic_damped(0.5)), "trace"),
     "read_certificate": (read_certificate, "certificate"),
-    "reverify_certificate": (lambda path: reverify_certificate(path, ModularSpec.p_power(1.0, 3)),
-                             "certificate"),
+    "reverify_certificate": (lambda path: reverify_certificate(path, ModularSpec.p_power(1.0, 3),
+                                                               MapSpec.half(), 0.5), "certificate"),
 }
 
 

@@ -2,6 +2,8 @@
 a certified factor in O(N), against the full O(N**2) scan."""
 
 import json
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from rhofix import (
     Phi,
     build_chain,
     certified_factor,
+    load_config,
     random_affine_contraction,
     slack_tol,
     verify_order_pairs,
@@ -53,6 +56,21 @@ def _certified_chains(draw):
     c = min(draw(st.sampled_from([c_star, c_star * (1 + 1e-3), 0.97])), 0.97)
     omega = draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim))
     return m, T, omega, max(c, 0.0), draw(st.integers(1, 60))
+
+
+def _bits(x) -> bytes:
+    """The float64 bits of a figure ("inf" and "nan" are written as strings in a summary)."""
+    return struct.pack("<d", float(x))
+
+
+def _assert_replays(out: Path, cfg: Path) -> None:
+    """The audit of a `certificate` run's record reaches its summary's verdict bit for bit."""
+    loaded = load_config(cfg)
+    summary = json.loads((out / "certificate_summary.json").read_text())
+    audit = reverify_certificate(out / "certificate.npy", loaded.space, loaded.map, summary["c"])
+    assert audit["replayed"] and audit["max_node_slack_diff"] == 0.0
+    assert (audit["pairs"], audit["all_pass"]) == (summary["pairs"], summary["all_pass"])
+    assert _bits(audit["pair_check"]) == _bits(summary["pair_check"])
 
 
 def _vanishing_node(m, T, omega, N) -> bool:
@@ -115,11 +133,14 @@ def test_shift_passes_the_case_the_scan_fails_on_rounding(tmp_path):
     cert = build_chain(m, T, omega, c, None, 400)
     assert cert.pairs == "shift" and cert.all_pass
     assert cert.worst_pair == (399, 400) and cert.pair_check >= 0.0
-    # the stored rows audited pair by pair: the scan's noise near the fixed point
+    # the audit replays the proof and passes with its bits; the scan of the
+    # stored rows, reported apart, reads the noise near the fixed point
     write_certificate(tmp_path / "certificate.npy", cert)
-    audit = reverify_certificate(tmp_path / "certificate.npy", m)
-    assert audit["pair_check"] < -slack_tol(cert.alpha, 1.0)
-    assert audit["max_node_slack_diff"] == 0.0
+    audit = reverify_certificate(tmp_path / "certificate.npy", m, T, c)
+    assert audit["replayed"] and audit["max_node_slack_diff"] == 0.0
+    assert audit["pairs"] == "shift" and audit["all_pass"]
+    assert _bits(audit["pair_check"]) == _bits(cert.pair_check)
+    assert audit["scan_pair_check"] < -slack_tol(cert.alpha, 1.0)
 
 
 def test_false_factor_falls_back_to_the_scan_and_fails(tmp_path):
@@ -154,14 +175,16 @@ def test_certify_chain_shapes_take_the_shift(tmp_path, d, N):
     assert main(["certificate", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
     assert summary["all_pass"] is True and summary["pairs"] == "shift" and summary["N"] == N
+    _assert_replays(tmp_path / "out", cfg)
 
 
 @pytest.mark.parametrize("name", ["affine_p2", "half_p1", "weighted_logistic"])
 def test_shipped_certificates_take_the_shift(tmp_path, name):
-    assert main(["certificate", "--config", str(CONFIGS / f"{name}.yaml"), "--quiet",
-                 "--out", str(tmp_path / "out")]) == 0
+    cfg = CONFIGS / f"{name}.yaml"
+    assert main(["certificate", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
     assert summary["pairs"] == "shift" and summary["c_certified"] >= summary["c"]
+    _assert_replays(tmp_path / "out", cfg)
 
 
 def test_without_a_certified_factor_the_scan_runs():
@@ -169,3 +192,43 @@ def test_without_a_certified_factor_the_scan_runs():
     cert = build_chain(m, MapSpec.half(), [1.0, -0.5], 0.5, None, 20)
     assert cert.c_certified is None and cert.pairs == "scan" and cert.all_pass
     assert (cert.pair_check, cert.worst_pair) == verify_order_pairs(cert, m)
+
+
+@st.composite
+def _scanned_chains(draw):
+    """An Orlicz power modular, which has no certified factor, under a
+    half or damped logistic map: the chain is settled by the scan."""
+    dim = draw(st.integers(1, 4))
+    m = ModularSpec.orlicz(Phi.POWER, dim, p=draw(st.floats(1.0, 3.0)))
+    T = draw(st.sampled_from([MapSpec.half(), MapSpec.logistic_damped(0.8)]))
+    omega = draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim))
+    return m, T, omega, draw(st.floats(0.5, 0.95)), draw(st.integers(1, 40))
+
+
+@given(chain=_certified_chains() | _scanned_chains())
+def test_the_audit_replays_the_builders_verdict(chain):
+    m, T, omega, c, N = chain
+    if _vanishing_node(m, T, omega, N):
+        return
+    cert = build_chain(m, T, omega, c, None, N)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_certificate(Path(tmp) / "certificate.npy", cert)
+        audit = reverify_certificate(Path(tmp) / "certificate.npy", m, T, c)
+    assert audit["replayed"] and audit["max_node_slack_diff"] == 0.0
+    assert (audit["pairs"], audit["all_pass"]) == (cert.pairs, cert.all_pass)
+    assert _bits(audit["pair_check"]) == _bits(cert.pair_check)
+    assert _bits(audit["scan_pair_check"]) == _bits(verify_order_pairs(cert, m).worst_slack)
+
+
+@pytest.mark.parametrize("field", ["x", "alpha", "slack"])
+@pytest.mark.parametrize("row", [0, 15, 30])
+def test_a_tampered_table_does_not_replay(tmp_path, field, row):
+    m, T, c = ModularSpec.p_power(1.0, 2), MapSpec.half(), 0.5
+    path = tmp_path / "certificate.npy"
+    write_certificate(path, build_chain(m, T, [1.0, -2.0], c, None, 30))
+    assert reverify_certificate(path, m, T, c)["replayed"]
+    table = np.load(path)
+    column = table["x"][:, 0] if field == "x" else table[field]  # views into the table
+    column[row] = np.nextafter(column[row], np.inf)  # one ulp
+    np.save(path, table)
+    assert not reverify_certificate(path, m, T, c)["replayed"]
