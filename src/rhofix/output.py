@@ -218,10 +218,13 @@ def reverify_certificate(path, m: ModularLike, T: MapSpec, c: float) -> dict:
     Returns the rebuilt verdict (`pairs`, `pair_check`, `all_pass`),
     `replayed` (the rebuilt rows, levels and slacks equal the stored ones
     bit for bit), `max_node_slack_diff`, and `scan_pair_check`: the full
-    pair scan of the stored rows, which measures the stored points.
+    pair scan of the stored rows, which measures the stored points. A table
+    with no rows has no first node: a ValueError naming the file.
     """
     data = read_certificate(path)
     X, alphas, slacks = data["x"], data["alpha"], data["slack"]
+    if not len(X):
+        raise ValueError(f"{path}: the certificate table has no rows")
     cert = build_chain(m, T, X[0], c, float(alphas[0]), len(X) - 1)
     verdict = {
         "replayed": all(np.array_equal(new.view(np.int64), old.view(np.int64)) for new, old

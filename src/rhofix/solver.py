@@ -116,28 +116,31 @@ class MapSpec:
     def _kernel(self, shape: tuple):
         """The map's formula as an in-place kernel `step(y, out)` on arrays of
         `shape`: the one place each kind's arithmetic is written. `out` may be
-        `y`: each kernel reads y before it overwrites it, and numpy buffers an
-        affine product whose output overlaps its input. A damped-logistic
-        kernel holds one scratch array of `shape`."""
+        `y`: each kernel reads y before it overwrites it. A damped-logistic
+        kernel holds one scratch array of `shape`. A step makes only the calls
+        its arithmetic needs: scalars are 0-d float64 arrays bound once, so no
+        call promotes a Python float (same values, same bits), and an affine
+        row is `np.dot`, matmul's BLAS product and bits without its gufunc
+        dispatch, which buffers an output that overlaps its input."""
         # the ufuncs are bound once, so a step makes no module attribute lookups
         if self.kind is MapKind.AFFINE:
-            A, b, matmul, add = self.matrix.T, self.offset, np.matmul, np.add
+            A, b, dot, add = self.matrix.T, self.offset, np.dot, np.add
 
             def step(y, out):
-                matmul(y, A, out)
+                dot(y, A, out)
                 add(out, b, out)
         elif self.kind is MapKind.HALF:
-            multiply = np.multiply
+            half, multiply = np.array(0.5), np.multiply
 
             def step(y, out):
-                multiply(0.5, y, out)
+                multiply(half, y, out)
         elif self.kind is MapKind.LOGISTIC_DAMPED:
-            lam, t = self.lam, np.empty(shape)
+            lam, one, t = np.array(self.lam), np.array(1.0), np.empty(shape)
             absolute, add, multiply, divide = np.absolute, np.add, np.multiply, np.divide
 
             def step(y, out):
                 absolute(y, t)
-                add(1.0, t, t)
+                add(one, t, t)
                 multiply(lam, y, out)
                 divide(out, t, out)
         else:
@@ -183,11 +186,14 @@ class MapSpec:
             return X
         step, (s, t) = self._kernel(X[0].shape), np.empty((2, x.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            for y, out in zip(X[:-1], X[1:]):
+            rows = iter(X)  # one view per row, made as the loop reaches it
+            y = next(rows)
+            for out in rows:
                 for _ in range(power - 1):
                     step(y, s)
                     y, s, t = s, t, s
                 step(y, out)
+                y = out
         return X
 
 

@@ -10,6 +10,7 @@ affine products that overflow.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -113,3 +114,57 @@ def test_logistic_batch_apply_peaks_no_higher_than_the_formula():
     formula, kernel = peak(lambda: _apply_power(T, x, 1)), peak(lambda: T.apply(x))
     assert formula >= 2 * x.nbytes
     assert kernel <= formula + 4096
+
+
+BLAS_DIMS = (16, 32, 64, 257)
+
+
+def _blas_maps(rng, d):
+    """One map of each kind at width d; the affine one has row sums below 1."""
+    return {MapKind.AFFINE: MapSpec.affine(rng.uniform(-1.0, 1.0, (d, d)) / d, rng.uniform(-1.0, 1.0, d)),
+            MapKind.HALF: MapSpec.half(),
+            MapKind.LOGISTIC_DAMPED: MapSpec.logistic_damped(0.995),
+            MapKind.CONST: MapSpec.const(rng.uniform(-1.0, 1.0, d))}
+
+
+def _mixed(rng, shape, share):
+    """Uniform draws with about `share` of the entries replaced by SPECIAL values."""
+    x = rng.uniform(-3.0, 3.0, shape)
+    special = rng.random(shape) < share
+    x[special] = np.array(SPECIAL)[rng.integers(0, len(SPECIAL), int(special.sum()))]
+    return x
+
+
+@pytest.mark.parametrize("kind", list(MapKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("d", BLAS_DIMS)
+def test_kernels_match_the_formulas_at_blas_sizes(d, kind):
+    # widths where the affine row is a BLAS product; a point with any special
+    # entry spreads nan or inf over a whole affine row, so finite points run too
+    rng = np.random.default_rng([d, list(MapKind).index(kind)])
+    T = _blas_maps(rng, d)[kind]
+    for share in (0.0, 0.05, 0.5):
+        x = _mixed(rng, d, share)
+        x_copy = x.copy()
+        assert_bits(T.apply(x), _apply_power(T, x, 1))
+        assert_bits(T.apply_power(x, 3), _apply_power(T, x, 3))  # steps in place, out aliases y
+        for power in (1, 2, 3):
+            assert_bits(T.orbit(x, 6, power), _orbit(T, x, 6, power))
+        batch = _mixed(rng, (40, d), share)
+        assert_bits(T.apply(batch), _apply_power(T, batch, 1))
+        assert_bits(T.apply_power(batch, 3), _apply_power(T, batch, 3))
+        assert_bits(x, x_copy)
+
+
+def test_orbit_holds_no_view_per_row():
+    # the loop walks the block with one lazy iterator, so a long orbit peaks
+    # at its block X; a list of row views would add about 120 bytes a row
+    x = np.array([0.7, -0.3])
+    T = MapSpec.logistic_damped(0.9)
+    tracemalloc.start()
+    try:
+        X = T.orbit(x, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (20_001, 2)
+    assert peak <= X.nbytes + 16 * 1024

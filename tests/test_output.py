@@ -299,3 +299,13 @@ def test_read_table_refuses_a_table_whose_fields_are_not_float64(tmp_path):
     np.save(tmp_path / "c.npy", table)
     with pytest.raises(ValueError, match="float64 fields alpha, slack, x"):
         read_certificate(tmp_path / "c.npy")
+
+
+def test_reverify_certificate_of_a_table_with_no_rows_names_the_file(tmp_path):
+    # read_certificate accepts a header-only table, but the audit needs a
+    # first node to replay from
+    path = tmp_path / "empty.npy"
+    np.save(path, np.empty(0, [("alpha", "<f8"), ("slack", "<f8"), ("x", "<f8", (3,))]))
+    assert len(read_certificate(path)["x"]) == 0
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the certificate table has no rows")):
+        reverify_certificate(path, ModularSpec.p_power(1.0, 3), MapSpec.half(), 0.5)
