@@ -131,7 +131,7 @@ def _checked_orbit(T: MapSpec, omega: np.ndarray, steps: int) -> np.ndarray:
 
 def _base_modulars(m: ModularLike, xs: np.ndarray, N: int) -> np.ndarray:
     """r_n = rho(omega - T^n omega) for n = 1..N."""
-    return m.evaluate_batch(xs[0] - xs[1 : N + 1])
+    return m._evaluate_owned(xs[0] - xs[1 : N + 1])
 
 
 def _admissible_alpha(r: np.ndarray, powers: np.ndarray) -> float:
@@ -145,7 +145,7 @@ def _admissible_alpha(r: np.ndarray, powers: np.ndarray) -> float:
 
 
 def _orbit_bound(m: ModularLike, xs: np.ndarray) -> OrbitBound:
-    vals = m.evaluate_batch(2.0 * xs[1:])
+    vals = m._evaluate_owned(2.0 * xs[1:])
     sup = float(np.max(vals))
     if math.isinf(sup):
         return OrbitBound(INF, False)
@@ -280,7 +280,7 @@ def verify_order_pairs(cert: ChainCertificate, m: ModularLike) -> SlackCheck:
     xs, alphas = cert.X, cert.alphas
     worst, where = INF, None
     for q in range(1, len(xs)):
-        slacks = (alphas[:q] - alphas[q]) - m.evaluate_batch(xs[:q] - xs[q])
+        slacks = (alphas[:q] - alphas[q]) - m._evaluate_owned(xs[:q] - xs[q])
         p = int(np.argmin(slacks))
         if slacks[p] < worst:
             worst, where = float(slacks[p]), (p, q)

@@ -262,9 +262,9 @@ def check_modular_axioms(m: ModularLike, sampler: PointSampler, trials: int) -> 
     a = sampler.units(trials)
 
     rx = rho(xs)
-    rmx = rho(-xs)
+    rmx = m._evaluate_owned(-xs)
     ry = rho(ys)
-    combo = rho(a[:, None] * xs + (1.0 - a)[:, None] * ys)
+    combo = m._evaluate_owned(a[:, None] * xs + (1.0 - a)[:, None] * ys)
 
     i = np.nonzero((rx == 0.0) & np.any(xs != 0.0, axis=1))[0]
     xi = xs[i]
@@ -295,7 +295,7 @@ def check_s_convexity(m: ModularLike, s: float, sampler: PointSampler, trials: i
     a = sampler.units(trials)
     b = (1.0 - a**s) ** (1.0 / s)
 
-    lhs = rho(a[:, None] * xs + b[:, None] * ys)
+    lhs = m._evaluate_owned(a[:, None] * xs + b[:, None] * ys)
     # a vanished coefficient removes its term even against an infinite rho
     with np.errstate(invalid="ignore"):
         rhs = np.where(a == 0.0, 0.0, a**s * rho(xs)) + np.where(b == 0.0, 0.0, b**s * rho(ys))
@@ -414,7 +414,7 @@ def delta2_type_estimate(m: ModularLike, sampler: PointSampler, trials: int) -> 
         raise InvalidModularError(
             f"rho(x) = 0 at a nonzero point (scale 1e{exps[i]:+.2f}); no doubling constant exists"
         )
-    r2 = rho(2.0 * X)
+    r2 = m._evaluate_owned(2.0 * X)
     with np.errstate(invalid="ignore"):
         ratio = np.where(np.isinf(r1), -INF, r2 / r1)  # both-inf samples are indeterminate
     best = float(np.max(ratio))
@@ -472,7 +472,6 @@ def check_fatou_sampled(
         raise ValueError("ratio must lie in (0, 1)")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rho = m.evaluate_batch
     xa = as_point(x, m.dim)
     ya = as_point(y, xa.size)
     if directions is None:
@@ -494,7 +493,7 @@ def check_fatou_sampled(
     for u, v in directions:
         ua = as_point(u, xa.size)
         va = as_point(v, xa.size)
-        seq = rho(gap + powers[:, None] * (ua - va))
+        seq = m._evaluate_owned(gap + powers[:, None] * (ua - va))
         liminf_proxy = float(np.min(seq[-tail:]))
         if lhs > liminf_proxy + slack_tol(lhs, liminf_proxy):
             rep.record("fatou", (ua, va), (ratio, float(steps)), lhs, liminf_proxy)

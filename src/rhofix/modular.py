@@ -144,8 +144,7 @@ class ModularSpec:
 
         Overflow (and any non-finite magnitude fed in by a caller that
         tracks divergence itself) propagates to +inf. The formula lives in
-        `evaluate_batch` alone, so a point and a one-row batch agree bit
-        for bit.
+        `_rho` alone, so a point and a one-row batch agree bit for bit.
         """
         a = np.atleast_1d(np.asarray(x, dtype=float))
         if a.ndim != 1 or a.size != self.dim:
@@ -153,26 +152,39 @@ class ModularSpec:
         return float(self.evaluate_batch(a[None])[0])
 
     def evaluate_batch(self, X) -> np.ndarray:
-        """rho of every row of an (n, dim) array, with overflow to +inf."""
-        A = np.asarray(X, dtype=float)
-        if A.ndim != 2 or A.shape[1] != self.dim:
-            raise DimensionMismatch(f"expected an (n, {self.dim}) batch, got shape {A.shape}")
-        U = np.abs(A)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.family is Family.PPOWER:
-                tot = np.sum(U**self.p, axis=1)
-            elif self.family is Family.WEIGHTED_SUM:
-                tot = np.sum(self._w * U**self.p, axis=1)
-            else:
-                tot = np.sum(self._phi_values(U), axis=1) / self.dim
-        return np.where(np.isnan(tot), INF, tot)
+        """rho of every row of an (n, dim) array, with overflow to +inf.
+        X is never written: the formula runs on one new array, |X|."""
+        return self._rho(np.abs(np.asarray(X, dtype=float)))
 
-    def _phi_values(self, u: np.ndarray) -> np.ndarray:
-        if self.phi is Phi.POWER:
-            return u**self.p
-        if self.phi is Phi.EXP_MINUS_ONE:
-            return np.expm1(u)
-        return u * np.log1p(u)
+    def _evaluate_owned(self, A: np.ndarray) -> np.ndarray:
+        """`evaluate_batch` of a C-contiguous float64 (n, dim) temporary
+        that the caller gives up: A is overwritten, and nothing is allocated
+        beyond the row sums."""
+        return self._rho(np.abs(A, out=A))
+
+    def _rho(self, U: np.ndarray) -> np.ndarray:
+        """The family's formula on U = |X|, which it overwrites: the one
+        place each family's arithmetic is written. Each step is the ufunc
+        of the allocating expression, same operands in the same order, so
+        the bits are its bits; `**=` keeps numpy's scalar-exponent fast
+        paths (sqrt at 0.5, square at 2), and u**1 is u."""
+        if U.ndim != 2 or U.shape[1] != self.dim:
+            raise DimensionMismatch(f"expected an (n, {self.dim}) batch, got shape {U.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.family is not Family.ORLICZ or self.phi is Phi.POWER:
+                if self.p != 1.0:
+                    U **= self.p
+            elif self.phi is Phi.EXP_MINUS_ONE:
+                np.expm1(U, out=U)
+            else:
+                np.multiply(U, np.log1p(U), out=U)
+            if self.family is Family.WEIGHTED_SUM:
+                np.multiply(self._w, U, out=U)
+            tot = U.sum(axis=1)
+            if self.family is Family.ORLICZ:
+                tot /= self.dim
+        tot[np.isnan(tot)] = INF
+        return tot
 
 
 @dataclass(frozen=True)
@@ -214,6 +226,8 @@ class NamedFunctional:
             raise DimensionMismatch(
                 f"batched {self.name!r} returned shape {out.shape} for {A.shape[0]} rows")
         return out
+
+    _evaluate_owned = evaluate_batch  # `fn` may not write its argument
 
 
 ModularLike = Union[ModularSpec, NamedFunctional]

@@ -201,7 +201,7 @@ def reverify_trace(path, m: ModularLike, T: MapSpec, power: int = 1) -> float:
     values are +inf (a diverging last step) count as agreeing.
     """
     data = read_trace(path)
-    xs, rho = data["x"], m.evaluate_batch
+    xs, rho = data["x"], m._evaluate_owned
     with np.errstate(over="ignore", invalid="ignore"):
         # one batch per column: stacking all three would triple the trace in memory
         recomputed = np.concatenate((rho(xs[1:] - xs[:-1]), rho(T.apply_power(xs, power) - xs),

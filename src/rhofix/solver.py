@@ -6,13 +6,13 @@ doubled-orbit modular rho(2 x_n). Convergence requires BOTH the step and
 residual modulars below tol, which guards against declaring victory on a
 slowly moving orbit. The orbit depends on T alone, so it is computed first,
 in blocks (`MapSpec.orbit`, each row written in place by the map's step
-kernel); each block's modulars are then two batch calls, rho(X[1:] - X[:-1])
-for residuals and steps alike and rho(2 X). The first block has 8 rows.
-Each later one is sized from the geometric decay of the residuals over the
-block before: the rows left until tol, plus a small margin, within 8..256
-rows; it doubles instead while they do not decay. Each block's kept rows
-are copied into one record as the run goes: the rows `X` and one float
-column per modular.
+kernel); each block's modulars are then one batch call, evaluated in place
+over the rows X[1:] - X[:-1] (residuals and steps alike) and 2 X. The first
+block has 8 rows. Each later one is sized from the geometric decay of the
+residuals over the block before: the rows left until tol, plus a small
+margin, within 8..256 rows; it doubles instead while they do not decay.
+Each block's kept rows are copied into one record as the run goes: the rows
+`X` and one float column per modular.
 
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
@@ -250,11 +250,12 @@ def _ratio_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dim = _map_dim(T, m, np.zeros(sampler.dim))
-    rho = m.evaluate_batch
     X = np.vstack((np.eye(dim), sampler.points(trials)))
     Y = np.vstack((np.zeros((dim, dim)), sampler.points(trials)))
-    d = rho(X - Y)
-    lhs = rho(scale * (T.apply(X) - T.apply(Y)))
+    d = m._evaluate_owned(X - Y)
+    TX = T.apply(X)
+    np.subtract(TX, T.apply(Y), out=TX)  # scale (Tx - Ty) is formed in TX's buffer
+    lhs = m._evaluate_owned(np.multiply(scale, TX, out=TX))
     with np.errstate(invalid="ignore"):  # 0 * inf: a zero factor bounds an infinite gap by 0
         rhs = np.where(np.isinf(d), INF if factor > 0.0 else 0.0, factor * d)
     rep = AxiomReport(trials=trials)
@@ -334,7 +335,7 @@ def _run_picard(
         raise ValueError("tol must be > 0")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    rho = m.evaluate_batch
+    rho = m._evaluate_owned
     x = as_point(x0, _map_dim(T, m, x0))
     # the rows X and their step, residual and doubled-orbit columns, grown block by block
     record, error = [np.empty((0, x.size)), np.empty(0), np.empty(0), np.empty(0)], None
@@ -348,8 +349,14 @@ def _run_picard(
             left = np.flatnonzero(~np.isfinite(X).all(axis=1))
             fin = int(left[0]) if left.size else rows + 1  # leading rows in the space
             res = np.full(min(rows, fin), INF)
-            if fin > 1:
-                res[: fin - 1] = rho(X[1:fin] - X[: fin - 1])
+            # one modular call: the fin - 1 steps, then the rows of res doubled,
+            # in one array that is freed before `_append` (see there)
+            S = np.empty((fin - 1 + res.size, x.size))
+            np.subtract(X[1:fin], X[: fin - 1], out=S[: fin - 1])
+            np.multiply(2.0, X[: res.size], out=S[fin - 1 :])
+            mods = rho(S)
+            del S
+            res[: fin - 1] = mods[: fin - 1]
             step_mods = np.concatenate(([step], res[:-1]))
             hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
             k = int(hit[0]) + 1 if hit.size else res.size
@@ -357,7 +364,7 @@ def _run_picard(
                 error = ModularUnderflowError(
                     f"modular underflow at step {n + k - 1}: rho is 0 at a nonzero step or "
                     f"residual, so the stopping test (tol {tol:.3e}) measured nothing")
-            _append(record, (X[:k], step_mods[:k], res[:k], rho(2.0 * X[:k])))
+            _append(record, (X[:k], step_mods[:k], res[:k], mods[fin - 1 : fin - 1 + k]))
             if hit.size:
                 break
             if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
@@ -383,10 +390,13 @@ def _underflows(X: np.ndarray, before: np.ndarray, step: float, res: float) -> b
 
 def _append(record: list[np.ndarray], block: tuple[np.ndarray, ...]) -> None:
     """Append a block's rows to the record arrays, in place. `resize`
-    reallocs, which moves a large buffer without copying it, so a run peaks
-    at its record plus one block; growing by more than the block would
-    commit the slack too, since `resize` zero-fills it. No view of a record
-    array may exist while it grows (hence refcheck=False)."""
+    reallocs: an mmapped buffer is remapped and a heap buffer extends into
+    free space above it, neither copied; else glibc copies a heap record
+    past its mmap threshold into a new mapping and keeps the old pages
+    (3 MB at d = 256). So the block's scratch is freed first, leaving that
+    space at the heap top. Growing by more than the block would commit the
+    slack too, since `resize` zero-fills it. No view of a record array may
+    exist while it grows (hence refcheck=False)."""
     for a, part in zip(record, block):
         n = len(a)
         a.resize((n + len(part), *a.shape[1:]), refcheck=False)

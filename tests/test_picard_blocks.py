@@ -3,7 +3,7 @@
 `_reference_picard` below is the earlier solver loop written out here: one
 `apply_power` and one 3-row batch rho call (step, residual, doubled orbit)
 per step. The solver now walks the orbit in blocks and evaluates each
-block's modulars in two batch calls, which must change no recorded bit:
+block's modulars in one batch call, which must change no recorded bit:
 every trace field, the stopping step, the divergence message and the
 partial trace. The first block has 8 rows; each later one is sized from
 the decay of the residuals before it, so the tests read the boundaries off
