@@ -236,6 +236,13 @@ def _ineq_violations(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.nonzero(bad)[0]
 
 
+def _zero_at_nonzero(rx: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Ascending indices i with rx[i] == 0 at a row xs[i] != 0: the zero_iff
+    witnesses. Only the rows at rho 0 are scanned for a nonzero entry."""
+    i = np.flatnonzero(rx == 0.0)
+    return i[np.any(xs[i] != 0.0, axis=1)]
+
+
 def check_modular_axioms(m: ModularLike, sampler: PointSampler, trials: int) -> AxiomReport:
     """Sampled check of the three modular axioms.
 
@@ -266,7 +273,7 @@ def check_modular_axioms(m: ModularLike, sampler: PointSampler, trials: int) -> 
     ry = rho(ys)
     combo = m._evaluate_owned(a[:, None] * xs + (1.0 - a)[:, None] * ys)
 
-    i = np.nonzero((rx == 0.0) & np.any(xs != 0.0, axis=1))[0]
+    i = _zero_at_nonzero(rx, xs)
     xi = xs[i]
     rep.record_rows("zero_iff", (xi,), (rx[i],), np.max(np.abs(xi), axis=1), np.zeros(i.size))
     i = np.nonzero(rx != rmx)[0]

@@ -5,7 +5,8 @@ operations, and writes reports/traces into the output directory.
 
 Exit codes: 0 success (no violations / converged / certificate passed),
 1 mathematical failure (violations, divergence, failed certificate),
-2 usage or config parse error.
+2 usage or config parse error, or a run whose arrays do not fit in memory
+(the message names the subcommand's size keys and their values).
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ EXIT_USAGE = 2
 
 # trials used for the pre-solve empirical contraction check
 VERIFY_TRIALS = 512
+
+# the keys that size each subcommand's arrays, as (key, ProblemConfig field)
+_SIZE_KEYS = {
+    "check": (("check.trials", "trials"), ("check.fatou_steps", "fatou_steps")),
+    "solve": (("solve.max_iter", "max_iter"),),
+    "certificate": (("chain.N", "chain_n"),),
+}
 
 
 @functools.cache
@@ -261,7 +269,12 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = Path(args.out)
         runner = {"check": run_check, "solve": run_solve, "certificate": run_certificate}
-        return runner[args.command](cfg, quiet=args.quiet)
+        try:
+            return runner[args.command](cfg, quiet=args.quiet)
+        except MemoryError:
+            sizes = ", ".join(f"{key} = {getattr(cfg, field)}"
+                              for key, field in _SIZE_KEYS[args.command])
+            raise ConfigError(sizes, "the arrays these sizes imply do not fit in memory") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

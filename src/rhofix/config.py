@@ -24,8 +24,10 @@ Recognized keys (dotted = nested):
     out_dir                 report/trace output directory
 
 Anything malformed raises ConfigError naming the offending key. That
-includes an unknown key and a known one that the chosen family, integrand
-or map kind never reads ("not used by ...").
+includes an unknown key, a known one that the chosen family, integrand
+or map kind never reads ("not used by ..."), and a size key (check.trials,
+check.fatou_steps, chain.N) whose arrays numpy could not make at any
+memory size.
 A factor belongs to the map and the modular together: the claim keys go to
 `ProblemConfig.c_claimed` and `.scaled_form`, never into the `MapSpec`.
 
@@ -161,6 +163,21 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {value}")
     return value
+
+
+# numpy's largest array in bytes; a larger one raises "array is too big"
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
+
+
+def _as_size(value, path: str, minimum: int, dim: int) -> int:
+    """An integer key that sizes arrays of up to value + 1 rows of `dim`
+    floats (sampled points, Fatou sequences, the chain's orbit). A value whose
+    array numpy cannot make is refused here, not met as a traceback later."""
+    n = _as_int(value, path, minimum)
+    if (n + 1) * dim * 8 > _MAX_ARRAY_BYTES:
+        raise ConfigError(path, f"{n} is too large: {n + 1} rows of {dim} floats "
+                                f"exceed numpy's largest array ({_MAX_ARRAY_BYTES} bytes)")
+    return n
 
 
 def _as_vector(value, path: str) -> np.ndarray:
@@ -426,8 +443,8 @@ def load_config(path) -> ProblemConfig:
     if tol <= 0:
         raise ConfigError("solve.tol", f"must be > 0, got {tol}")
     max_iter = _as_int(solve.get("max_iter", _DEFAULTS["max_iter"]), "solve.max_iter", 0)
-    trials = _as_int(check.get("trials", _DEFAULTS["trials"]), "check.trials", 1)
-    chain_n = _as_int(chain.get("N", _DEFAULTS["chain_n"]), "chain.N", 0)
+    trials = _as_size(check.get("trials", _DEFAULTS["trials"]), "check.trials", 1, dim)
+    chain_n = _as_size(chain.get("N", _DEFAULTS["chain_n"]), "chain.N", 0, dim)
     chain_alpha = _optional_float(chain, "alpha", "chain")
     if chain_alpha is not None and chain_alpha < 0:
         raise ConfigError("chain.alpha", f"must be >= 0, got {chain_alpha}")
@@ -440,7 +457,8 @@ def load_config(path) -> ProblemConfig:
     fatou_ratio = _as_float(check.get("fatou_ratio", _DEFAULTS["fatou_ratio"]), "check.fatou_ratio")
     if not 0.0 < fatou_ratio < 1.0:
         raise ConfigError("check.fatou_ratio", f"must lie in (0, 1), got {fatou_ratio}")
-    fatou_steps = _as_int(check.get("fatou_steps", _DEFAULTS["fatou_steps"]), "check.fatou_steps", 1)
+    fatou_steps = _as_size(check.get("fatou_steps", _DEFAULTS["fatou_steps"]), "check.fatou_steps",
+                           1, dim)
 
     out_dir = _get(tree, "out_dir", "", default=_DEFAULTS["out_dir"])
     if not isinstance(out_dir, str) or not out_dir:

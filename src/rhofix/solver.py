@@ -56,6 +56,9 @@ class MapKind(Enum):
     CONST = "const"              # coordinatewise u -> constant
 
 
+_UNFOLD_BUFSIZE = 256  # ufunc buffer entries for the unfold pass: 2 KiB
+
+
 @dataclass
 class MapSpec:
     """A self-map of the space: affine, or a named 1-D map per coordinate.
@@ -113,22 +116,42 @@ class MapSpec:
             raise DimensionMismatch(f"map is {dim}-dimensional, point has shape {x.shape}")
         return x
 
-    def _kernel(self, shape: tuple):
+    def _kernel(self, shape: tuple, folded: bool = False):
         """The map's formula as an in-place kernel `step(y, out)` on arrays of
         `shape`: the one place each kind's arithmetic is written. `out` may be
         `y`: each kernel reads y before it overwrites it. A damped-logistic
         kernel holds one scratch array of `shape`. A step makes only the calls
         its arithmetic needs: scalars are 0-d float64 arrays bound once, so no
         call promotes a Python float (same values, same bits), and an affine
-        row is `np.dot`, matmul's BLAS product and bits without its gufunc
-        dispatch, which buffers an output that overlaps its input."""
+        row is `np.dot` (one multiply at d = 1), matmul's BLAS product and bits
+        without its gufunc dispatch, which buffers an output that overlaps its
+        input.
+
+        With `folded`, the damped-logistic step takes sign-folded values
+        v = s y (s = +-1 per coordinate, the sign of the orbit's first row)
+        and returns s T(y): lam v / (1 + v) in three calls, with no
+        `absolute`, since 1 + v = 1 + |y| wherever v is a magnitude, a zero
+        or a nan (see `orbit`). Other kinds ignore `folded`."""
         # the ufuncs are bound once, so a step makes no module attribute lookups
         if self.kind is MapKind.AFFINE:
-            A, b, dot, add = self.matrix.T, self.offset, np.dot, np.add
+            # b's -0.0 entries are made +0.0: matmul's sums start at +0.0 and
+            # never end at -0.0, where a d = 1 product can, so either way the
+            # sum plus b has the formula's x @ A.T + b bits
+            b, add = self.offset + 0.0, np.add
+            if self.matrix.shape == (1, 1):
+                # at d = 1 a batch's np.dot skips a zero factor (inf * 0 gives
+                # 0, not nan); the one product is matmul's one multiply
+                a, multiply = np.array(self.matrix[0, 0]), np.multiply
 
-            def step(y, out):
-                dot(y, A, out)
-                add(out, b, out)
+                def step(y, out):
+                    multiply(y, a, out)
+                    add(out, b, out)
+            else:
+                A, dot = self.matrix.T, np.dot
+
+                def step(y, out):
+                    dot(y, A, out)
+                    add(out, b, out)
         elif self.kind is MapKind.HALF:
             half, multiply = np.array(0.5), np.multiply
 
@@ -137,12 +160,17 @@ class MapSpec:
         elif self.kind is MapKind.LOGISTIC_DAMPED:
             lam, one, t = np.array(self.lam), np.array(1.0), np.empty(shape)
             absolute, add, multiply, divide = np.absolute, np.add, np.multiply, np.divide
-
-            def step(y, out):
-                absolute(y, t)
-                add(one, t, t)
-                multiply(lam, y, out)
-                divide(out, t, out)
+            if folded:
+                def step(v, out):
+                    add(one, v, t)
+                    multiply(lam, v, out)
+                    divide(out, t, out)
+            else:
+                def step(y, out):
+                    absolute(y, t)
+                    add(one, t, t)
+                    multiply(lam, y, out)
+                    divide(out, t, out)
         else:
             # a one-entry target is a scalar, so a 0-d point maps to a 0-d point
             value = self.value[0] if self.value.size == 1 else self.value
@@ -177,23 +205,46 @@ class MapSpec:
         """Rows x, T^power x, ..., T^(power * steps) x, each `power` steps of
         the row before, each written in its slot (with power > 1, the steps
         before the last alternate between two scratch rows). Non-finite rows
-        are kept; the caller decides what they mean."""
+        are kept; the caller decides what they mean.
+
+        A damped-logistic orbit is stepped on sign-folded values: with
+        s = copysign(1, x) it starts from v = s x and ends with one pass
+        X[1:] *= s. The bits are the unfolded orbit's: multiplying by +-1 is
+        exact and commutes with lam *, so v_k = s y_k at every step, and
+        1 + v_k = 1 + |y_k| where v_k is a magnitude or a zero (lam = -0.0
+        makes zeros of either sign). A nan times +-1 is that nan, and a nan
+        numerator is the quotient whatever the denominator, so a payload of
+        either sign, and the default nan of an inf / inf row, keep their
+        bits."""
         x = self._checked(x)
         X = np.empty((steps + 1, x.size))
         X[0] = x
         if power < 1:  # T^0 is the identity
             X[1:] = X[0]
             return X
-        step, (s, t) = self._kernel(X[0].shape), np.empty((2, x.size))
+        folded = self.kind is MapKind.LOGISTIC_DAMPED
+        step, (s, t) = self._kernel(X[0].shape, folded), np.empty((2, x.size))
         with np.errstate(over="ignore", invalid="ignore"):
             rows = iter(X)  # one view per row, made as the loop reaches it
             y = next(rows)
+            if folded:
+                sign = np.copysign(1.0, y)
+                y = np.multiply(sign, y, t)  # the folded first row; X[0] keeps x's bits
             for out in rows:
                 for _ in range(power - 1):
                     step(y, s)
                     y, s, t = s, t, s
                 step(y, out)
                 y = out
+            if folded:
+                # one pass; a broadcast operand makes the ufunc buffer
+                # min(bufsize, X.size) entries, so a small bufsize keeps that
+                # buffer off a long block's peak
+                bufsize = np.setbufsize(_UNFOLD_BUFSIZE)
+                try:
+                    np.multiply(X[1:], sign, X[1:])
+                finally:
+                    np.setbufsize(bufsize)
         return X
 
 

@@ -33,7 +33,7 @@ from rhofix import (
     sign_skewed,
     slack_tol,
 )
-from rhofix.checks import _ineq_violations
+from rhofix.checks import _ineq_violations, _zero_at_nonzero
 from rhofix.output import report_payload, write_json
 
 VALID = [
@@ -214,6 +214,25 @@ def test_bulk_recording_matches_per_index_records(fn):
         assert _bits(b.scalars).tolist() == _bits(r.scalars).tolist()
         assert (_bits(b.lhs), _bits(b.rhs)) == (_bits(r.lhs), _bits(r.rhs))
     assert _bits(bulk.max_slack_violation) == _bits(ref.max_slack_violation)
+
+
+@pytest.mark.parametrize("m", [
+    INVALID_FUNCTIONALS["dead_zone"][0],
+    ModularSpec.p_power(2.0, 3),
+    ModularSpec.p_power(1100.0, 8),  # |x|**1100 underflows: zero_iff witnesses at d = 8
+], ids=["dead_zone", "ppower-2", "ppower-1100"])
+def test_zero_iff_witnesses_match_the_full_row_scan(m):
+    # only the rows at rho 0 are scanned; the indices, their order and dtype
+    # are those of the mask over every row, on sampled points and edge rows
+    xs = PointSampler(m.dim, seed=77).points(10_000)
+    xs[:6] = np.array([0.0, -0.0, np.nan, 5e-324, -1.0, 0.5])[:, None]
+    xs[6] = 0.0
+    xs[6, -1] = -5e-324
+    rx = m.evaluate_batch(xs)
+    want = np.nonzero((rx == 0.0) & np.any(xs != 0.0, axis=1))[0]
+    got = _zero_at_nonzero(rx, xs)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert want.size > 0  # the edge row of one subnormal is a witness in each
 
 
 def test_record_copies_the_point_and_rows_may_be_bare():

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, strategies as st
 
 import rhofix
-from rhofix import ModularSpec, config, load_config, slack_tol
+from rhofix import ConfigError, ModularSpec, cli, config, load_config, slack_tol
 from rhofix.cli import build_parser, main
 from rhofix.output import read_certificate, read_trace, reverify_certificate, reverify_trace
 
@@ -178,6 +178,52 @@ def test_malformed_space_and_solve_exit_2(tmp_path, capsys, override):
 
 
 # --- check -------------------------------------------------------------------
+
+SIZE_KEYS = [("check", "check", "trials"), ("check", "check", "fatou_steps"),
+             ("certificate", "chain", "N")]
+
+
+@pytest.mark.parametrize("command, section, key", SIZE_KEYS)
+def test_a_size_past_numpys_largest_array_exits_2_naming_it(tmp_path, capsys, command, section, key):
+    # 2**62 rows of floats are past numpy's largest array, so the file is
+    # refused while it loads and nothing is allocated
+    cfg = half_cfg(tmp_path, **{section: {key: 2**62}})
+    assert main([command, "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {section}.{key}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, key", [("check", "trials"), ("chain", "N")])
+def test_the_largest_size_numpy_can_make_loads(tmp_path, section, key):
+    # (n + 1) rows of d floats in at most np.iinfo(np.intp).max bytes
+    d = 3
+    n = np.iinfo(np.intp).max // (8 * d) - 1
+    tree = {"space": {"family": "ppower", "p": 1.0}, "initial_point": [1.0] * d}
+    assert getattr(load_config(write_cfg(tmp_path / "ok.yaml", {**tree, section: {key: n}})),
+                   "trials" if key == "trials" else "chain_n") == n
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_cfg(tmp_path / "big.yaml", {**tree, section: {key: n + 1}}))
+    assert exc.value.key == f"{section}.{key}"
+
+
+@pytest.mark.parametrize("command, targets, named", [
+    ("check", ["check_modular_axioms"], "check.trials = 4000, check.fatou_steps = 20"),
+    ("check", ["check_fatou_sampled"], "check.trials = 4000, check.fatou_steps = 20"),
+    ("solve", ["picard_solve", "solve_via_power"], "solve.max_iter = 10000"),
+    ("certificate", ["build_chain"], "chain.N = 30"),
+])
+def test_a_run_out_of_memory_exits_2_naming_its_size_keys(tmp_path, capsys, monkeypatch,
+                                                          command, targets, named):
+    # a runner's MemoryError is stood in for, never provoked by a real allocation
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    for target in targets:
+        monkeypatch.setattr(cli, target, out_of_memory)
+    assert main([command, "--config", half_cfg(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}: ") and "Traceback" not in err
+
 
 def test_check_valid_space_exits_0(tmp_path):
     cfg = half_cfg(tmp_path, space={"family": "ppower", "p": 2.0})
