@@ -9,7 +9,8 @@ is chosen large enough that rho(omega - T^n omega) <= alpha - c**n alpha
 for every n. `build_chain` is the one producer of a certificate's figures:
 it walks the orbit once and reads off it the level alpha, the verdict on
 the pairwise order inequalities, the per-node slacks of the final iterate
-as a stand-in maximum element at level 0, and the orbit bound.
+as a stand-in maximum element at level 0, and the orbit bound
+(`orbit_sup`, `orbit_stabilized`); nothing else computes them.
 `cauchy_modulus` tabulates how fast the alphas (hence all pairwise
 modulars) fall below each tolerance.
 
@@ -46,8 +47,6 @@ __all__ = [
     "EPS_GRID",
     "ChainCertificate",
     "SlackCheck",
-    "OrbitBound",
-    "orbit_bound_check",
     "build_chain",
     "verify_order_pairs",
     "cauchy_modulus",
@@ -70,8 +69,8 @@ class ChainCertificate:
     proves (see `build_chain`); `max_check` the worst slack of the
     maximum-element inequality rho(x_n - limit) <= alpha_n. `all_pass`
     holds when both worst slacks clear -eps_num. `orbit_sup` and
-    `orbit_stabilized` are the orbit-boundedness figure of
-    `orbit_bound_check`, taken from the same orbit the chain is built on.
+    `orbit_stabilized` are the orbit-boundedness figure (see
+    `_orbit_bound`), read off the same orbit the chain is built on.
     `pairs` says how the pairs were checked, "shift" (proved from the
     certified factor `c_certified`) or "scan" (every pair evaluated);
     `slacks` holds the per-node slacks of the maximum-element check. `X`
@@ -115,11 +114,6 @@ class SlackCheck(NamedTuple):
     index: object  # pair (p, q) or node index; None when vacuous
 
 
-class OrbitBound(NamedTuple):
-    sup: float
-    stabilized: bool
-
-
 def _checked_orbit(T: MapSpec, omega: np.ndarray, steps: int) -> np.ndarray:
     """Rows omega, T omega, ..., T^steps omega, all inside the space."""
     xs = T.orbit(omega, steps)
@@ -144,28 +138,20 @@ def _admissible_alpha(r: np.ndarray, powers: np.ndarray) -> float:
     return (1.0 + ALPHA_MARGIN) * float(np.max(levels))
 
 
-def _orbit_bound(m: ModularLike, xs: np.ndarray) -> OrbitBound:
+def _orbit_bound(m: ModularLike, xs: np.ndarray) -> tuple[float, bool]:
+    """The orbit-boundedness figure of the rows xs = T^n omega, n = 0..N
+    (N >= 2): sup, the max of rho(2 T^n omega) over n = 1..N, and
+    `stabilized`, True when the running max did not grow by more than 1%
+    over the last ceil(N/2) steps (the same convention as the doubling
+    estimate; a monotone orbit converging to its bound keeps inching up
+    forever, so exact equality would never hold). A modular that overflows
+    gives (+inf, False)."""
     vals = m._evaluate_owned(2.0 * xs[1:])
     sup = float(np.max(vals))
     if math.isinf(sup):
-        return OrbitBound(INF, False)
+        return INF, False
     # N >= 2 values; the first floor(N/2) precede the last ceil(N/2) steps
-    return OrbitBound(sup, sup <= 1.01 * float(np.max(vals[: len(vals) // 2])))
-
-
-def orbit_bound_check(T: MapSpec, m: ModularLike, omega, N: int) -> OrbitBound:
-    """Max of rho(2 T^n omega) for n = 1..N: the orbit-boundedness figure.
-
-    `stabilized` is True when the running max did not grow by more than 1%
-    over the last ceil(N/2) steps (the same convention as the doubling
-    estimate; a monotone orbit converging to its bound keeps inching up
-    forever, so exact equality would never hold). Overflow returns
-    (+inf, False).
-    """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    xs = T.orbit(as_point(omega, m.dim), N)
-    return _orbit_bound(m, xs) if np.isfinite(xs).all() else OrbitBound(INF, False)
+    return sup, sup <= 1.01 * float(np.max(vals[: len(vals) // 2]))
 
 
 def build_chain(
@@ -179,13 +165,14 @@ def build_chain(
     (1 + ALPHA_MARGIN) * max_n rho(omega - T^n omega) / (1 - c**n), so
     the order inequalities with omega hold strictly; an already fixed base
     point gives alpha = 0, and an infinite modular raises
-    UnboundedOrbitError. The certificate records `orbit_bound_check` over
-    max(2, N) steps, read off the same orbit. The final iterate T^N omega
-    stands in for the maximum element at level 0: `slacks` holds
-    alpha_n - rho(x_n - x_N) per node, `max_check` and `worst_node` the
-    least of them. A node modular of 0 at x_n != x_N means rho vanishes
-    off zero (or underflowed) and raises InvalidModularError naming the
-    node. N = 0 gives a singleton chain that passes vacuously.
+    UnboundedOrbitError. The certificate records the orbit bound
+    (`_orbit_bound`) over max(2, N) steps, read off the same orbit. The
+    final iterate T^N omega stands in for the maximum element at level 0:
+    `slacks` holds alpha_n - rho(x_n - x_N) per node, `max_check` and
+    `worst_node` the least of them. A node modular of 0 at x_n != x_N
+    means rho vanishes off zero (or underflowed) and raises
+    InvalidModularError naming the node. N = 0 gives a singleton chain
+    that passes vacuously.
 
     The pairs are proved by the shift argument when `certified_factor`
     gives a factor c* for (T, m). With c_m = max(c, c*), which keeps the

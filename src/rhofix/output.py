@@ -7,10 +7,11 @@ certificate, where `x` is a subarray of the d coordinates. The row index
 is n; it is not stored. The doubles are stored as they are, so reading a
 file back gives the recorded values bit for bit (nan, +-inf, -0.0 and
 subnormals included) and recorded slacks can be re-verified losslessly.
-A certificate's figures have one producer, `chain.build_chain`:
-`write_certificate` writes its levels and slacks as they are, and
-`reverify_certificate` replays `build_chain` from the stored first node and
-level, and compares; it reports the full pair scan of the stored rows apart.
+Each stored figure has one producer, and its audit replays that producer
+from the stored first row and compares bit for bit: `reverify_trace`
+replays the solver's Picard loop with the summary's tol and power, and
+`reverify_certificate` replays `chain.build_chain` from the stored first
+node and level (it reports the full pair scan of the stored rows apart).
 Reading never unpickles: `np.load` runs with `allow_pickle=False`. A file
 whose array is not the record's table is a ValueError.
 
@@ -29,8 +30,9 @@ import numpy as np
 
 from .chain import build_chain, verify_order_pairs
 from .checks import MAX_WITNESSES, AxiomReport, Delta2Result
+from .errors import SolveError
 from .modular import ModularLike
-from .solver import IterationTrace, MapSpec
+from .solver import IterationTrace, MapSpec, _run_picard
 
 if TYPE_CHECKING:
     from .chain import ChainCertificate
@@ -190,25 +192,34 @@ def trace_payload(trace: IterationTrace, extra: dict | None = None) -> dict:
     return payload
 
 
-def reverify_trace(path, m: ModularLike, T: MapSpec, power: int = 1) -> float:
-    """Recompute every recorded modular of a stored trace from its iterates.
+def _same_bits(new: tuple, old: tuple) -> bool:
+    """Whether each replayed array holds the stored one's float64 bits."""
+    return all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(new, old))
 
-    `power` must match the composite the solver stepped (the trace summary
-    records it): residuals in a power-path trace are composite residuals.
-    Returns the max absolute discrepancy between recorded and recomputed
-    values (step, residual, doubled-orbit). The table stores the doubles
-    themselves, so this is exact up to re-evaluation order. Rows where both
-    values are +inf (a diverging last step) count as agreeing.
-    """
+
+def reverify_trace(path, m: ModularLike, T: MapSpec, tol: float, power: int = 1) -> dict:
+    """Replay the solver (`solver._run_picard`) from a stored trace's first
+    row, with the summary's `tol` and `power`, for as many steps as the
+    table has rows after it, and compare. That many steps clip no block
+    before the last and stop on the stored last row, after a convergence, a
+    run out of steps, a divergence or an underflow (a `SolveError`'s trace
+    is compared). Returns `replayed` (the rows, steps, residuals and
+    doubled-orbit modulars equal the stored ones bit for bit) and
+    `converged`, the replay's verdict. A table with no rows is a ValueError
+    naming the file."""
     data = read_trace(path)
-    xs, rho = data["x"], m._evaluate_owned
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one batch per column: stacking all three would triple the trace in memory
-        recomputed = np.concatenate((rho(xs[1:] - xs[:-1]), rho(T.apply_power(xs, power) - xs),
-                                     rho(2.0 * xs)))
-        recorded = np.concatenate((data["step_mod"][1:], data["residual"], data["doubled_orbit"]))
-        diffs = np.abs(recomputed - recorded)
-    return float(np.max(diffs, initial=0.0, where=~np.isnan(diffs)))
+    X = data["x"]
+    if not len(X):
+        raise ValueError(f"{path}: the trace table has no rows")
+    try:
+        trace = _run_picard(T, m, X[0], tol, len(X) - 1, power)
+    except SolveError as err:
+        trace = err.trace
+    return {
+        "replayed": _same_bits((trace.X, trace.step_mod, trace.residual, trace.doubled_orbit),
+                               (X, data["step_mod"], data["residual"], data["doubled_orbit"])),
+        "converged": trace.converged,
+    }
 
 
 def reverify_certificate(path, m: ModularLike, T: MapSpec, c: float) -> dict:
@@ -227,8 +238,7 @@ def reverify_certificate(path, m: ModularLike, T: MapSpec, c: float) -> dict:
         raise ValueError(f"{path}: the certificate table has no rows")
     cert = build_chain(m, T, X[0], c, float(alphas[0]), len(X) - 1)
     verdict = {
-        "replayed": all(np.array_equal(new.view(np.int64), old.view(np.int64)) for new, old
-                        in zip((cert.X, cert.alphas, cert.slacks), (X, alphas, slacks))),
+        "replayed": _same_bits((cert.X, cert.alphas, cert.slacks), (X, alphas, slacks)),
         "max_node_slack_diff": float(np.max(np.abs(cert.slacks - slacks))),
         "pairs": cert.pairs,
         "pair_check": cert.pair_check,

@@ -21,6 +21,7 @@ from rhofix import (
     Phi,
     PointSampler,
     Violation,
+    builtin_problems,
     check_fatou_sampled,
     check_modular_axioms,
     check_s_convexity,
@@ -492,6 +493,14 @@ def test_certified_factor_closed_forms():
     c, _ = certified_factor(MapSpec.affine([[0.0, 0.6], [0.0, 0.0]], [0.0, 0.0]),
                             ModularSpec.p_power(2.0, 2))
     assert c == pytest.approx(0.36, rel=1e-13) and c >= 0.36
+
+
+def test_builtin_factors_are_their_certified_factors_rounded_down():
+    # `certified_factor` rounds up past its own rounding, so it reads up to
+    # a few ulps above the hand-written exact `c` and cannot replace it
+    for prob in builtin_problems():
+        c, tight = certified_factor(prob.map, prob.modular)
+        assert tight and prob.c <= c <= prob.c * (1 + 1e-14), prob.name
 
 
 def test_certified_factor_stays_an_upper_bound_when_it_underflows():

@@ -612,14 +612,19 @@ def test_seed_rule_is_one_for_file_and_flag(tmp_path, capsys, seed):
     assert from_flag.startswith("config error: seed: must fit in 64 bits")
 
 
+def _reverify_solve(out, cfg, power_shift=0):
+    """`reverify_trace` on a solve's stored trace, with the summary's tol and
+    power (shifted by `power_shift`)."""
+    loaded = load_config(cfg)
+    summary = json.loads((out / "solve_summary.json").read_text())
+    return reverify_trace(out / "trace.npy", loaded.space, loaded.map, summary["tol"],
+                          power=summary["power"] + power_shift)
+
+
 def test_trace_roundtrip_reverifies(tmp_path):
     cfg = half_cfg(tmp_path)
     assert main(["solve", "--config", cfg, "--quiet"]) == 0
-    loaded = load_config(cfg)
-    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
-    worst = reverify_trace(tmp_path / "out" / "trace.npy", loaded.space, loaded.map,
-                           power=summary["power"])
-    assert worst <= slack_tol(1.0)
+    assert _reverify_solve(tmp_path / "out", cfg) == {"replayed": True, "converged": True}
 
 
 def _bits(x) -> bytes:
@@ -627,16 +632,53 @@ def _bits(x) -> bytes:
     return struct.pack("<d", float(x))
 
 
-def test_certificate_roundtrip_reverifies(tmp_path):
-    cfg = half_cfg(tmp_path)
-    assert main(["certificate", "--config", cfg, "--quiet"]) == 0
+def _assert_certificate_replays(out, cfg):
+    """`reverify_certificate` on a stored certificate, with the summary's c,
+    replays it bit for bit to the summary's verdict."""
     loaded = load_config(cfg)
-    summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
-    result = reverify_certificate(tmp_path / "out" / "certificate.npy", loaded.space, loaded.map,
-                                  summary["c"])
+    summary = json.loads((out / "certificate_summary.json").read_text())
+    result = reverify_certificate(out / "certificate.npy", loaded.space, loaded.map, summary["c"])
     assert result["replayed"] and result["max_node_slack_diff"] == 0.0
     assert (result["pairs"], result["all_pass"]) == (summary["pairs"], summary["all_pass"])
     assert _bits(result["pair_check"]) == _bits(summary["pair_check"])
+
+
+def test_certificate_roundtrip_reverifies(tmp_path):
+    cfg = half_cfg(tmp_path)
+    assert main(["certificate", "--config", cfg, "--quiet"]) == 0
+    _assert_certificate_replays(tmp_path / "out", cfg)
+
+
+@pytest.mark.parametrize("name", ["affine_p2", "half_p1", "weighted_logistic"])
+def test_shipped_solve_and_certificate_replay_bit_for_bit(tmp_path, name):
+    cfg = str(CONFIGS[0].parent / f"{name}.yaml")
+    for command in ("solve", "certificate"):
+        assert main([command, "--config", cfg, "--quiet", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "solve_summary.json").read_text())
+    assert _reverify_solve(tmp_path, cfg) == {"replayed": True, "converged": summary["converged"]}
+    _assert_certificate_replays(tmp_path, cfg)
+
+
+def _flip_low_bit(path, field, row):
+    """Rewrite the table at `path` with the lowest bit of `field` flipped at
+    `row` (in its first coordinate, for "x")."""
+    table = np.load(path)
+    entry = table[field][row : row + 1].view(np.int64)
+    entry[(0,) * entry.ndim] ^= 1
+    np.save(path, table)
+
+
+@pytest.mark.parametrize("tamper", ["row", "residual", "power"])
+@pytest.mark.parametrize("name", ["affine_p2", "weighted_logistic"])
+def test_tampered_trace_does_not_replay(tmp_path, name, tamper):
+    cfg = str(CONFIGS[0].parent / f"{name}.yaml")
+    assert main(["solve", "--config", cfg, "--quiet", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "trace.npy"
+    row = len(read_trace(path)["x"]) // 2  # past the first row, which the replay starts from
+    if tamper != "power":
+        _flip_low_bit(path, "x" if tamper == "row" else tamper, row)
+    result = _reverify_solve(tmp_path, cfg, power_shift=int(tamper == "power"))
+    assert result["replayed"] is False
 
 
 @pytest.mark.parametrize("command,where", [

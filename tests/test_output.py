@@ -13,6 +13,7 @@ from rhofix import (
     IterationTrace,
     MapSpec,
     ModularSpec,
+    ModularUnderflowError,
     build_chain,
     picard_solve,
 )
@@ -142,13 +143,33 @@ def test_read_trace_memory_stays_near_the_result_size(tmp_path):
     assert peak < 3 * result_bytes
 
 
+def _underflowed():
+    # 2**-n under the p = 1100 power modular is 0 long before the step is
+    with pytest.raises(ModularUnderflowError) as err:
+        picard_solve(MapSpec.half(), ModularSpec.p_power(1100.0, 1), [1.0], 1e-10, 10_000)
+    return err.value.trace
+
+
 def test_reverify_written_traces_is_exact(tmp_path):
-    write_trace(tmp_path / "c.npy", _converged())
-    assert reverify_trace(tmp_path / "c.npy", ModularSpec.p_power(2.0, 4),
-                          MapSpec.logistic_damped(0.5)) == 0.0
-    write_trace(tmp_path / "d.npy", _diverged())
-    assert reverify_trace(tmp_path / "d.npy", ModularSpec.p_power(2.0, 2),
-                          MapSpec.affine(2.0 * np.eye(2), [0.0, 0.0])) == 0.0
+    # (trace, modular, map, tol, the replay's verdict)
+    runs = {
+        "converged": (_converged(), ModularSpec.p_power(2.0, 4), MapSpec.logistic_damped(0.5),
+                      1e-12, True),
+        "diverged": (_diverged(), ModularSpec.p_power(2.0, 2),
+                     MapSpec.affine(2.0 * np.eye(2), [0.0, 0.0]), 1e-10, False),
+        "underflowed": (_underflowed(), ModularSpec.p_power(1100.0, 1), MapSpec.half(), 1e-10,
+                        False),
+        "max_iter_0": (_zero_iterations(), ModularSpec.p_power(1.0, 3), MapSpec.half(), 1e-10,
+                       False),
+    }
+    for name, (trace, m, T, tol, converged) in runs.items():
+        write_trace(tmp_path / f"{name}.npy", trace)
+        assert reverify_trace(tmp_path / f"{name}.npy", m, T, tol) == {
+            "replayed": True, "converged": converged}, name
+    # a hand-built record is no run of the map
+    write_trace(tmp_path / "hand.npy", _extremes())
+    assert not reverify_trace(tmp_path / "hand.npy", ModularSpec.p_power(1.0, 3), MapSpec.half(),
+                              1e-10)["replayed"]
 
 
 def _certificates():
@@ -270,7 +291,7 @@ FIELDS = {"trace": ("step_mod", "residual", "doubled_orbit", "x"), "certificate"
 READERS = {  # name -> (the call on a path, the record it reads)
     "read_trace": (read_trace, "trace"),
     "reverify_trace": (lambda path: reverify_trace(path, ModularSpec.p_power(2.0, 4),
-                                                   MapSpec.logistic_damped(0.5)), "trace"),
+                                                   MapSpec.logistic_damped(0.5), 1e-12), "trace"),
     "read_certificate": (read_certificate, "certificate"),
     "reverify_certificate": (lambda path: reverify_certificate(path, ModularSpec.p_power(1.0, 3),
                                                                MapSpec.half(), 0.5), "certificate"),
@@ -309,3 +330,12 @@ def test_reverify_certificate_of_a_table_with_no_rows_names_the_file(tmp_path):
     assert len(read_certificate(path)["x"]) == 0
     with pytest.raises(ValueError, match=re.escape(f"{path}: the certificate table has no rows")):
         reverify_certificate(path, ModularSpec.p_power(1.0, 3), MapSpec.half(), 0.5)
+
+
+def test_reverify_trace_of_a_table_with_no_rows_names_the_file(tmp_path):
+    # an empty file has no run to replay: no verdict, not an exact one
+    path = tmp_path / "empty.npy"
+    write_trace(path, _trace(np.empty((0, 3)), [], [], []))
+    assert len(read_trace(path)["x"]) == 0
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the trace table has no rows")):
+        reverify_trace(path, ModularSpec.p_power(1.0, 3), MapSpec.half(), 1e-10)

@@ -8,13 +8,17 @@ every trace field, the stopping step, the divergence message and the
 partial trace. The first block has 8 rows; each later one is sized from
 the decay of the residuals before it, so the tests read the boundaries off
 the schedule that `MapSpec.orbit` records, and stop runs on a block's last
-row and on the next block's first row.
+row and on the next block's first row. A run replayed from its first row
+for as many steps as it recorded gives the same trace bit for bit, which
+is what `output.reverify_trace` checks a stored trace by.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rhofix import (
     DimensionMismatch,
@@ -25,15 +29,15 @@ from rhofix import (
     ModularSpec,
     NamedFunctional,
     Phi,
+    SolveError,
     UnboundedOrbitError,
     build_chain,
-    orbit_bound_check,
     picard_solve,
     power_index,
     solve_via_power,
 )
 from rhofix.modular import INF, as_point
-from rhofix.solver import _BLOCK_MIN
+from rhofix.solver import _BLOCK_MIN, MapKind, _run_picard
 
 DIM = 3
 X0 = [1.0, -2.0, 0.5]
@@ -146,7 +150,7 @@ def _outcome(fn, *args, **kwargs):
     """(trace, error text): the returned trace, or the one an error carries."""
     try:
         return fn(*args, **kwargs), None
-    except (DivergenceError, InconsistentContractionError) as exc:
+    except SolveError as exc:
         return exc.trace, f"{type(exc).__name__}: {exc}"
 
 
@@ -235,6 +239,46 @@ def test_power_path_convergence_around_block_boundaries(n):
     got, want = _power(MapSpec.half(), P1, 0.5, [1.0], 7.0 * 2.0 ** (-3 * n), 10_000, 2.0)
     assert want[0].power == 3 and want[0].iterations == n
     assert_same(got, want)
+
+
+@st.composite
+def _replay_problems(draw):
+    """A map of every kind, some of them expanding (a divergence), a family
+    (p = 1100 underflows near a fixed point) and a start point."""
+    kind = draw(st.sampled_from(list(MapKind)))
+    coords = st.floats(-10.0, 10.0)
+    if kind is MapKind.AFFINE:
+        scale = draw(st.sampled_from([0.3, 0.9, 2.0, 1e100]))
+        A = draw(arrays(np.float64, (DIM, DIM), elements=st.floats(-1.0, 1.0)))
+        T = MapSpec.affine(scale * A, draw(arrays(np.float64, DIM, elements=coords)))
+    elif kind is MapKind.HALF:
+        T = MapSpec.half()
+    elif kind is MapKind.LOGISTIC_DAMPED:
+        T = MapSpec.logistic_damped(draw(st.sampled_from([0.9, 0.995, 1.0, 3.0])))
+    else:
+        T = MapSpec.const(draw(arrays(np.float64, DIM, elements=coords)))
+    m = draw(st.sampled_from(FAMILIES + [ModularSpec.p_power(1100.0, DIM)]))
+    x0 = draw(arrays(np.float64, DIM, elements=st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e300, -1e300]))))
+    return T, m, x0
+
+
+@given(problem=_replay_problems(), power=st.integers(1, 3),
+       max_iter=st.sampled_from([0, 1, 8, 9]) | st.integers(10, 2_000),
+       tol=st.sampled_from([1e-10, 1e-14, 1e-300]) | st.floats(1e-300, 1.0))
+def test_replay_from_the_first_row_reproduces_the_trace(problem, power, max_iter, tol):
+    """`output.reverify_trace` rests on this: the solver run again from the
+    trace's first row for as many steps as it recorded stops on the same row
+    with the same bits, whatever the block boundaries, also after running
+    out of steps, a divergence or an underflow."""
+    T, m, x0 = problem
+    run = _outcome(_run_picard, T, m, x0, tol, max_iter, power)
+    trace = run[0]
+    replay, error = _outcome(_run_picard, T, m, trace.X[0], tol, trace.iterations, power)
+    # max_iter = 0 records x0 alone and judges no image of it, so a run that
+    # diverged on its first step replays to the same row without the error
+    assert error == run[1] or (trace.iterations == 0 and error is None)
+    assert_same((replay, run[1]), run)
 
 
 def _recorded_blocks(monkeypatch) -> list[int]:
@@ -386,17 +430,12 @@ def test_chain_orbits_leave_the_space_at_the_same_step(omega, factor, step):
         walked = max(2, N)
         want = _reference_orbit_error(omega, factor, walked)
         if want is None:
-            build_chain(P1, T, omega, 0.5, 1.0, N)
+            # the orbit bound is read off the same orbit, all of it in the space
+            assert math.isfinite(build_chain(P1, T, omega, 0.5, 1.0, N).orbit_sup)
         else:
             assert want == f"orbit left the space at step {step}"
             with pytest.raises(UnboundedOrbitError, match=f"^{want}$"):
                 build_chain(P1, T, omega, 0.5, None, N)
-        if N >= 2:
-            bound = orbit_bound_check(T, P1, omega, N)
-            if _reference_orbit_error(omega, factor, N) is not None:
-                assert bound == (math.inf, False)
-            else:
-                assert math.isfinite(bound.sup)
 
 
 def test_orbit_primitive_rows_and_power():

@@ -17,9 +17,9 @@ from rhofix import (
     NamedFunctional,
     Phi,
     PointSampler,
+    build_chain,
     builtin_problems,
     doubling_constant,
-    orbit_bound_check,
     picard_solve,
     power_index,
     random_affine_contraction,
@@ -124,29 +124,36 @@ def test_s_contraction_preconditions():
 # --- orbit bound -------------------------------------------------------------
 
 def test_orbit_bound_const_map():
-    T = MapSpec.const([0.5])
-    sup, stabilized = orbit_bound_check(T, P1, [10.0], 20)
-    assert sup == pytest.approx(1.0)  # rho(2 * 0.5)
-    assert stabilized
+    cert = build_chain(P1, MapSpec.const([0.5]), [10.0], 0.5, None, 20)
+    assert cert.orbit_sup == pytest.approx(1.0)  # rho(2 * 0.5)
+    assert cert.orbit_stabilized
 
 
 def test_orbit_bound_half_max_at_first_step():
-    sup, stabilized = orbit_bound_check(MapSpec.half(), P1, [1.0], 50)
-    assert sup == pytest.approx(1.0)
-    assert stabilized
+    cert = build_chain(P1, MapSpec.half(), [1.0], 0.5, None, 50)
+    assert cert.orbit_sup == pytest.approx(1.0)
+    assert cert.orbit_stabilized
 
 
 def test_orbit_bound_affine_converging():
     T = MapSpec.affine(0.5 * np.eye(2), [1.0, 1.0])
-    sup, stabilized = orbit_bound_check(T, ModularSpec.p_power(1.0, 2), [0.0, 0.0], 40)
-    assert math.isfinite(sup) and sup <= 8.0 + 1e-9
-    assert stabilized
+    cert = build_chain(ModularSpec.p_power(1.0, 2), T, [0.0, 0.0], 0.5, None, 40)
+    assert math.isfinite(cert.orbit_sup) and cert.orbit_sup <= 8.0 + 1e-9
+    assert cert.orbit_stabilized
+
+
+def test_orbit_bound_still_growing_is_not_stabilized():
+    # rho(2 x_n) = 200 (1 - 0.99**n) grows 1.95x over the last half of 10 steps
+    cert = build_chain(P1, MapSpec.affine([[0.99]], [1.0]), [0.0], 0.99, None, 10)
+    assert cert.orbit_sup == pytest.approx(200.0 * (1.0 - 0.99**10))
+    assert not cert.orbit_stabilized
 
 
 def test_orbit_bound_overflow():
-    T = MapSpec.affine([[4.0]], [0.0])
-    sup, stabilized = orbit_bound_check(T, P1, [1.0], 600)
-    assert sup == math.inf and not stabilized
+    # the orbit stays at 400, inside the space; its modular rho(800) = e**800 - 1 overflows
+    m = ModularSpec.orlicz(Phi.EXP_MINUS_ONE, 1)
+    cert = build_chain(m, MapSpec.const([400.0]), [400.0], 0.5, None, 20)
+    assert (cert.orbit_sup, cert.orbit_stabilized) == (math.inf, False)
 
 
 # --- picard ------------------------------------------------------------------
