@@ -4,128 +4,20 @@ Modular functionals and their F-norm, randomized checkers for the modular
 axioms (plus s-convexity, doubling constants, and a sampled Fatou
 surrogate), a Picard fixed-point engine with a doubling-constant power
 path, and finite chain certificates for contraction orbits.
+
+The package exports each module's own `__all__`, in the order below.
 """
 
-from .chain import (
-    ALPHA_MARGIN,
-    EPS_GRID,
-    ChainCertificate,
-    SlackCheck,
-    build_chain,
-    cauchy_modulus,
-    verify_order_pairs,
-)
-from .checks import (
-    INVALID_FUNCTIONALS,
-    MAX_WITNESSES,
-    AxiomReport,
-    Delta2Result,
-    PointSampler,
-    Violation,
-    check_fatou_sampled,
-    check_modular_axioms,
-    check_s_convexity,
-    dead_zone,
-    delta2_type_estimate,
-    certified_factor,
-    doubling_constant,
-    exact_doubling_constant,
-    sign_skewed,
-    sine_bump,
-)
-from .config import ProblemConfig, load_config
-from .errors import (
-    BracketSearchError,
-    ConfigError,
-    DimensionMismatch,
-    DivergenceError,
-    InconsistentContractionError,
-    InvalidModularError,
-    ModularUnderflowError,
-    RhofixError,
-    SolveError,
-    UnboundedOrbitError,
-)
-from .modular import (
-    ABS_TOL,
-    REL_TOL,
-    Family,
-    ModularSpec,
-    NamedFunctional,
-    Phi,
-    as_point,
-    f_norm,
-    slack_tol,
-)
-from .problems import Problem, builtin_problems, l1_operator_norm, random_affine_contraction
-from .solver import (
-    IterationTrace,
-    MapKind,
-    MapSpec,
-    picard_solve,
-    power_index,
-    solve_via_power,
-    verify_contraction,
-    verify_s_contraction,
-)
+from . import chain, checks, config, errors, modular, problems, solver
+from .chain import *
+from .checks import *
+from .config import *
+from .errors import *
+from .modular import *
+from .problems import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABS_TOL",
-    "ALPHA_MARGIN",
-    "AxiomReport",
-    "BracketSearchError",
-    "ChainCertificate",
-    "ConfigError",
-    "Delta2Result",
-    "DimensionMismatch",
-    "DivergenceError",
-    "EPS_GRID",
-    "Family",
-    "INVALID_FUNCTIONALS",
-    "InconsistentContractionError",
-    "InvalidModularError",
-    "IterationTrace",
-    "MAX_WITNESSES",
-    "MapKind",
-    "MapSpec",
-    "ModularSpec",
-    "ModularUnderflowError",
-    "NamedFunctional",
-    "Phi",
-    "PointSampler",
-    "Problem",
-    "ProblemConfig",
-    "REL_TOL",
-    "RhofixError",
-    "SlackCheck",
-    "SolveError",
-    "UnboundedOrbitError",
-    "Violation",
-    "as_point",
-    "build_chain",
-    "builtin_problems",
-    "cauchy_modulus",
-    "certified_factor",
-    "check_fatou_sampled",
-    "check_modular_axioms",
-    "check_s_convexity",
-    "dead_zone",
-    "delta2_type_estimate",
-    "doubling_constant",
-    "exact_doubling_constant",
-    "f_norm",
-    "l1_operator_norm",
-    "load_config",
-    "picard_solve",
-    "power_index",
-    "random_affine_contraction",
-    "sign_skewed",
-    "sine_bump",
-    "slack_tol",
-    "solve_via_power",
-    "verify_contraction",
-    "verify_order_pairs",
-    "verify_s_contraction",
-]
+__all__ = [name for module in (chain, checks, config, errors, modular, problems, solver)
+           for name in module.__all__]

@@ -20,9 +20,9 @@ argument proves all N(N+1)/2 of them from the N pairs (0, j) in O(N):
 rho(x_p - x_q) <= c**p rho(x_0 - x_(q-p)) and alpha_p - alpha_q =
 c**p (alpha_0 - alpha_(q-p)). Otherwise, or when that bound is negative
 somewhere, every pair is evaluated (`verify_order_pairs`, O(N**2)). The
-auditor, `output.reverify_certificate`, replays `build_chain` on a stored
-certificate's first node and level, and reports the full scan of the
-stored rows separately.
+auditor, `output.reverify_certificate`, replays `build_chain` from the
+problem's start point and a stored certificate's first level, and reports
+the full scan of the stored rows separately.
 
 The stand-in maximum is a surrogate: the genuine maximum element exists by
 a non-constructive argument, while the certificate only exhibits finite

@@ -1,7 +1,12 @@
 """Command-line front end: `rhofix check | solve | certificate`.
 
-Each subcommand loads a YAML problem file, runs the corresponding
-operations, and writes reports/traces into the output directory.
+`main` runs the preamble every subcommand shares, once: it loads the YAML
+problem file and applies `--seed` / `--out`, requires a map for `solve`
+and `certificate`, makes the output directory, builds the `PointSampler`
+and picks `say` (`print`, or a no-op under `--quiet`). Each runner,
+`run_check | run_solve | run_certificate(cfg, out, sampler, say)`, then
+holds only its stages: it builds its summaries here and writes them with
+the reports and records of `output` into the output directory.
 
 Exit codes: 0 success (no violations / converged / certificate passed),
 1 mathematical failure (violations, divergence, failed certificate),
@@ -30,14 +35,7 @@ from .checks import (
 )
 from .config import ProblemConfig, check_seed, load_config
 from .errors import ConfigError, InvalidModularError, SolveError, UnboundedOrbitError
-from .output import (
-    delta2_payload,
-    report_payload,
-    trace_payload,
-    write_certificate,
-    write_json,
-    write_trace,
-)
+from .output import report_payload, write_certificate, write_json, write_trace
 from .solver import (picard_solve, power_index, solve_via_power, verify_contraction,
                      verify_s_contraction)
 
@@ -79,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _say(quiet: bool, msg: str) -> None:
-    if not quiet:
-        print(msg)
-
-
 def _out_dir(cfg: ProblemConfig) -> Path:
     """The output directory, made if missing; a path that cannot be one is a config error."""
     try:
@@ -93,7 +86,7 @@ def _out_dir(cfg: ProblemConfig) -> Path:
     return cfg.out_dir
 
 
-def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
+def _effective_c(cfg: ProblemConfig, sampler: PointSampler, say):
     """Claimed factor if present, else the empirical max ratio (auto-fill).
     With `map.s` set, c belongs to the scaled form, whose verdict is returned
     as a summary entry (None without `s`)."""
@@ -102,11 +95,10 @@ def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
     report = verify_contraction(T, cfg.space, probe_c, sampler, VERIFY_TRIALS)
     c_emp = report.max_ratio
     if claimed is not None and not report.passed:
-        _say(quiet, f"warning: claimed factor c = {claimed} violated "
-                    f"(max observed ratio {c_emp:.6g})")
+        say(f"warning: claimed factor c = {claimed} violated (max observed ratio {c_emp:.6g})")
     elif claimed is not None and math.isnan(c_emp):
-        _say(quiet, f"warning: claimed factor c = {claimed} not measured "
-                    "(every sampled ratio underflowed)")
+        say(f"warning: claimed factor c = {claimed} not measured "
+            "(every sampled ratio underflowed)")
     c_eff = claimed if claimed is not None and report.passed else c_emp
     scaled = None
     if cfg.scaled_form is not None:
@@ -116,63 +108,66 @@ def _effective_c(cfg: ProblemConfig, sampler: PointSampler, quiet: bool):
                   "max_ratio": None if math.isnan(rep_s.max_ratio) else rep_s.max_ratio,
                   "n_violations": rep_s.n_violations}
         if not rep_s.passed:
-            _say(quiet, f"warning: scaled form (c, k, s) = ({c}, {k}, {s}) violated")
+            say(f"warning: scaled form (c, k, s) = ({c}, {k}, {s}) violated")
     return c_eff, c_emp, report, scaled
 
 
-def run_check(cfg: ProblemConfig, quiet: bool = False) -> int:
-    out = _out_dir(cfg)
-    sampler = PointSampler(cfg.dim, cfg.seed)
-    failed = False
+def _report(out: Path, say, name: str, checker: str, report, label: str,
+            extra: dict | None = None, suffix: str = "") -> bool:
+    """Write one checker's `report_<name>.json` and print its verdict line;
+    returns whether the check failed."""
+    write_json(out / f"report_{name}.json", report_payload(checker, report, extra))
+    say(f"{label}: {'ok' if report.passed else f'{report.n_violations} violation(s)'}{suffix}")
+    return not report.passed
 
-    rep = check_modular_axioms(cfg.space, sampler, cfg.trials)
-    write_json(out / "report_axioms.json", report_payload("modular_axioms", rep))
-    _say(quiet, f"axioms: {'ok' if rep.passed else f'{rep.n_violations} violation(s)'} "
-                f"({cfg.trials} trials)")
-    failed |= not rep.passed
 
+def run_check(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
+    failed = _report(out, say, "axioms", "modular_axioms",
+                     check_modular_axioms(cfg.space, sampler, cfg.trials), "axioms",
+                     suffix=f" ({cfg.trials} trials)")
     if cfg.s is not None:
-        rep_s = check_s_convexity(cfg.space, cfg.s, sampler, cfg.trials)
-        write_json(out / "report_s_convexity.json",
-                   report_payload("s_convexity", rep_s, {"s": cfg.s}))
-        _say(quiet, f"s-convexity (s={cfg.s}): "
-                    f"{'ok' if rep_s.passed else f'{rep_s.n_violations} violation(s)'}")
-        failed |= not rep_s.passed
-
+        failed |= _report(out, say, "s_convexity", "s_convexity",
+                          check_s_convexity(cfg.space, cfg.s, sampler, cfg.trials),
+                          f"s-convexity (s={cfg.s})", {"s": cfg.s})
     try:
         d2 = delta2_type_estimate(cfg.space, sampler, cfg.trials)
-        write_json(out / "report_delta2.json", delta2_payload(d2))
-        _say(quiet, f"doubling constant: {d2.constant:.9g}"
-                    f"{' (unbounded)' if d2.unbounded else ''}")
+        delta2 = {"constant": d2.constant, "unbounded": d2.unbounded}
+        line = f"{d2.constant:.9g}{' (unbounded)' if d2.unbounded else ''}"
     except InvalidModularError as exc:
-        write_json(out / "report_delta2.json",
-                   {"checker": "delta2_type_estimate", "error": str(exc)})
-        _say(quiet, f"doubling constant: invalid modular ({exc})")
-        failed = True
-
-    rep_f = check_fatou_sampled(
-        cfg.space, cfg.initial_point, np.zeros(cfg.dim),
-        cfg.fatou_ratio, cfg.fatou_steps, sampler=sampler,
-    )
-    write_json(out / "report_fatou.json", report_payload("fatou_sampled", rep_f, {
-        "ratio": cfg.fatou_ratio, "steps": cfg.fatou_steps,
-    }))
-    _say(quiet, f"fatou: {'ok' if rep_f.passed else f'{rep_f.n_violations} violation(s)'}")
-    failed |= not rep_f.passed
-
+        delta2, line, failed = {"error": str(exc)}, f"invalid modular ({exc})", True
+    write_json(out / "report_delta2.json", {"checker": "delta2_type_estimate", **delta2})
+    say(f"doubling constant: {line}")
+    rep_f = check_fatou_sampled(cfg.space, cfg.initial_point, np.zeros(cfg.dim),
+                                cfg.fatou_ratio, cfg.fatou_steps, sampler=sampler)
+    failed |= _report(out, say, "fatou", "fatou_sampled", rep_f, "fatou",
+                      {"ratio": cfg.fatou_ratio, "steps": cfg.fatou_steps})
     return EXIT_MATH if failed else EXIT_OK
 
 
-def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
-    if cfg.map is None:
-        raise ConfigError("map", "required for solve")
-    out = _out_dir(cfg)
-    sampler = PointSampler(cfg.dim, cfg.seed)
-    c_eff, c_emp, report, scaled = _effective_c(cfg, sampler, quiet)
-
+def run_solve(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
+    c_eff, c_emp, report, scaled = _effective_c(cfg, sampler, say)
     k = doubling_constant(cfg.space, sampler, min(cfg.trials, 2048))
     power = power_index(c_eff, k) if k is not None and 0.0 <= c_eff < 1.0 else 1
-    extra = {
+    error = None
+    try:
+        if power > 1:
+            trace = solve_via_power(
+                cfg.map, cfg.space, c_eff, cfg.initial_point, cfg.tol, cfg.max_iter, k=k
+            )
+        else:
+            trace = picard_solve(cfg.map, cfg.space, cfg.initial_point, cfg.tol, cfg.max_iter)
+    except SolveError as exc:
+        trace, error = exc.trace, str(exc)
+
+    write_trace(out / "trace.npy", trace)
+    summary = {
+        "converged": trace.converged,
+        "iterations": trace.iterations,
+        "power": trace.power,
+        "k_used": trace.k_used,
+        "final_step_mod": float(trace.step_mod[-1]),  # every trace holds its x0 row
+        "final_residual": float(trace.residual[-1]),
+        "fixed_point": None if trace.fixed_point is None else trace.fixed_point.tolist(),
         "c_claimed": cfg.c_claimed,
         "scaled_form": scaled,
         "c_effective": None if math.isnan(c_eff) else c_eff,
@@ -182,57 +177,37 @@ def run_solve(cfg: ProblemConfig, quiet: bool = False) -> int:
         "tol": cfg.tol,
         "seed": cfg.seed,
     }
-
-    status = EXIT_OK
-    try:
-        if power > 1:
-            trace = solve_via_power(
-                cfg.map, cfg.space, c_eff, cfg.initial_point, cfg.tol, cfg.max_iter, k=k
-            )
-        else:
-            trace = picard_solve(cfg.map, cfg.space, cfg.initial_point, cfg.tol, cfg.max_iter)
-        if not trace.converged:
-            status = EXIT_MATH
-    except SolveError as exc:
-        trace = exc.trace
-        extra["error"] = str(exc)
-        status = EXIT_MATH
-
-    write_trace(out / "trace.npy", trace)
-    write_json(out / "solve_summary.json", trace_payload(trace, extra))
-    _say(quiet, f"solve [{extra['solver']}]: "
-                f"{'converged' if trace.converged else 'did not converge'} at "
-                f"n={trace.iterations} (step={trace.step_mod[-1]:.3g}, "
-                f"residual={trace.residual[-1]:.3g})")
-    return status
+    if error is not None:
+        summary["error"] = error
+    write_json(out / "solve_summary.json", summary)
+    say(f"solve [{summary['solver']}]: "
+        f"{'converged' if trace.converged else 'did not converge'} at "
+        f"n={trace.iterations} (step={trace.step_mod[-1]:.3g}, "
+        f"residual={trace.residual[-1]:.3g})")
+    return EXIT_OK if trace.converged and error is None else EXIT_MATH
 
 
-def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
-    if cfg.map is None:
-        raise ConfigError("map", "required for certificate")
-    out = _out_dir(cfg)
-    sampler = PointSampler(cfg.dim, cfg.seed)
-    c_eff, c_emp, _, scaled = _effective_c(cfg, sampler, quiet)
-    failure = {  # the summary of either failure exit, once "error" is filled in
-        "all_pass": False,
-        "error": None,
-        "c_empirical": None if math.isnan(c_emp) else c_emp,
-        "scaled_form": scaled,
-        "seed": cfg.seed,
-    }
+def run_certificate(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
+    c_eff, c_emp, _, scaled = _effective_c(cfg, sampler, say)
+    cert = None
     if math.isnan(c_eff) or not 0.0 <= c_eff < 1.0:
-        failure["error"] = f"no contraction factor below 1 (empirical {c_emp:.6g})"
-        write_json(out / "certificate_summary.json", failure)
-        _say(quiet, f"certificate: {failure['error']}")
-        return EXIT_MATH
-
-    try:
-        cert = build_chain(cfg.space, cfg.map, cfg.initial_point, c_eff, cfg.chain_alpha, cfg.chain_n)
-    except (UnboundedOrbitError, InvalidModularError) as exc:
-        failure["error"] = str(exc)
-        write_json(out / "certificate_summary.json", failure)
-        kind = "unbounded orbit" if isinstance(exc, UnboundedOrbitError) else "invalid modular"
-        _say(quiet, f"certificate: {kind} ({exc})")
+        error = line = f"no contraction factor below 1 (empirical {c_emp:.6g})"
+    else:
+        try:
+            cert = build_chain(cfg.space, cfg.map, cfg.initial_point, c_eff, cfg.chain_alpha,
+                               cfg.chain_n)
+        except (UnboundedOrbitError, InvalidModularError) as exc:
+            kind = "unbounded orbit" if isinstance(exc, UnboundedOrbitError) else "invalid modular"
+            error, line = str(exc), f"{kind} ({exc})"
+    if cert is None:
+        write_json(out / "certificate_summary.json", {
+            "all_pass": False,
+            "error": error,
+            "c_empirical": None if math.isnan(c_emp) else c_emp,
+            "scaled_form": scaled,
+            "seed": cfg.seed,
+        })
+        say(f"certificate: {line}")
         return EXIT_MATH
 
     write_certificate(out / "certificate.npy", cert)
@@ -254,23 +229,28 @@ def run_certificate(cfg: ProblemConfig, quiet: bool = False) -> int:
         "cauchy_modulus": [[eps, n] for eps, n in cauchy_modulus(cert)],
         "seed": cfg.seed,
     })
-    _say(quiet, f"certificate: {'PASS' if cert.all_pass else 'FAIL'} "
-                f"(alpha={cert.alpha:.9g}, pair={cert.pair_check:.3g}, max={cert.max_check:.3g})")
+    say(f"certificate: {'PASS' if cert.all_pass else 'FAIL'} "
+        f"(alpha={cert.alpha:.9g}, pair={cert.pair_check:.3g}, max={cert.max_check:.3g})")
     return EXIT_OK if cert.all_pass else EXIT_MATH
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = check_seed(args.seed)
         if args.out is not None:
             cfg.out_dir = Path(args.out)
+        if args.command != "check" and cfg.map is None:
+            raise ConfigError("map", f"required for {args.command}")
+        out = _out_dir(cfg)
+        sampler = PointSampler(cfg.dim, cfg.seed)
+        say = (lambda msg: None) if args.quiet else print
+        # looked up per call, so that a patched module binding is the one run
         runner = {"check": run_check, "solve": run_solve, "certificate": run_certificate}
         try:
-            return runner[args.command](cfg, quiet=args.quiet)
+            return runner[args.command](cfg, out, sampler, say)
         except MemoryError:
             sizes = ", ".join(f"{key} = {getattr(cfg, field)}"
                               for key, field in _SIZE_KEYS[args.command])

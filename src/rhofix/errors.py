@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "RhofixError",
+    "DimensionMismatch",
+    "BracketSearchError",
+    "InvalidModularError",
+    "UnboundedOrbitError",
+    "SolveError",
+    "DivergenceError",
+    "InconsistentContractionError",
+    "ModularUnderflowError",
+    "ConfigError",
+]
+
 
 class RhofixError(Exception):
     """Base class for all package errors."""

@@ -8,15 +8,17 @@ is n; it is not stored. The doubles are stored as they are, so reading a
 file back gives the recorded values bit for bit (nan, +-inf, -0.0 and
 subnormals included) and recorded slacks can be re-verified losslessly.
 Each stored figure has one producer, and its audit replays that producer
-from the stored first row and compares bit for bit: `reverify_trace`
-replays the solver's Picard loop with the summary's tol and power, and
-`reverify_certificate` replays `chain.build_chain` from the stored first
-node and level (it reports the full pair scan of the stored rows apart).
+from the problem's start point x0 and compares bit for bit, row 0
+included: `reverify_trace` replays the solver's Picard loop with the
+summary's tol and power, and `reverify_certificate` replays
+`chain.build_chain` from x0 and the stored first level (it reports the
+full pair scan of the stored rows apart).
 Reading never unpickles: `np.load` runs with `allow_pickle=False`. A file
 whose array is not the record's table is a ValueError.
 
 JSON reports are strict JSON: a non-finite float is written as the string
-"nan", "inf" or "-inf".
+"nan", "inf" or "-inf". `report_payload` is a checker report's summary;
+the CLI builds every other summary itself.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .chain import build_chain, verify_order_pairs
-from .checks import MAX_WITNESSES, AxiomReport, Delta2Result
+from .checks import MAX_WITNESSES, AxiomReport
 from .errors import SolveError
 from .modular import ModularLike
 from .solver import IterationTrace, MapSpec, _run_picard
@@ -44,7 +46,6 @@ __all__ = [
     "read_certificate",
     "write_json",
     "report_payload",
-    "trace_payload",
     "reverify_trace",
     "reverify_certificate",
 ]
@@ -168,51 +169,27 @@ def report_payload(checker: str, report: AxiomReport, extra: dict | None = None)
     return payload
 
 
-def delta2_payload(result: Delta2Result) -> dict:
-    return {
-        "checker": "delta2_type_estimate",
-        "constant": result.constant,
-        "unbounded": result.unbounded,
-    }
-
-
-def trace_payload(trace: IterationTrace, extra: dict | None = None) -> dict:
-    rows = len(trace.X)
-    payload = {
-        "converged": trace.converged,
-        "iterations": trace.iterations,
-        "power": trace.power,
-        "k_used": trace.k_used,
-        "final_step_mod": float(trace.step_mod[-1]) if rows else None,
-        "final_residual": float(trace.residual[-1]) if rows else None,
-        "fixed_point": None if trace.fixed_point is None else trace.fixed_point.tolist(),
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
 def _same_bits(new: tuple, old: tuple) -> bool:
     """Whether each replayed array holds the stored one's float64 bits."""
     return all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(new, old))
 
 
-def reverify_trace(path, m: ModularLike, T: MapSpec, tol: float, power: int = 1) -> dict:
-    """Replay the solver (`solver._run_picard`) from a stored trace's first
-    row, with the summary's `tol` and `power`, for as many steps as the
-    table has rows after it, and compare. That many steps clip no block
-    before the last and stop on the stored last row, after a convergence, a
-    run out of steps, a divergence or an underflow (a `SolveError`'s trace
-    is compared). Returns `replayed` (the rows, steps, residuals and
-    doubled-orbit modulars equal the stored ones bit for bit) and
-    `converged`, the replay's verdict. A table with no rows is a ValueError
-    naming the file."""
+def reverify_trace(path, m: ModularLike, T: MapSpec, x0, tol: float, power: int = 1) -> dict:
+    """Replay the solver (`solver._run_picard`) from the problem's start
+    point `x0`, with the summary's `tol` and `power`, for as many steps as
+    the table has rows after its first, and compare. That many steps clip
+    no block before the last and stop on the stored last row, after a
+    convergence, a run out of steps, a divergence or an underflow (a
+    `SolveError`'s trace is compared). Returns `replayed` (the rows, x0's
+    row among them, steps, residuals and doubled-orbit modulars equal the
+    stored ones bit for bit) and `converged`, the replay's verdict. A table
+    with no rows is a ValueError naming the file."""
     data = read_trace(path)
     X = data["x"]
     if not len(X):
         raise ValueError(f"{path}: the trace table has no rows")
     try:
-        trace = _run_picard(T, m, X[0], tol, len(X) - 1, power)
+        trace = _run_picard(T, m, x0, tol, len(X) - 1, power)
     except SolveError as err:
         trace = err.trace
     return {
@@ -222,21 +199,22 @@ def reverify_trace(path, m: ModularLike, T: MapSpec, tol: float, power: int = 1)
     }
 
 
-def reverify_certificate(path, m: ModularLike, T: MapSpec, c: float) -> dict:
-    """Replay `build_chain` from a stored certificate's first node and level
-    with the `c` it was built with (the summary's), and compare.
+def reverify_certificate(path, m: ModularLike, T: MapSpec, x0, c: float) -> dict:
+    """Replay `build_chain` from the problem's start point `x0` and a stored
+    certificate's first level, with the `c` it was built with (the
+    summary's), and compare.
 
     Returns the rebuilt verdict (`pairs`, `pair_check`, `all_pass`),
-    `replayed` (the rebuilt rows, levels and slacks equal the stored ones
-    bit for bit), `max_node_slack_diff`, and `scan_pair_check`: the full
+    `replayed` (the rebuilt rows, x0's row among them, levels and slacks
+    equal the stored ones bit for bit), `max_node_slack_diff`, and `scan_pair_check`: the full
     pair scan of the stored rows, which measures the stored points. A table
-    with no rows has no first node: a ValueError naming the file.
+    with no rows has no first level: a ValueError naming the file.
     """
     data = read_certificate(path)
     X, alphas, slacks = data["x"], data["alpha"], data["slack"]
     if not len(X):
         raise ValueError(f"{path}: the certificate table has no rows")
-    cert = build_chain(m, T, X[0], c, float(alphas[0]), len(X) - 1)
+    cert = build_chain(m, T, x0, c, float(alphas[0]), len(X) - 1)
     verdict = {
         "replayed": _same_bits((cert.X, cert.alphas, cert.slacks), (X, alphas, slacks)),
         "max_node_slack_diff": float(np.max(np.abs(cert.slacks - slacks))),

@@ -213,7 +213,7 @@ def test_criterion_9_cli_determinism_and_roundtrip(tmp_path):
     summary = json.loads((tmp_path / "out" / "certificate_summary.json").read_text())
     loaded = load_config(cfg)
     rt = reverify_certificate(tmp_path / "out" / "certificate.npy", loaded.space, loaded.map,
-                              summary["c"])
+                              loaded.initial_point, summary["c"])
     ok &= rt["replayed"] and rt["max_node_slack_diff"] == 0.0
     ok &= (rt["pairs"], rt["all_pass"]) == (summary["pairs"], summary["all_pass"])
     ok &= struct.pack("<d", rt["pair_check"]) == struct.pack("<d", float(summary["pair_check"]))

@@ -72,12 +72,19 @@ def test_non_numeric_matrix_names_key(tmp_path, capsys):
 
 
 def test_missing_map_for_solve_exits_2(tmp_path, capsys):
+    # certificate too; both refuse before the output directory (the file's or --out) is made
     cfg = write_cfg(tmp_path / "c.yaml", {
         "space": {"family": "ppower", "p": 1.0},
         "initial_point": [1.0],
+        "out_dir": str(tmp_path / "out"),
     })
-    assert main(["solve", "--config", cfg]) == 2
-    assert "map" in capsys.readouterr().err
+    for command in ("solve", "certificate"):
+        assert main([command, "--config", cfg]) == 2
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "flag")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == 2 * f"config error: map: required for {command}\n"
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
 
 
 def test_load_config_defaults_and_types(tmp_path):
@@ -617,8 +624,8 @@ def _reverify_solve(out, cfg, power_shift=0):
     power (shifted by `power_shift`)."""
     loaded = load_config(cfg)
     summary = json.loads((out / "solve_summary.json").read_text())
-    return reverify_trace(out / "trace.npy", loaded.space, loaded.map, summary["tol"],
-                          power=summary["power"] + power_shift)
+    return reverify_trace(out / "trace.npy", loaded.space, loaded.map, loaded.initial_point,
+                          summary["tol"], power=summary["power"] + power_shift)
 
 
 def test_trace_roundtrip_reverifies(tmp_path):
@@ -637,7 +644,8 @@ def _assert_certificate_replays(out, cfg):
     replays it bit for bit to the summary's verdict."""
     loaded = load_config(cfg)
     summary = json.loads((out / "certificate_summary.json").read_text())
-    result = reverify_certificate(out / "certificate.npy", loaded.space, loaded.map, summary["c"])
+    result = reverify_certificate(out / "certificate.npy", loaded.space, loaded.map,
+                                  loaded.initial_point, summary["c"])
     assert result["replayed"] and result["max_node_slack_diff"] == 0.0
     assert (result["pairs"], result["all_pass"]) == (summary["pairs"], summary["all_pass"])
     assert _bits(result["pair_check"]) == _bits(summary["pair_check"])
@@ -668,16 +676,30 @@ def _flip_low_bit(path, field, row):
     np.save(path, table)
 
 
-@pytest.mark.parametrize("tamper", ["row", "residual", "power"])
+@pytest.mark.parametrize("tamper", ["row", "row 0", "residual", "power"])
 @pytest.mark.parametrize("name", ["affine_p2", "weighted_logistic"])
 def test_tampered_trace_does_not_replay(tmp_path, name, tamper):
     cfg = str(CONFIGS[0].parent / f"{name}.yaml")
     assert main(["solve", "--config", cfg, "--quiet", "--out", str(tmp_path)]) == 0
     path = tmp_path / "trace.npy"
-    row = len(read_trace(path)["x"]) // 2  # past the first row, which the replay starts from
+    # "row 0" is x0's row: on affine_p2, 0.0 -> 5e-324, which the next step
+    # (0.5 x + 1) rounds away, so only the comparison with x0 sees it
+    row = 0 if tamper == "row 0" else len(read_trace(path)["x"]) // 2
     if tamper != "power":
-        _flip_low_bit(path, "x" if tamper == "row" else tamper, row)
+        _flip_low_bit(path, "x" if tamper.startswith("row") else tamper, row)
     result = _reverify_solve(tmp_path, cfg, power_shift=int(tamper == "power"))
+    assert result["replayed"] is False
+
+
+@pytest.mark.parametrize("name", ["affine_p2", "weighted_logistic"])
+def test_certificate_with_a_tampered_first_row_does_not_replay(tmp_path, name):
+    cfg = str(CONFIGS[0].parent / f"{name}.yaml")
+    assert main(["certificate", "--config", cfg, "--quiet", "--out", str(tmp_path)]) == 0
+    _flip_low_bit(tmp_path / "certificate.npy", "x", 0)
+    loaded = load_config(cfg)
+    summary = json.loads((tmp_path / "certificate_summary.json").read_text())
+    result = reverify_certificate(tmp_path / "certificate.npy", loaded.space, loaded.map,
+                                  loaded.initial_point, summary["c"])
     assert result["replayed"] is False
 
 
@@ -737,6 +759,107 @@ def test_quiet_suppresses_stdout(tmp_path, capsys):
     cfg = half_cfg(tmp_path)
     main(["check", "--config", cfg, "--quiet"])
     assert capsys.readouterr().out == ""
+
+
+
+# --- progress lines, summary keys and the shared preamble ---------------------
+
+# each shipped (subcommand, config) pair at the config's own seed: exit code, stdout
+PROGRESS = {
+    ("check", "affine_p2"): (0, "axioms: ok (10000 trials)\ndoubling constant: 4\nfatou: ok\n"),
+    ("check", "bad_functional"): (1, "axioms: 1152 violation(s) (10000 trials)\n"
+                                     "doubling constant: 2\nfatou: ok\n"),
+    ("check", "half_p1"): (0, "axioms: ok (10000 trials)\ns-convexity (s=1.0): ok\n"
+                              "doubling constant: 2\nfatou: ok\n"),
+    ("check", "orlicz_check"): (0, "axioms: ok (10000 trials)\n"
+                                   "doubling constant: inf (unbounded)\nfatou: ok\n"),
+    ("check", "weighted_logistic"): (0, "axioms: ok (10000 trials)\ndoubling constant: 2\n"
+                                        "fatou: ok\n"),
+    ("solve", "affine_p2"): (0, "solve [power]: converged at n=10 "
+                                "(step=3.27e-11, residual=2.05e-12)\n"),
+    ("solve", "half_p1"): (0, "solve [power]: converged at n=13 "
+                              "(step=1.27e-11, residual=1.59e-12)\n"),
+    ("solve", "weighted_logistic"): (0, "solve [power]: converged at n=16 "
+                                        "(step=3.12e-11, residual=6.55e-12)\n"),
+    ("certificate", "affine_p2"): (0, "certificate: PASS "
+                                      "(alpha=4.00000399, pair=6.94e-18, max=3.47e-18)\n"),
+    ("certificate", "half_p1"): (0, "certificate: PASS "
+                                    "(alpha=1.000001, pair=9.31e-16, max=9.31e-10)\n"),
+    ("certificate", "weighted_logistic"): (0, "certificate: PASS "
+                                              "(alpha=18.5833519, pair=1.76e-08, max=0.0702)\n"),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(PROGRESS),
+                         ids=[f"{c}-{n}" for c, n in sorted(PROGRESS)])
+def test_progress_lines_are_pinned_and_quiet_prints_none(tmp_path, capsys, command, name):
+    code, lines = PROGRESS[command, name]
+    cfg = str(Path(__file__).parents[1] / "configs" / f"{name}.yaml")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "loud")]) == code
+    assert capsys.readouterr().out == lines
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "quiet"), "--quiet"]) == code
+    assert capsys.readouterr().out == ""
+    assert _files(tmp_path / "loud") == _files(tmp_path / "quiet")
+
+
+DIVERGING = {"map": {"kind": "affine", "matrix": [[2.0]], "offset": [0.0]},
+             "solve": {"tol": 1e-10, "max_iter": 5_000}}
+UNBOUNDED = {"space": {"family": "orlicz", "phi": "exp_minus_one", "quadrature_nodes": 1},
+             "initial_point": [1000.0]}
+NO_FACTOR = {"map": {"kind": "affine", "matrix": [[2.0]], "offset": [0.0], "c": 3, "k": 0.5, "s": 1}}
+VANISHES = {"space": {"family": "dead_zone"}, "map": {"kind": "half"}, "initial_point": [0.5]}
+
+FAILURE_LINES = {  # case -> (command, overrides of half_cfg, exit code, stdout)
+    "solve divergence": ("solve", DIVERGING, 1, "solve [picard]: did not converge at n=1023 "
+                                                "(step=4.49e+307, residual=inf)\n"),
+    "false claim": ("solve", {"map": {"kind": "half", "c": 0.1}}, 0,
+                    "warning: claimed factor c = 0.1 violated (max observed ratio 0.5)\n"
+                    "solve [power]: converged at n=13 (step=1.27e-11, residual=1.59e-12)\n"),
+    "unbounded orbit": ("certificate", UNBOUNDED, 1, "certificate: unbounded orbit "
+                                                     "(rho(omega - T^2 omega) is infinite)\n"),
+    "no factor below 1": ("certificate", NO_FACTOR, 1,
+                          "warning: scaled form (c, k, s) = (3.0, 0.5, 1.0) violated\n"
+                          "certificate: no contraction factor below 1 (empirical 2)\n"),
+    "vanishing modular": ("certificate", VANISHES, 1,
+                          "certificate: invalid modular (rho(x_n - x_N) = 0 at node n = 0, a "
+                          "nonzero difference: rho vanishes off zero or underflowed)\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_LINES))
+def test_failure_lines_are_pinned(tmp_path, capsys, case):
+    command, overrides, code, lines = FAILURE_LINES[case]
+    assert main([command, "--config", half_cfg(tmp_path, **overrides)]) == code
+    assert capsys.readouterr().out == lines
+
+
+SOLVE_KEYS = ["converged", "iterations", "power", "k_used", "final_step_mod", "final_residual",
+              "fixed_point", "c_claimed", "scaled_form", "c_effective", "c_empirical",
+              "contraction_violations", "solver", "tol", "seed"]
+FAILED_CERTIFICATE_KEYS = ["all_pass", "error", "c_empirical", "scaled_form", "seed"]
+
+SUMMARY_KEYS = {  # case -> (command, overrides of half_cfg, file, its keys in order)
+    "solve converged": ("solve", {}, "solve_summary.json", SOLVE_KEYS),
+    "solve diverged": ("solve", DIVERGING, "solve_summary.json", SOLVE_KEYS + ["error"]),
+    "certificate pass": ("certificate", {}, "certificate_summary.json", [
+        "alpha", "c", "c_certified", "N", "pairs", "pair_check", "max_check", "all_pass",
+        "worst_pair", "worst_node", "orbit_sup", "orbit_stabilized", "scaled_form",
+        "limit_candidate", "cauchy_modulus", "seed"]),
+    "certificate, no factor": ("certificate", NO_FACTOR, "certificate_summary.json",
+                               FAILED_CERTIFICATE_KEYS),
+    "certificate, unbounded orbit": ("certificate", UNBOUNDED, "certificate_summary.json",
+                                     FAILED_CERTIFICATE_KEYS),
+    "delta2 estimate": ("check", {}, "report_delta2.json",
+                        ["checker", "constant", "unbounded"]),
+    "delta2 invalid modular": ("check", VANISHES, "report_delta2.json", ["checker", "error"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_KEYS))
+def test_summary_keys_are_pinned_in_order(tmp_path, case):
+    command, overrides, name, keys = SUMMARY_KEYS[case]
+    main([command, "--config", half_cfg(tmp_path, **overrides), "--quiet"])
+    assert list(json.loads((tmp_path / "out" / name).read_text())) == keys
 
 
 # --- fuzzed problem files -----------------------------------------------------

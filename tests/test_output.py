@@ -164,12 +164,12 @@ def test_reverify_written_traces_is_exact(tmp_path):
     }
     for name, (trace, m, T, tol, converged) in runs.items():
         write_trace(tmp_path / f"{name}.npy", trace)
-        assert reverify_trace(tmp_path / f"{name}.npy", m, T, tol) == {
+        assert reverify_trace(tmp_path / f"{name}.npy", m, T, trace.X[0], tol) == {
             "replayed": True, "converged": converged}, name
     # a hand-built record is no run of the map
     write_trace(tmp_path / "hand.npy", _extremes())
     assert not reverify_trace(tmp_path / "hand.npy", ModularSpec.p_power(1.0, 3), MapSpec.half(),
-                              1e-10)["replayed"]
+                              EXTREMES, 1e-10)["replayed"]
 
 
 def _certificates():
@@ -291,10 +291,12 @@ FIELDS = {"trace": ("step_mod", "residual", "doubled_orbit", "x"), "certificate"
 READERS = {  # name -> (the call on a path, the record it reads)
     "read_trace": (read_trace, "trace"),
     "reverify_trace": (lambda path: reverify_trace(path, ModularSpec.p_power(2.0, 4),
-                                                   MapSpec.logistic_damped(0.5), 1e-12), "trace"),
+                                                   MapSpec.logistic_damped(0.5),
+                                                   [1.0, -0.5, 0.25, 3.0], 1e-12), "trace"),
     "read_certificate": (read_certificate, "certificate"),
     "reverify_certificate": (lambda path: reverify_certificate(path, ModularSpec.p_power(1.0, 3),
-                                                               MapSpec.half(), 0.5), "certificate"),
+                                                               MapSpec.half(), [1.0, -2.0, 0.5],
+                                                               0.5), "certificate"),
 }
 
 
@@ -329,7 +331,8 @@ def test_reverify_certificate_of_a_table_with_no_rows_names_the_file(tmp_path):
     np.save(path, np.empty(0, [("alpha", "<f8"), ("slack", "<f8"), ("x", "<f8", (3,))]))
     assert len(read_certificate(path)["x"]) == 0
     with pytest.raises(ValueError, match=re.escape(f"{path}: the certificate table has no rows")):
-        reverify_certificate(path, ModularSpec.p_power(1.0, 3), MapSpec.half(), 0.5)
+        reverify_certificate(path, ModularSpec.p_power(1.0, 3), MapSpec.half(), [1.0, 2.0, 3.0],
+                             0.5)
 
 
 def test_reverify_trace_of_a_table_with_no_rows_names_the_file(tmp_path):
@@ -338,4 +341,4 @@ def test_reverify_trace_of_a_table_with_no_rows_names_the_file(tmp_path):
     write_trace(path, _trace(np.empty((0, 3)), [], [], []))
     assert len(read_trace(path)["x"]) == 0
     with pytest.raises(ValueError, match=re.escape(f"{path}: the trace table has no rows")):
-        reverify_trace(path, ModularSpec.p_power(1.0, 3), MapSpec.half(), 1e-10)
+        reverify_trace(path, ModularSpec.p_power(1.0, 3), MapSpec.half(), [1.0, 2.0, 3.0], 1e-10)

@@ -9,8 +9,8 @@ partial trace. The first block has 8 rows; each later one is sized from
 the decay of the residuals before it, so the tests read the boundaries off
 the schedule that `MapSpec.orbit` records, and stop runs on a block's last
 row and on the next block's first row. A run replayed from its first row
-for as many steps as it recorded gives the same trace bit for bit, which
-is what `output.reverify_trace` checks a stored trace by.
+(its start point x0) for as many steps as it recorded gives the same trace
+bit for bit, which is what `output.reverify_trace` checks a stored trace by.
 """
 
 import math

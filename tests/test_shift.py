@@ -67,7 +67,8 @@ def _assert_replays(out: Path, cfg: Path) -> None:
     """The audit of a `certificate` run's record reaches its summary's verdict bit for bit."""
     loaded = load_config(cfg)
     summary = json.loads((out / "certificate_summary.json").read_text())
-    audit = reverify_certificate(out / "certificate.npy", loaded.space, loaded.map, summary["c"])
+    audit = reverify_certificate(out / "certificate.npy", loaded.space, loaded.map,
+                                 loaded.initial_point, summary["c"])
     assert audit["replayed"] and audit["max_node_slack_diff"] == 0.0
     assert (audit["pairs"], audit["all_pass"]) == (summary["pairs"], summary["all_pass"])
     assert _bits(audit["pair_check"]) == _bits(summary["pair_check"])
@@ -136,7 +137,7 @@ def test_shift_passes_the_case_the_scan_fails_on_rounding(tmp_path):
     # the audit replays the proof and passes with its bits; the scan of the
     # stored rows, reported apart, reads the noise near the fixed point
     write_certificate(tmp_path / "certificate.npy", cert)
-    audit = reverify_certificate(tmp_path / "certificate.npy", m, T, c)
+    audit = reverify_certificate(tmp_path / "certificate.npy", m, T, omega, c)
     assert audit["replayed"] and audit["max_node_slack_diff"] == 0.0
     assert audit["pairs"] == "shift" and audit["all_pass"]
     assert _bits(audit["pair_check"]) == _bits(cert.pair_check)
@@ -213,7 +214,7 @@ def test_the_audit_replays_the_builders_verdict(chain):
     cert = build_chain(m, T, omega, c, None, N)
     with tempfile.TemporaryDirectory() as tmp:
         write_certificate(Path(tmp) / "certificate.npy", cert)
-        audit = reverify_certificate(Path(tmp) / "certificate.npy", m, T, c)
+        audit = reverify_certificate(Path(tmp) / "certificate.npy", m, T, omega, c)
     assert audit["replayed"] and audit["max_node_slack_diff"] == 0.0
     assert (audit["pairs"], audit["all_pass"]) == (cert.pairs, cert.all_pass)
     assert _bits(audit["pair_check"]) == _bits(cert.pair_check)
@@ -223,12 +224,12 @@ def test_the_audit_replays_the_builders_verdict(chain):
 @pytest.mark.parametrize("field", ["x", "alpha", "slack"])
 @pytest.mark.parametrize("row", [0, 15, 30])
 def test_a_tampered_table_does_not_replay(tmp_path, field, row):
-    m, T, c = ModularSpec.p_power(1.0, 2), MapSpec.half(), 0.5
+    m, T, omega, c = ModularSpec.p_power(1.0, 2), MapSpec.half(), [1.0, -2.0], 0.5
     path = tmp_path / "certificate.npy"
-    write_certificate(path, build_chain(m, T, [1.0, -2.0], c, None, 30))
-    assert reverify_certificate(path, m, T, c)["replayed"]
+    write_certificate(path, build_chain(m, T, omega, c, None, 30))
+    assert reverify_certificate(path, m, T, omega, c)["replayed"]
     table = np.load(path)
     column = table["x"][:, 0] if field == "x" else table[field]  # views into the table
     column[row] = np.nextafter(column[row], np.inf)  # one ulp
     np.save(path, table)
-    assert not reverify_certificate(path, m, T, c)["replayed"]
+    assert not reverify_certificate(path, m, T, omega, c)["replayed"]
