@@ -206,9 +206,10 @@ def reverify_certificate(path, m: ModularLike, T: MapSpec, x0, c: float) -> dict
 
     Returns the rebuilt verdict (`pairs`, `pair_check`, `all_pass`),
     `replayed` (the rebuilt rows, x0's row among them, levels and slacks
-    equal the stored ones bit for bit), `max_node_slack_diff`, and `scan_pair_check`: the full
-    pair scan of the stored rows, which measures the stored points. A table
-    with no rows has no first level: a ValueError naming the file.
+    equal the stored ones bit for bit), `max_node_slack_diff`, and
+    `scan_pair_check`: the full pair scan of the stored rows, which
+    measures the stored points. A table with no rows has no first level: a
+    ValueError naming the file.
     """
     data = read_certificate(path)
     X, alphas, slacks = data["x"], data["alpha"], data["slack"]

@@ -806,7 +806,8 @@ DIVERGING = {"map": {"kind": "affine", "matrix": [[2.0]], "offset": [0.0]},
              "solve": {"tol": 1e-10, "max_iter": 5_000}}
 UNBOUNDED = {"space": {"family": "orlicz", "phi": "exp_minus_one", "quadrature_nodes": 1},
              "initial_point": [1000.0]}
-NO_FACTOR = {"map": {"kind": "affine", "matrix": [[2.0]], "offset": [0.0], "c": 3, "k": 0.5, "s": 1}}
+NO_FACTOR = {"map": {"kind": "affine", "matrix": [[2.0]], "offset": [0.0],
+                     "c": 3, "k": 0.5, "s": 1}}
 VANISHES = {"space": {"family": "dead_zone"}, "map": {"kind": "half"}, "initial_point": [0.5]}
 
 FAILURE_LINES = {  # case -> (command, overrides of half_cfg, exit code, stdout)
