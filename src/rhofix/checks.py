@@ -28,7 +28,6 @@ from .modular import (
     NamedFunctional,
     Phi,
     as_point,
-    slack_tol,
 )
 
 __all__ = [
@@ -495,15 +494,20 @@ def check_fatou_sampled(
     gap = xa - ya
     lhs = m.evaluate(gap)
     rep = AxiomReport(trials=len(directions))
+    if not directions:
+        return rep
+    UV = np.array([(as_point(u, xa.size), as_point(v, xa.size)) for u, v in directions])
+    U, V = UV[:, 0], UV[:, 1]
     powers = ratio ** np.arange(1, steps + 1)
     tail = math.ceil(steps / 2)
-    for u, v in directions:
-        ua = as_point(u, xa.size)
-        va = as_point(v, xa.size)
-        seq = m._evaluate_owned(gap + powers[:, None] * (ua - va))
-        liminf_proxy = float(np.min(seq[-tail:]))
-        if lhs > liminf_proxy + slack_tol(lhs, liminf_proxy):
-            rep.record("fatou", (ua, va), (ratio, float(steps)), lhs, liminf_proxy)
+    # every direction's sequence in one (directions * steps, d) batch: row
+    # (j, n) is gap + ratio**n (u_j - v_j), the same operations per entry
+    seqs = gap + powers[:, None] * (U - V)[:, None, :]
+    mods = m._evaluate_owned(seqs.reshape(-1, xa.size)).reshape(len(directions), steps)
+    liminf_proxy = np.min(mods[:, -tail:], axis=1)  # one per direction
+    lhs = np.full(liminf_proxy.shape, lhs)
+    i = _ineq_violations(lhs, liminf_proxy)
+    rep.record_rows("fatou", (U[i], V[i]), (ratio, float(steps)), lhs[i], liminf_proxy[i])
     return rep
 
 

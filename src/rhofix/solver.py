@@ -10,9 +10,10 @@ kernel); each block's modulars are then one batch call, evaluated in place
 over the rows X[1:] - X[:-1] (residuals and steps alike) and 2 X. The first
 block has 8 rows. Each later one is sized from the geometric decay of the
 residuals over the block before: the rows left until tol, plus a small
-margin, within 8..256 rows; it doubles instead while they do not decay.
-Each block's kept rows are copied into one record as the run goes: the rows
-`X` and one float column per modular.
+margin; it doubles instead while they do not decay. It holds at least 8
+rows and at most max(256, 65,536 // d), so no block has more entries than
+256 rows at d = 256. Each block's kept rows are copied into one record as
+the run goes: the rows `X` and one float column per modular.
 
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
@@ -230,8 +231,9 @@ class MapSpec:
             if folded:
                 sign = np.copysign(1.0, y)
                 y = np.multiply(sign, y, t)  # the folded first row; X[0] keeps x's bits
+            inner = range(power - 1)  # bound once: a row makes no range of its own
             for out in rows:
-                for _ in range(power - 1):
+                for _ in inner:
                     step(y, s)
                     y, s, t = s, t, s
                 step(y, out)
@@ -359,15 +361,21 @@ def verify_s_contraction(
     return _ratio_check(T, m, c, k**s, sampler, trials, "s_contraction", (c, k, s))
 
 
-_BLOCK_MIN, _BLOCK_MAX = 8, 256  # rows per Picard orbit block
+_BLOCK_MIN, _BLOCK_MAX, _BLOCK_VALUES = 8, 256, 65_536  # Picard orbit block rows, entries
 
 
-def _block_size(res: np.ndarray, tol: float) -> int:
+def _block_cap(d: int) -> int:
+    """The most rows of an orbit block of width d: _BLOCK_MAX, or as many as
+    hold _BLOCK_VALUES entries (256 rows at d = 256) where that is more."""
+    return max(_BLOCK_MAX, _BLOCK_VALUES // d)
+
+
+def _block_size(res: np.ndarray, tol: float, cap: int) -> int:
     """Rows for the next orbit block, from the last block's residuals `res`.
     While they decay, their mean geometric rate gives the rows left until
     step and residual reach tol, and the block is those rows plus a margin
     of 1/16 and one row. Otherwise the block doubles. Either way it stays
-    within _BLOCK_MIN.._BLOCK_MAX."""
+    within _BLOCK_MIN..cap (`_block_cap` of the orbit's width)."""
     first, last = float(res[0]), float(res[-1])
     if 0.0 < last < first < INF:
         rate = (math.log(last) - math.log(first)) / (len(res) - 1)  # log decay per row
@@ -375,13 +383,19 @@ def _block_size(res: np.ndarray, tol: float) -> int:
             # the next block's row i has step modular last * e**(rate i), so it
             # stops at the first i where that is <= tol and must map rows 0..i
             need = math.ceil(max(0.0, (math.log(tol) - math.log(last)) / rate)) + 1
-            return min(max(need + need // 16 + 1, _BLOCK_MIN), _BLOCK_MAX)
-    return min(2 * len(res), _BLOCK_MAX)
+            return min(max(need + need // 16 + 1, _BLOCK_MIN), cap)
+    return min(2 * len(res), cap)
 
 
 def _run_picard(
     T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int, power: int
 ) -> IterationTrace:
+    """Picard on T^power from x0, for `picard_solve`, `solve_via_power` and
+    `output.reverify_trace`. The orbit is walked in `MapSpec.orbit` blocks,
+    8 rows first, then `_block_size` rows up to `_block_cap(d)`. A block is
+    tested for finite entries as a whole, its steps and doubled rows are one
+    modular call, and its kept rows join the record. A trace row depends only
+    on the rows before it, so block sizes change no bit, stop or error."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 0:
@@ -390,15 +404,16 @@ def _run_picard(
     x = as_point(x0, _map_dim(T, m, x0))
     # the rows X and their step, residual and doubled-orbit columns, grown block by block
     record, error = [np.empty((0, x.size)), np.empty(0), np.empty(0), np.empty(0)], None
-    n, step, size = 0, math.nan, _BLOCK_MIN
+    n, step, size, cap = 0, math.nan, _BLOCK_MIN, _block_cap(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= max_iter:
             # X[i] = x_{n+i}; X[rows] starts the next block. Row i's residual
             # rho(X[i+1] - X[i]) is row i+1's step; a non-finite image gives +inf
             rows = min(size, max_iter + 1 - n)
             X = T.orbit(x, rows, power)
-            left = np.flatnonzero(~np.isfinite(X).all(axis=1))
-            fin = int(left[0]) if left.size else rows + 1  # leading rows in the space
+            fin = rows + 1  # leading rows in the space
+            if not np.isfinite(X).all():  # the first row with a non-finite entry
+                fin = int(np.argmin(np.isfinite(X).all(axis=1)))
             res = np.full(min(rows, fin), INF)
             # one modular call: the fin - 1 steps, then the rows of res doubled,
             # in one array that is freed before `_append` (see there)
@@ -421,7 +436,7 @@ def _run_picard(
             if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
                 error = DivergenceError(f"non-finite iterate at step {n + fin}")
                 break
-            n, x, step, size = n + rows, X[rows], float(res[-1]), _block_size(res, tol)
+            n, x, step, size = n + rows, X[rows], float(res[-1]), _block_size(res, tol, cap)
     trace = IterationTrace(*record, power=power)
     if error is not None:
         error.trace = trace
@@ -440,14 +455,10 @@ def _underflows(X: np.ndarray, before: np.ndarray, step: float, res: float) -> b
 
 
 def _append(record: list[np.ndarray], block: tuple[np.ndarray, ...]) -> None:
-    """Append a block's rows to the record arrays, in place. `resize`
-    reallocs: an mmapped buffer is remapped and a heap buffer extends into
-    free space above it, neither copied; else glibc copies a heap record
-    past its mmap threshold into a new mapping and keeps the old pages
-    (3 MB at d = 256). So the block's scratch is freed first, leaving that
-    space at the heap top. Growing by more than the block would commit the
-    slack too, since `resize` zero-fills it. No view of a record array may
-    exist while it grows (hence refcheck=False)."""
+    """Append a block's rows to the record arrays, in place, by exactly the
+    block (README "Performance notes": why `resize`, and why the block's
+    scratch is freed first). No view of a record array may exist while it
+    grows (hence refcheck=False)."""
     for a, part in zip(record, block):
         n = len(a)
         a.resize((n + len(part), *a.shape[1:]), refcheck=False)

@@ -471,6 +471,69 @@ def test_fatou_catches_planted_jump():
     assert rep.violations[0].axiom == "fatou"
 
 
+def _reference_fatou(m, x, y, ratio, steps, directions):
+    """The per-direction loop `check_fatou_sampled` ran before it batched
+    its sequences: one modular call per direction."""
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    gap = xa - ya
+    lhs = m.evaluate(gap)
+    rep = AxiomReport(trials=len(directions))
+    powers = ratio ** np.arange(1, steps + 1)
+    tail = math.ceil(steps / 2)
+    for u, v in directions:
+        ua, va = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        seq = m._evaluate_owned(gap + powers[:, None] * (ua - va))
+        liminf_proxy = float(np.min(seq[-tail:]))
+        if lhs > liminf_proxy + slack_tol(lhs, liminf_proxy):
+            rep.record("fatou", (ua, va), (ratio, float(steps)), lhs, liminf_proxy)
+    return rep
+
+
+def _assert_same_report(got: AxiomReport, want: AxiomReport):
+    assert (got.trials, got.n_violations, got.axiom_counts) == (
+        want.trials, want.n_violations, want.axiom_counts)
+    assert _bits(got.max_slack_violation) == _bits(want.max_slack_violation)
+    assert _bits(got.max_ratio) == _bits(want.max_ratio)
+    assert len(got.violations) == len(want.violations)
+    for g, w in zip(got.violations, want.violations):
+        assert g.axiom == w.axiom and len(g.points) == len(w.points)
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(g.points, w.points))
+        assert np.array_equal(_bits(g.scalars), _bits(w.scalars))
+        assert np.array_equal(_bits([g.lhs, g.rhs, g.slack]), _bits([w.lhs, w.rhs, w.slack]))
+
+
+def _heavy_core_batch(x):
+    # rho jumps up at |u| = 1, as in `test_fatou_catches_planted_jump`
+    u = np.abs(np.asarray(x, dtype=float)[..., 0])
+    return np.where(u <= 1.0, 2.0 * u, u)
+
+
+@pytest.mark.parametrize("m", VALID + [
+    NamedFunctional("l1-batched", lambda a: np.sum(np.abs(a), axis=-1), dim=3, batched=True),
+    NamedFunctional("heavy_core-batched", _heavy_core_batch, dim=1, batched=True),
+], ids=lambda m: getattr(m, "name", None) or f"{m.family.value}-{m.phi or m.p}")
+def test_fatou_batch_matches_the_per_direction_loop(m):
+    # sampled directions, their negatives (sequences from below, which the
+    # tail undershoots) and zero: passing and violating rows in one batch
+    s = PointSampler(m.dim, seed=23)
+    x, y = s.point(), s.point()
+    if m.dim == 1:
+        x, y = np.array([1.0]), np.array([0.0])  # the planted jump's limit
+    dirs = [(s.point(), s.point()) for _ in range(6)]
+    dirs += [(-u, -v) for u, v in dirs] + [(np.zeros(m.dim), np.zeros(m.dim))]
+    dirs += [(x - y, np.zeros(m.dim)), (y - x, np.zeros(m.dim))]
+    for ratio, steps in ((0.5, 20), (0.9, 7), (0.25, 1)):
+        want = _reference_fatou(m, x, y, ratio, steps, dirs)
+        got = check_fatou_sampled(m, x, y, ratio, steps, directions=dirs)
+        _assert_same_report(got, want)
+    assert not check_fatou_sampled(m, x, y, 0.5, 20, directions=dirs).passed
+
+
+def test_fatou_with_no_directions_evaluates_no_sequence():
+    rep = check_fatou_sampled(VALID[0], np.ones(3), np.zeros(3), 0.5, 10, directions=[])
+    assert rep.passed and rep.trials == 0
+
+
 def test_fatou_validates_ratio():
     with pytest.raises(ValueError):
         check_fatou_sampled(VALID[0], np.ones(3), np.zeros(3), 1.0, 10,

@@ -14,6 +14,7 @@ bit for bit, which is what `output.reverify_trace` checks a stored trace by.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from rhofix import (
     power_index,
     solve_via_power,
 )
+from rhofix import solver
 from rhofix.modular import INF, as_point
 from rhofix.solver import _BLOCK_MIN, MapKind, _run_picard
 
@@ -281,6 +283,33 @@ def test_replay_from_the_first_row_reproduces_the_trace(problem, power, max_iter
     assert_same((replay, run[1]), run)
 
 
+# block caps to run a solve under: 8 rows (every block the first block's
+# size), the old fixed 256 rows, and the entry budget as shipped
+BLOCK_CAPS = {
+    "8 rows": {"_BLOCK_MAX": 8, "_BLOCK_VALUES": 0},
+    "256 rows": {"_BLOCK_MAX": 256, "_BLOCK_VALUES": 0},
+    "budget": {"_BLOCK_MAX": solver._BLOCK_MAX, "_BLOCK_VALUES": solver._BLOCK_VALUES},
+}
+
+
+@given(problem=_replay_problems(), power=st.integers(1, 3),
+       # long runs as often as short ones: a budget-sized block needs hundreds of rows
+       max_iter=st.sampled_from([0, 1, 8, 9]) | st.integers(10, 2_000) | st.integers(257, 2_000),
+       tol=st.sampled_from([1e-10, 1e-14, 1e-300]) | st.floats(1e-300, 1.0))
+def test_trace_bits_do_not_depend_on_the_block_cap(problem, power, max_iter, tol):
+    """A trace row depends only on the rows before it, so a run gives the
+    same trace bit for bit, and the same error, whatever cap its blocks
+    have: the stop, a divergence, an underflow and running out of steps
+    fall on a row, not on a block."""
+    T, m, x0 = problem
+    runs = {}
+    for name, caps in BLOCK_CAPS.items():
+        with mock.patch.multiple(solver, **caps):
+            runs[name] = _outcome(_run_picard, T, m, x0, tol, max_iter, power)
+    for name in ("8 rows", "256 rows"):
+        assert_same(runs[name], runs["budget"])
+
+
 def _recorded_blocks(monkeypatch) -> list[int]:
     """A list that collects the rows of every `MapSpec.orbit` call from now on."""
     blocks, orbit = [], MapSpec.orbit
@@ -295,7 +324,10 @@ def _recorded_blocks(monkeypatch) -> list[int]:
 
 def _stops_at_recorded_boundaries(monkeypatch, run, probe_n):
     """Stop `run(n)` (a (got, want) pair that stops at row n) on each block's
-    last row and the next block's first row, as recorded in a run to probe_n."""
+    last row and the next block's first row, as recorded in a run to probe_n.
+    The runs are one wide, where the entry budget would size one block to
+    the stop, so the budget is patched to cap their blocks at 256 rows."""
+    monkeypatch.setattr(solver, "_BLOCK_VALUES", 256)
     blocks = _recorded_blocks(monkeypatch)
     run(probe_n)
     last_rows = np.cumsum(blocks)[:-1] - 1
@@ -327,7 +359,8 @@ def test_power_path_convergence_at_recorded_block_boundaries(monkeypatch):
 def test_blocks_map_few_rows_past_the_stop(monkeypatch, power):
     # a slow solve of thousands of rows: lam = 0.995 at d = 16 under p = 1,
     # plain or on T^2 (c = lam / 2 with k = 2). Sized blocks stop near the
-    # stopping row; a last block of 256 rows can overshoot by up to 255
+    # stopping row; a last block at the cap (4,096 rows at d = 16) could
+    # overshoot by thousands
     T, m = MapSpec.logistic_damped(0.995), ModularSpec.p_power(1.0, 16)
     x0 = np.random.default_rng(1).uniform(-1.0, 1.0, 16)
     blocks = _recorded_blocks(monkeypatch)
