@@ -72,15 +72,15 @@ class ChainCertificate:
     `orbit_stabilized` are the orbit-boundedness figure (see
     `_orbit_bound`), read off the same orbit the chain is built on.
     `pairs` says how the pairs were checked, "shift" (proved from the
-    certified factor `c_certified`) or "scan" (every pair evaluated);
-    `slacks` holds the per-node slacks of the maximum-element check. `X`
-    is a slice of the orbit, not a copy; `omega`, `alpha` and
-    `limit_candidate` read `X[0]`, `alphas[0]` and `X[-1]`.
+    certified factor `c_certified`) or "scan" (every pair evaluated). The
+    nodes are one `table` row each, laid out as `dtype(d)`; `alphas`,
+    `slacks` (of the maximum-element check) and `X` are views of its
+    fields, as the trace's are, and `omega`, `alpha` and `limit_candidate`
+    read `X[0]`, `alphas[0]` and `X[-1]`.
     """
 
     c: float
-    X: np.ndarray       # rows T^n omega, n = 0..N
-    alphas: np.ndarray  # levels c**n alpha
+    table: np.ndarray
     pair_check: float = math.nan
     max_check: float = math.nan
     all_pass: bool = False
@@ -90,7 +90,15 @@ class ChainCertificate:
     orbit_stabilized: bool = False
     pairs: str | None = None
     c_certified: float | None = None
-    slacks: np.ndarray | None = None
+
+    alphas = property(lambda self: self.table["alpha"])  # levels c**n alpha
+    slacks = property(lambda self: self.table["slack"])  # alpha_n - rho(x_n - x_N)
+    X = property(lambda self: self.table["x"])  # rows T^n omega, n = 0..N
+
+    @staticmethod
+    def dtype(d: int) -> np.dtype:
+        """A node row: its level and slack, then x_n's d coordinates."""
+        return np.dtype([("alpha", "<f8"), ("slack", "<f8"), ("x", "<f8", (d,))])
 
     @property
     def omega(self) -> np.ndarray:
@@ -106,7 +114,7 @@ class ChainCertificate:
 
     @property
     def length(self) -> int:
-        return len(self.X) - 1
+        return len(self.table) - 1
 
 
 class SlackCheck(NamedTuple):
@@ -160,7 +168,8 @@ def build_chain(
     """Materialize the chain of length N and verify its order inequalities.
 
     The orbit is computed once, max(2, N) steps long; an orbit that leaves
-    the space within those steps raises UnboundedOrbitError. With `alpha`
+    the space within those steps raises UnboundedOrbitError; the table
+    keeps a copy of its first N + 1 rows. With `alpha`
     None the level is the least admissible one over n = 1..max(1, N),
     (1 + ALPHA_MARGIN) * max_n rho(omega - T^n omega) / (1 - c**n), so
     the order inequalities with omega hold strictly; an already fixed base
@@ -211,15 +220,17 @@ def build_chain(
     powers = np.array([c**n for n in range(max(1, N) + 1)], dtype=float)  # N = 0 reads c**1
     if alpha is None:
         alpha = _admissible_alpha(r, powers[1:])
-    cert = ChainCertificate(float(c), xs[: N + 1], powers[: N + 1] * alpha)
+    cert = ChainCertificate(float(c), np.empty(N + 1, ChainCertificate.dtype(xs.shape[1])))
+    cert.alphas[:], cert.X[:] = powers[: N + 1] * alpha, xs[: N + 1]
     diffs = cert.X - cert.limit_candidate
     node_mods = m.evaluate_batch(diffs)
     vanished = np.flatnonzero((node_mods == 0.0) & np.any(diffs != 0.0, axis=1))
     if vanished.size:
         raise InvalidModularError(f"rho(x_n - x_N) = 0 at node n = {vanished[0]}, a nonzero "
                                   "difference: rho vanishes off zero or underflowed")
-    cert.slacks = cert.alphas - node_mods
+    cert.slacks[:] = cert.alphas - node_mods
     cert.orbit_sup, cert.orbit_stabilized = _orbit_bound(m, xs)
+    del xs  # the table holds its own copy of the nodes
     pair = None
     if certified is not None:
         cert.c_certified = certified[0]

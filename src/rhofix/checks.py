@@ -480,30 +480,33 @@ def check_fatou_sampled(
         raise ValueError("steps must be >= 1")
     xa = as_point(x, m.dim)
     ya = as_point(y, xa.size)
-    if directions is None:
-        if sampler is None:
-            raise ValueError("either directions or a sampler is required")
-        directions = []
-        gap_signs = np.sign(xa - ya)
-        for _ in range(_FATOU_DIRECTIONS):
-            v = sampler.point()
-            w = sampler.point()
-            aligned = np.where(gap_signs != 0.0, gap_signs * np.abs(w), w)
-            directions.append((v + aligned, v))
-
     gap = xa - ya
+    if directions is not None:
+        UV = np.array([(as_point(u, xa.size), as_point(v, xa.size)) for u, v in directions])
+        U, V = UV.reshape(len(directions), 2, xa.size).transpose(1, 0, 2)
+    elif sampler is None:
+        raise ValueError("either directions or a sampler is required")
+    elif sampler.dim != xa.size:
+        raise DimensionMismatch(f"expected a point of dim {xa.size}, got dim {sampler.dim}")
+    else:
+        # the sampler's own rows, finite and of the point's width: written as drawn
+        U, V = np.empty((2, _FATOU_DIRECTIONS, xa.size))
+        gap_signs = np.sign(gap)
+        for u, v in zip(U, V):
+            v[:] = sampler.point()
+            w = sampler.point()
+            np.add(v, np.where(gap_signs != 0.0, gap_signs * np.abs(w), w), out=u)
+
     lhs = m.evaluate(gap)
-    rep = AxiomReport(trials=len(directions))
-    if not directions:
+    rep = AxiomReport(trials=len(U))
+    if not len(U):
         return rep
-    UV = np.array([(as_point(u, xa.size), as_point(v, xa.size)) for u, v in directions])
-    U, V = UV[:, 0], UV[:, 1]
     powers = ratio ** np.arange(1, steps + 1)
     tail = math.ceil(steps / 2)
     # every direction's sequence in one (directions * steps, d) batch: row
     # (j, n) is gap + ratio**n (u_j - v_j), the same operations per entry
     seqs = gap + powers[:, None] * (U - V)[:, None, :]
-    mods = m._evaluate_owned(seqs.reshape(-1, xa.size)).reshape(len(directions), steps)
+    mods = m._evaluate_owned(seqs.reshape(-1, xa.size)).reshape(len(U), steps)
     liminf_proxy = np.min(mods[:, -tail:], axis=1)  # one per direction
     lhs = np.full(liminf_proxy.shape, lhs)
     i = _ineq_violations(lhs, liminf_proxy)

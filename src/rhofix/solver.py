@@ -12,8 +12,8 @@ block has 8 rows. Each later one is sized from the geometric decay of the
 residuals over the block before: the rows left until tol, plus a small
 margin; it doubles instead while they do not decay. It holds at least 8
 rows and at most max(256, 65,536 // d), so no block has more entries than
-256 rows at d = 256. Each block's kept rows are copied into one record as
-the run goes: the rows `X` and one float column per modular.
+256 rows at d = 256. Each block's kept rows join the trace's table, the
+one `output.write_trace` saves, as the run goes (`IterationTrace.dtype`).
 
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
@@ -252,20 +252,30 @@ class MapSpec:
 
 @dataclass
 class IterationTrace:
-    """Full record of one Picard run: the iterates as rows of `X`, one column per modular."""
+    """Full record of one Picard run: one `table` row per iterate x_n, laid
+    out as `dtype(d)`. `X` and the modulars are views of its fields, read
+    through properties, so none of them can be reassigned."""
 
-    X: np.ndarray              # (rows, d)
-    step_mod: np.ndarray       # rho(x_n - x_{n-1}); nan at n = 0
-    residual: np.ndarray       # rho(T x_n - x_n)
-    doubled_orbit: np.ndarray  # rho(2 x_n)
+    table: np.ndarray
     converged: bool = False
     fixed_point: np.ndarray | None = None
     power: int = 1              # the composite T^power the engine stepped
     k_used: float | None = None  # doubling constant behind the power choice
 
+    step_mod = property(lambda self: self.table["step_mod"])  # rho(x_n - x_{n-1}); nan at n = 0
+    residual = property(lambda self: self.table["residual"])  # rho(T x_n - x_n)
+    doubled_orbit = property(lambda self: self.table["doubled_orbit"])  # rho(2 x_n)
+    X = property(lambda self: self.table["x"])  # (rows, d) iterates
+
+    @staticmethod
+    def dtype(d: int) -> np.dtype:
+        """A trace row: its three modulars, then x_n's d coordinates."""
+        return np.dtype([("step_mod", "<f8"), ("residual", "<f8"), ("doubled_orbit", "<f8"),
+                         ("x", "<f8", (d,))])
+
     @property
     def iterations(self) -> int:
-        return len(self.X) - 1
+        return len(self.table) - 1
 
 
 def _map_dim(T: MapSpec, m: ModularLike, x0) -> int:
@@ -394,16 +404,17 @@ def _run_picard(
     `output.reverify_trace`. The orbit is walked in `MapSpec.orbit` blocks,
     8 rows first, then `_block_size` rows up to `_block_cap(d)`. A block is
     tested for finite entries as a whole, its steps and doubled rows are one
-    modular call, and its kept rows join the record. A trace row depends only
+    modular call, and its kept rows join the trace table. A trace row depends only
     on the rows before it, so block sizes change no bit, stop or error."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
+    if power < 1:  # T^0 fixes every point, so any x0 would pass as converged
+        raise ValueError("power must be >= 1")
     rho = m._evaluate_owned
     x = as_point(x0, _map_dim(T, m, x0))
-    # the rows X and their step, residual and doubled-orbit columns, grown block by block
-    record, error = [np.empty((0, x.size)), np.empty(0), np.empty(0), np.empty(0)], None
+    table, error = np.empty(0, IterationTrace.dtype(x.size)), None  # grown block by block
     n, step, size, cap = 0, math.nan, _BLOCK_MIN, _block_cap(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= max_iter:
@@ -426,18 +437,19 @@ def _run_picard(
             step_mods = np.concatenate(([step], res[:-1]))
             hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
             k = int(hit[0]) + 1 if hit.size else res.size
-            if hit.size and _underflows(X[: k + 1], record[0], step_mods[k - 1], res[k - 1]):
+            if hit.size and _underflows(X[: k + 1], table, step_mods[k - 1], res[k - 1]):
                 error = ModularUnderflowError(
                     f"modular underflow at step {n + k - 1}: rho is 0 at a nonzero step or "
                     f"residual, so the stopping test (tol {tol:.3e}) measured nothing")
-            _append(record, (X[:k], step_mods[:k], res[:k], mods[fin - 1 : fin - 1 + k]))
+            _append(table, step_mod=step_mods[:k], residual=res[:k],
+                    doubled_orbit=mods[fin - 1 : fin - 1 + k], x=X[:k])
             if hit.size:
                 break
             if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
                 error = DivergenceError(f"non-finite iterate at step {n + fin}")
                 break
             n, x, step, size = n + rows, X[rows], float(res[-1]), _block_size(res, tol, cap)
-    trace = IterationTrace(*record, power=power)
+    trace = IterationTrace(table, power=power)
     if error is not None:
         error.trace = trace
         raise error
@@ -448,21 +460,21 @@ def _run_picard(
 
 def _underflows(X: np.ndarray, before: np.ndarray, step: float, res: float) -> bool:
     """Whether the stopping row X[-2] passed on a modular of 0 at a nonzero
-    difference: its step from the row before (X[-3], else the record's last
-    row `before`) or its residual X[-1] - X[-2]. Only this row is judged."""
-    x, prev = X[-2], X[-3] if len(X) > 2 else before[-1]
+    difference: its step from the row before (X[-3], else the trace table
+    `before`'s last) or its residual X[-1] - X[-2]. Only this row is judged."""
+    x, prev = X[-2], X[-3] if len(X) > 2 else before[-1]["x"]
     return bool((step == 0.0 and np.any(x != prev)) or (res == 0.0 and np.any(X[-1] != x)))
 
 
-def _append(record: list[np.ndarray], block: tuple[np.ndarray, ...]) -> None:
-    """Append a block's rows to the record arrays, in place, by exactly the
-    block (README "Performance notes": why `resize`, and why the block's
-    scratch is freed first). No view of a record array may exist while it
-    grows (hence refcheck=False)."""
-    for a, part in zip(record, block):
-        n = len(a)
-        a.resize((n + len(part), *a.shape[1:]), refcheck=False)
-        a[n:] = part
+def _append(table: np.ndarray, **block: np.ndarray) -> None:
+    """Append a block's rows, an array per field, to the trace table in place,
+    by exactly the block (README "Performance notes": why `resize`, and why
+    the block's scratch is freed first). No view of the table may exist
+    while it grows (hence refcheck=False)."""
+    n = len(table)
+    table.resize(n + len(block["x"]), refcheck=False)
+    for name, part in block.items():
+        table[name][n:] = part
 
 
 def picard_solve(T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int) -> IterationTrace:

@@ -72,9 +72,19 @@ def _diverged():
     return err.value.trace
 
 
+def _table(record, X, *cols):
+    """A hand-built record table: the rows X and one column per field before
+    `x`, in the record's own layout."""
+    X = np.array(X, dtype=float)
+    table = np.empty(len(X), record.dtype(X.shape[1]))
+    for name, col in zip(table.dtype.names, (*cols, X)):
+        table[name] = col
+    return table
+
+
 def _trace(*columns):
     """A hand-built record from X, step_mod, residual and doubled_orbit."""
-    return IterationTrace(*(np.array(c, dtype=float) for c in columns))
+    return IterationTrace(_table(IterationTrace, *columns))
 
 
 def _extremes():
@@ -178,8 +188,9 @@ def _certificates():
     omega = [1.0, -2.0, 0.5]
     x = np.array(EXTREMES)
     # the last node is the limit candidate; a hand-built certificate sets its own slacks
-    hand = ChainCertificate(0.5, np.array([x, -x, np.zeros(3)]), np.array([1.0, -0.0, 0.0]))
-    hand.slacks = _node_slacks(hand, m)
+    hand = ChainCertificate(0.5, _table(ChainCertificate, [x, -x, np.zeros(3)], [1.0, -0.0, 0.0],
+                                        np.zeros(3)))
+    hand.slacks[:] = _node_slacks(hand, m)
     return m, {"N30": build_chain(m, T, omega, 0.5, None, 30),
                "N0": build_chain(m, T, omega, 0.5, None, 0),
                "extremes": hand}
@@ -211,13 +222,6 @@ def test_write_certificate_writes_the_slacks_the_chain_computed(tmp_path, monkey
     assert (tmp_path / "new.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
 
 
-def test_write_certificate_without_slacks_raises(tmp_path):
-    cert = ChainCertificate(0.5, np.zeros((2, 3)), np.array([1.0, 0.5]))
-    with pytest.raises(ValueError, match=r"cert\.slacks is None"):
-        write_certificate(tmp_path / "c.npy", cert)
-    assert not (tmp_path / "c.npy").exists()
-
-
 def _random_bits(rng, shape):
     return rng.integers(0, 2**64, shape, dtype=np.uint64).view(np.float64)
 
@@ -236,7 +240,8 @@ def test_write_trace_round_trips_random_bit_patterns(tmp_path):
 def test_write_certificate_round_trips_random_bit_patterns(tmp_path):
     rng = np.random.default_rng(19)
     X, alphas, slacks = _random_bits(rng, (3000, 257)), *_random_bits(rng, (2, 3000))
-    write_certificate(tmp_path / "c.npy", ChainCertificate(0.5, X, alphas, slacks=slacks))
+    write_certificate(tmp_path / "c.npy",
+                      ChainCertificate(0.5, _table(ChainCertificate, X, alphas, slacks)))
     data = read_certificate(tmp_path / "c.npy")
     assert list(data) == ["n", "alpha", "slack", "x"]
     assert np.array_equal(data["n"], np.arange(3000))
@@ -245,8 +250,8 @@ def test_write_certificate_round_trips_random_bit_patterns(tmp_path):
 
 
 def test_writer_memory_does_not_grow_with_the_rows(tmp_path):
-    # at d = 256 a block of 4,096 rows would be 8.5 MB, and twice the peak
-    # of a 2,000-row table: blocks are counted in values, not rows
+    # the table is written as it is held: no copy of it, nor of a block of
+    # its rows (8,192 values alone are 64 KiB), at any length or width
     rng = np.random.default_rng(23)
     path = tmp_path / "t.npy"
     for d in (16, 256):
@@ -265,6 +270,7 @@ def test_writer_memory_does_not_grow_with_the_rows(tmp_path):
             header = fh.tell()
         assert path.stat().st_size == header + 16_000 * (3 + d) * 8
         assert peaks[1] < 1.2 * peaks[0]
+        assert max(peaks) < 64 * 1024, (d, peaks)
 
 
 class _Unpickled(Exception):

@@ -39,6 +39,7 @@ from rhofix import (
 )
 from rhofix import solver
 from rhofix.modular import INF, as_point
+from rhofix.output import reverify_trace, write_trace
 from rhofix.solver import _BLOCK_MIN, MapKind, _run_picard
 
 DIM = 3
@@ -112,8 +113,10 @@ def _reference_picard(T, m, x0, tol, max_iter, power):
     steps = []
 
     def record(**kwargs):
-        X, step_mod, residual, doubled = (np.array(col) for col in zip(*steps))
-        return IterationTrace(X, step_mod, residual, doubled, power=power, **kwargs)
+        table = np.empty(len(steps), IterationTrace.dtype(x.size))
+        for name, col in zip(("x", "step_mod", "residual", "doubled_orbit"), zip(*steps)):
+            table[name] = col
+        return IterationTrace(table, power=power, **kwargs)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(max_iter + 1):
@@ -308,6 +311,20 @@ def test_trace_bits_do_not_depend_on_the_block_cap(problem, power, max_iter, tol
             runs[name] = _outcome(_run_picard, T, m, x0, tol, max_iter, power)
     for name in ("8 rows", "256 rows"):
         assert_same(runs[name], runs["budget"])
+
+
+@pytest.mark.parametrize("power", [0, -3])
+def test_power_below_one_is_refused_by_the_solver_and_the_audit(tmp_path, power):
+    """T^0 fixes every point, so a run on it would stop at once on x0 as if
+    converged (here on [1, -2], where the damped logistic map's fixed point
+    is 0), and an audit that takes its power from a summary file would
+    replay and pass that run."""
+    T, m, x0 = MapSpec.logistic_damped(0.9), ModularSpec.p_power(1.0, 2), [1.0, -2.0]
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        _run_picard(T, m, x0, 1e-10, 100, power)
+    write_trace(tmp_path / "t.npy", picard_solve(T, m, x0, 1e-10, 100))
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        reverify_trace(tmp_path / "t.npy", m, T, x0, 1e-10, power=power)
 
 
 def _recorded_blocks(monkeypatch) -> list[int]:

@@ -77,7 +77,8 @@ def test_certificate_ends_are_read_off_the_record(N):
     assert cert.omega.tobytes() == cert.X[0].tobytes() == np.array(OMEGA).tobytes()
     assert type(cert.alpha) is float and _bits(cert.alpha) == _bits(cert.alphas[0])
     assert cert.limit_candidate.tobytes() == cert.X[-1].tobytes()
-    assert cert.X.base is not None  # a slice of the checked orbit, not a copy
+    assert cert.X.base is not None  # a view of the certificate's table
+    assert cert.table.base is None  # the nodes are a copy, not a slice of the orbit
     for name in ("omega", "alpha", "limit_candidate"):
         with pytest.raises(AttributeError):
             setattr(cert, name, None)
