@@ -71,7 +71,9 @@ def write_trace(path, trace: IterationTrace) -> None:
 
 
 def read_trace(path) -> dict:
-    """Read a trace table back into arrays: n, step_mod, residual, doubled_orbit, x."""
+    """Read a trace table back into arrays: n, step_mod, residual, x. A table
+    in the earlier layout with a `doubled_orbit` field is refused like any
+    other layout (a ValueError naming the expected fields)."""
     return _columns(_read_table(path, IterationTrace))
 
 
@@ -148,9 +150,10 @@ def reverify_trace(path, m: ModularLike, T: MapSpec, x0, tol: float, power: int 
     no block before the last and stop on the stored last row, after a
     convergence, a run out of steps, a divergence or an underflow (a
     `SolveError`'s trace is compared). Returns `replayed` (the rows, x0's
-    row among them, steps, residuals and doubled-orbit modulars equal the
-    stored ones bit for bit) and `converged`, the replay's verdict. A table
-    with no rows is a ValueError naming the file."""
+    row among them, steps and residuals equal the stored ones bit for bit)
+    and `converged`, the replay's verdict. A table with no rows, or one not
+    in the `IterationTrace.dtype` layout (such as the earlier one with a
+    `doubled_orbit` field), is a ValueError naming the file."""
     stored = _read_table(path, IterationTrace)
     if not len(stored):
         raise ValueError(f"{path}: the trace table has no rows")

@@ -1,19 +1,19 @@
 """Contraction verification and Picard fixed-point iteration under a modular.
 
-Picard iterates x_{n+1} = T x_n and tracks three modulars per step: the
-step modular rho(x_n - x_{n-1}), the residual rho(T x_n - x_n) and the
-doubled-orbit modular rho(2 x_n). Convergence requires BOTH the step and
-residual modulars below tol, which guards against declaring victory on a
-slowly moving orbit. The orbit depends on T alone, so it is computed first,
-in blocks (`MapSpec.orbit`, each row written in place by the map's step
-kernel); each block's modulars are then one batch call, evaluated in place
-over the rows X[1:] - X[:-1] (residuals and steps alike) and 2 X. The first
-block has 8 rows. Each later one is sized from the geometric decay of the
-residuals over the block before: the rows left until tol, plus a small
-margin; it doubles instead while they do not decay. It holds at least 8
-rows and at most max(256, 65,536 // d), so no block has more entries than
-256 rows at d = 256. Each block's kept rows join the trace's table, the
-one `output.write_trace` saves, as the run goes (`IterationTrace.dtype`).
+Picard iterates x_{n+1} = T x_n and tracks two modulars per step: the
+step modular rho(x_n - x_{n-1}) and the residual rho(T x_n - x_n).
+Convergence requires BOTH below tol, which guards against declaring
+victory on a slowly moving orbit. The orbit depends on T alone, so it is
+computed first, in blocks (`MapSpec.orbit`, each row written in place by
+the map's step kernel) written straight into the tail of the trace's
+table, the one `output.write_trace` saves (`IterationTrace.dtype`); each
+block's modulars are then one batch call, evaluated in place over the rows
+X[1:] - X[:-1] (residuals and steps alike). The first block has 8 rows.
+Each later one is sized from the geometric decay of the residuals over the
+block before: the rows left until tol, plus a small margin; it doubles
+instead while they do not decay. It holds at least 8 rows and at most
+max(256, 65,536 // d), so no block has more entries than 256 rows at
+d = 256.
 
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
@@ -202,11 +202,13 @@ class MapSpec:
                 step(out, out)
         return out
 
-    def orbit(self, x, steps: int, power: int = 1) -> np.ndarray:
+    def orbit(self, x, steps: int, power: int = 1, out: np.ndarray | None = None) -> np.ndarray:
         """Rows x, T^power x, ..., T^(power * steps) x, each `power` steps of
         the row before, each written in its slot (with power > 1, the steps
-        before the last alternate between two scratch rows). Non-finite rows
-        are kept; the caller decides what they mean.
+        before the last alternate between two scratch rows), of `out` when
+        it is given (a float64 (steps + 1, d) array, which x may be the
+        first row of), else of a new array. Non-finite rows are kept; the
+        caller decides what they mean.
 
         A damped-logistic orbit is stepped on sign-folded values: with
         s = copysign(1, x) it starts from v = s x and ends with one pass
@@ -218,7 +220,7 @@ class MapSpec:
         either sign, and the default nan of an inf / inf row, keep their
         bits."""
         x = self._checked(x)
-        X = np.empty((steps + 1, x.size))
+        X = np.empty((steps + 1, x.size)) if out is None else out
         X[0] = x
         if power < 1:  # T^0 is the identity
             X[1:] = X[0]
@@ -253,8 +255,9 @@ class MapSpec:
 @dataclass
 class IterationTrace:
     """Full record of one Picard run: one `table` row per iterate x_n, laid
-    out as `dtype(d)`. `X` and the modulars are views of its fields, read
-    through properties, so none of them can be reassigned."""
+    out as `dtype(d)`, the table the run's blocks were walked in. `X` and
+    the modulars are views of its fields, read through properties, so none
+    of them can be reassigned."""
 
     table: np.ndarray
     converged: bool = False
@@ -264,14 +267,12 @@ class IterationTrace:
 
     step_mod = property(lambda self: self.table["step_mod"])  # rho(x_n - x_{n-1}); nan at n = 0
     residual = property(lambda self: self.table["residual"])  # rho(T x_n - x_n)
-    doubled_orbit = property(lambda self: self.table["doubled_orbit"])  # rho(2 x_n)
     X = property(lambda self: self.table["x"])  # (rows, d) iterates
 
     @staticmethod
     def dtype(d: int) -> np.dtype:
-        """A trace row: its three modulars, then x_n's d coordinates."""
-        return np.dtype([("step_mod", "<f8"), ("residual", "<f8"), ("doubled_orbit", "<f8"),
-                         ("x", "<f8", (d,))])
+        """A trace row: its two modulars, then x_n's d coordinates."""
+        return np.dtype([("step_mod", "<f8"), ("residual", "<f8"), ("x", "<f8", (d,))])
 
     @property
     def iterations(self) -> int:
@@ -402,10 +403,12 @@ def _run_picard(
 ) -> IterationTrace:
     """Picard on T^power from x0, for `picard_solve`, `solve_via_power` and
     `output.reverify_trace`. The orbit is walked in `MapSpec.orbit` blocks,
-    8 rows first, then `_block_size` rows up to `_block_cap(d)`. A block is
-    tested for finite entries as a whole, its steps and doubled rows are one
-    modular call, and its kept rows join the trace table. A trace row depends only
-    on the rows before it, so block sizes change no bit, stop or error."""
+    8 rows first, then `_block_size` rows up to `_block_cap(d)`, each written
+    into the trace table's tail: the table grows by the block, whose first
+    row is the last block's last, and shrinks to the kept rows at the end.
+    A block is tested for finite entries as a whole and its steps are one
+    modular call. A trace row depends only on the rows before it, so block
+    sizes change no bit, stop or error."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 0:
@@ -414,41 +417,41 @@ def _run_picard(
         raise ValueError("power must be >= 1")
     rho = m._evaluate_owned
     x = as_point(x0, _map_dim(T, m, x0))
-    table, error = np.empty(0, IterationTrace.dtype(x.size)), None  # grown block by block
+    table, error = np.empty(1, IterationTrace.dtype(x.size)), None  # row n holds x_n
+    table["x"][0] = x
     n, step, size, cap = 0, math.nan, _BLOCK_MIN, _block_cap(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= max_iter:
-            # X[i] = x_{n+i}; X[rows] starts the next block. Row i's residual
-            # rho(X[i+1] - X[i]) is row i+1's step; a non-finite image gives +inf
+            # X[i] = x_{n+i}, in the table grown by the block while no view of
+            # it is alive (README "Performance notes"); X[rows] starts the next
+            # block. Row i's residual rho(X[i+1] - X[i]) is row i+1's step; a
+            # non-finite image gives +inf
             rows = min(size, max_iter + 1 - n)
-            X = T.orbit(x, rows, power)
+            table.resize(n + rows + 1, refcheck=False)
+            X = T.orbit(table["x"][n], rows, power, out=table["x"][n:])
             fin = rows + 1  # leading rows in the space
             if not np.isfinite(X).all():  # the first row with a non-finite entry
                 fin = int(np.argmin(np.isfinite(X).all(axis=1)))
             res = np.full(min(rows, fin), INF)
-            # one modular call: the fin - 1 steps, then the rows of res doubled,
-            # in one array that is freed before `_append` (see there)
-            S = np.empty((fin - 1 + res.size, x.size))
-            np.subtract(X[1:fin], X[: fin - 1], out=S[: fin - 1])
-            np.multiply(2.0, X[: res.size], out=S[fin - 1 :])
-            mods = rho(S)
-            del S
-            res[: fin - 1] = mods[: fin - 1]
+            if fin > 1:  # a batched functional is never handed an empty batch
+                res[: fin - 1] = rho(np.subtract(X[1:fin], X[: fin - 1]))
+            del X
             step_mods = np.concatenate(([step], res[:-1]))
             hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
             k = int(hit[0]) + 1 if hit.size else res.size
-            if hit.size and _underflows(X[: k + 1], table, step_mods[k - 1], res[k - 1]):
-                error = ModularUnderflowError(
-                    f"modular underflow at step {n + k - 1}: rho is 0 at a nonzero step or "
-                    f"residual, so the stopping test (tol {tol:.3e}) measured nothing")
-            _append(table, step_mod=step_mods[:k], residual=res[:k],
-                    doubled_orbit=mods[fin - 1 : fin - 1 + k], x=X[:k])
+            table["step_mod"][n : n + k], table["residual"][n : n + k] = step_mods[:k], res[:k]
+            n += k  # the rows kept so far
             if hit.size:
+                if _underflows(table["x"], n - 1, step_mods[k - 1], res[k - 1]):
+                    error = ModularUnderflowError(
+                        f"modular underflow at step {n - 1}: rho is 0 at a nonzero step or "
+                        f"residual, so the stopping test (tol {tol:.3e}) measured nothing")
                 break
             if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
-                error = DivergenceError(f"non-finite iterate at step {n + fin}")
+                error = DivergenceError(f"non-finite iterate at step {n}")
                 break
-            n, x, step, size = n + rows, X[rows], float(res[-1]), _block_size(res, tol, cap)
+            step, size = float(res[-1]), _block_size(res, tol, cap)
+    table.resize(n, refcheck=False)  # drops the image past the last kept row
     trace = IterationTrace(table, power=power)
     if error is not None:
         error.trace = trace
@@ -458,23 +461,12 @@ def _run_picard(
     return trace
 
 
-def _underflows(X: np.ndarray, before: np.ndarray, step: float, res: float) -> bool:
-    """Whether the stopping row X[-2] passed on a modular of 0 at a nonzero
-    difference: its step from the row before (X[-3], else the trace table
-    `before`'s last) or its residual X[-1] - X[-2]. Only this row is judged."""
-    x, prev = X[-2], X[-3] if len(X) > 2 else before[-1]["x"]
-    return bool((step == 0.0 and np.any(x != prev)) or (res == 0.0 and np.any(X[-1] != x)))
-
-
-def _append(table: np.ndarray, **block: np.ndarray) -> None:
-    """Append a block's rows, an array per field, to the trace table in place,
-    by exactly the block (README "Performance notes": why `resize`, and why
-    the block's scratch is freed first). No view of the table may exist
-    while it grows (hence refcheck=False)."""
-    n = len(table)
-    table.resize(n + len(block["x"]), refcheck=False)
-    for name, part in block.items():
-        table[name][n:] = part
+def _underflows(X: np.ndarray, i: int, step: float, res: float) -> bool:
+    """Whether the stopping row X[i] passed on a modular of 0 at a nonzero
+    difference: its step from X[i - 1] or its residual X[i + 1] - X[i].
+    Only this row is judged (row 0 has no step: its step modular is nan)."""
+    x = X[i]
+    return bool((step == 0.0 and np.any(x != X[i - 1])) or (res == 0.0 and np.any(X[i + 1] != x)))
 
 
 def picard_solve(T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int) -> IterationTrace:

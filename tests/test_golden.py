@@ -40,15 +40,15 @@ CONFIGS = Path(__file__).parents[1] / "configs"
 GOLDEN = {
     ("solve", "affine_p2"): {
         "solve_summary.json": "a229f4074631acdf4ed78a40dcbd602fc9c017820d3c3d9f136251a251e4e125",
-        "trace.npy": "eee1a56b89d317f320edbced9113741213b65eb015edd01a0b3f8e67f7328bdc",
+        "trace.npy": "2bd0f35b48690e09524b8a5b242641ca29acbd1a04049c18c4abe332d8b1656d",
     },
     ("solve", "half_p1"): {
         "solve_summary.json": "7afc07fcb456a1212adfb618c5cd7ee062fa3ed76202ae7e907d5b0ff2002c55",
-        "trace.npy": "544b9c9c4b9fc6af81e73ba4a9ea6f939d2f51780d24f8988764134aeb6922f2",
+        "trace.npy": "48cc3257b38366e4eb660fdde2dad9995e8043436d4752418d5b98ad616d1724",
     },
     ("solve", "weighted_logistic"): {
         "solve_summary.json": "448be3441e6633d57a179f0c31dd3b5d6a52d115ee28efe679aef93a87e90011",
-        "trace.npy": "4ecc86f6db65604c07b6221acb440689fd096b1bd9649c6f915de2bf5b6e4a79",
+        "trace.npy": "ed3a4bc3413e1980be43d04814ba78cf2c52065651cab2cb83177aab5601c8ce",
     },
     ("certificate", "affine_p2"): {
         "certificate.npy": "4963429798d06c8bc94f905fe863fe0a0dbaf6968772e06dab69ad8b44fbee4c",
@@ -102,13 +102,13 @@ INLINE_SOLVE_GOLDEN = {
     "{space: {family: orlicz, phi: exp_minus_one}, map: {kind: logistic_damped, lam: 0.8, c: 0.8},"
     " initial_point: [0.5, -0.25, 0.1, 0.0], seed: 5}": {
         "solve_summary.json": "bb11c6ff19946326d30fb126af12c6289c7f5566813a930299a599e9a091ef78",
-        "trace.npy": "bdecffa6dd651b31143a6f8f16710bf7aefcc71d66a80651854083ce1e536fbe",
+        "trace.npy": "d6a3fb655c8c8d71575b09a7a96d82cdccd35eca761911705454d19027d0e925",
     },
     # closed-form doubling constant 4: the power path with T^3 (the sampled
     # 3.998151127820284 picked the same power, so only k_used moved)
     "{space: {family: orlicz, phi: u_log}, map: {kind: half}, initial_point: [1.0, 2.0], seed: 5}": {
         "solve_summary.json": "c61b63e967a75814dd5031f5681c26e64664e2628cee608687889e565dc95182",
-        "trace.npy": "b4baf44afabcd609e0ab5f22c3dbeb5d8a9cb3a7fb3371ff8c6717be272f5e09",
+        "trace.npy": "734efce31d0c85bb688d3c3fcb00f6373a993ecdcbf2574834523896d0192da0",
     },
 }
 

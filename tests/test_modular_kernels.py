@@ -106,31 +106,30 @@ def test_batch_evaluation_holds_at_most_one_batch_array(phi, arrays):
     assert peak <= (arrays - 1) * X.nbytes + 32 * n
 
 
-def _holds_its_record_and_three_blocks(d: int, lam: float) -> None:
-    # at each block's modular call a run holds its record so far, the block
-    # before (whose last row started this one), this block, and one scratch
-    # array of the steps and doubled rows, two blocks long; the record then
-    # still lacks this block's rows. A block has at most _block_cap(d) rows,
-    # and a run this long maps most of its rows in blocks that size
+def _holds_its_record_and_two_blocks(d: int, lam: float) -> None:
+    # a block is walked inside the record's table, grown by the block, so at
+    # each block's modular call a run holds its record so far, this block's
+    # rows in it, and one scratch array of the block's steps. A block has at
+    # most _block_cap(d) rows, and a run this long maps most of its rows in
+    # blocks that size
     m, T = ModularSpec.orlicz(Phi.EXP_MINUS_ONE, d), MapSpec.logistic_damped(lam)
     x0 = np.random.default_rng(5).uniform(-1.0, 1.0, d)
     trace, peak = _peak(lambda: picard_solve(T, m, x0, 1e-10, 100_000))
     cap = _block_cap(d)
     assert trace.converged and trace.iterations > 4 * cap
-    record = sum(a.nbytes for a in (trace.X, trace.step_mod, trace.residual, trace.doubled_orbit))
-    assert peak <= record + 3 * (cap + 1) * d * 8
+    record = sum(a.nbytes for a in (trace.X, trace.step_mod, trace.residual))
+    assert peak <= record + 2 * (cap + 1) * d * 8
 
 
-def test_picard_run_holds_its_record_and_three_blocks():
-    # 256-row blocks at d = 256, as under the old fixed cap. The allocating
-    # formula held the steps, their magnitudes and their images at once:
-    # about 3.4 blocks past the final record here, against 2.4 in place
+def test_picard_run_holds_its_record_and_two_blocks():
+    # 256-row blocks at d = 256, as under the old fixed cap; the run peaks
+    # about one block past its final record
     assert _block_cap(256) == 256
-    _holds_its_record_and_three_blocks(256, 0.995)
+    _holds_its_record_and_two_blocks(256, 0.995)
 
 
-def test_budget_sized_picard_run_holds_its_record_and_three_blocks():
+def test_budget_sized_picard_run_holds_its_record_and_two_blocks():
     # at d = 16 the entry budget sizes blocks of 4,096 rows, 65,536 entries,
     # as many as a d = 256 block holds
     assert _block_cap(16) == 4_096
-    _holds_its_record_and_three_blocks(16, 0.9997)
+    _holds_its_record_and_two_blocks(16, 0.9997)

@@ -1,9 +1,9 @@
 """Block Picard against the per-step loop it replaced, bit for bit.
 
 `_reference_picard` below is the earlier solver loop written out here: one
-`apply_power` and one 3-row batch rho call (step, residual, doubled orbit)
-per step. The solver now walks the orbit in blocks and evaluates each
-block's modulars in one batch call, which must change no recorded bit:
+`apply_power` and one 2-row batch rho call (step, residual) per step. The
+solver now walks the orbit in blocks and evaluates each block's modulars
+in one batch call, which must change no recorded bit:
 every trace field, the stopping step, the divergence message and the
 partial trace. The first block has 8 rows; each later one is sized from
 the decay of the residuals before it, so the tests read the boundaries off
@@ -107,14 +107,14 @@ def test_wrong_width_point_raises_dimension_mismatch(T):
 
 
 def _reference_picard(T, m, x0, tol, max_iter, power):
-    """The per-step loop: one 3-row batch rho call per step."""
+    """The per-step loop: one 2-row batch rho call per step."""
     rho = m.evaluate_batch
     x = prev = as_point(x0, m.dim).copy()
     steps = []
 
     def record(**kwargs):
         table = np.empty(len(steps), IterationTrace.dtype(x.size))
-        for name, col in zip(("x", "step_mod", "residual", "doubled_orbit"), zip(*steps)):
+        for name, col in zip(("x", "step_mod", "residual"), zip(*steps)):
             table[name] = col
         return IterationTrace(table, power=power, **kwargs)
 
@@ -122,11 +122,11 @@ def _reference_picard(T, m, x0, tol, max_iter, power):
         for n in range(max_iter + 1):
             fx = T.apply_power(x, power)
             ok = bool(np.all(np.isfinite(fx)))
-            rows = np.stack((x - prev, fx - x if ok else np.zeros_like(x), 2.0 * x))
-            step_mod, residual, doubled = (float(v) for v in rho(rows))
+            rows = np.stack((x - prev, fx - x if ok else np.zeros_like(x)))
+            step_mod, residual = (float(v) for v in rho(rows))
             step_mod = step_mod if n else math.nan
             residual = residual if ok else INF
-            steps.append((x, step_mod, residual, doubled))
+            steps.append((x, step_mod, residual))
             if step_mod <= tol and residual <= tol:
                 return record(converged=True, fixed_point=x.copy())
             if not ok and max_iter:
@@ -164,7 +164,7 @@ def assert_same(got, want):
     assert eg == ew
     assert (tg.converged, tg.power, tg.k_used, tg.iterations) == (
         tw.converged, tw.power, tw.k_used, tw.iterations)
-    for field in ("X", "step_mod", "residual", "doubled_orbit"):
+    for field in ("X", "step_mod", "residual"):
         va, vb = getattr(tg, field), getattr(tw, field)
         assert va.shape == vb.shape and va.tobytes() == vb.tobytes(), field
     if tw.fixed_point is None:
@@ -331,9 +331,9 @@ def _recorded_blocks(monkeypatch) -> list[int]:
     """A list that collects the rows of every `MapSpec.orbit` call from now on."""
     blocks, orbit = [], MapSpec.orbit
 
-    def recorded(self, x, steps, power=1):
+    def recorded(self, x, steps, power=1, out=None):
         blocks.append(steps)
-        return orbit(self, x, steps, power)
+        return orbit(self, x, steps, power, out)
 
     monkeypatch.setattr(MapSpec, "orbit", recorded)
     return blocks

@@ -41,7 +41,7 @@ def _zero_iterations():
 
 
 TRACES = {"converged": _converged, "diverged": _diverged, "max_iter_0": _zero_iterations}
-COLUMNS = ("step_mod", "residual", "doubled_orbit")
+COLUMNS = ("step_mod", "residual")
 
 
 @pytest.mark.parametrize("case", sorted(TRACES))
@@ -56,7 +56,7 @@ def test_trace_columns_are_float64_rows_of_the_record(case):
 
 def test_divergence_partial_trace_is_whole():
     tr = _diverged()
-    assert [len(getattr(tr, name)) for name in COLUMNS] == [len(tr.X)] * 3
+    assert [len(getattr(tr, name)) for name in COLUMNS] == [len(tr.X)] * len(COLUMNS)
     assert tr.X.shape[1] == 2 and tr.iterations == len(tr.X) - 1
     assert tr.residual[-1] == math.inf and not tr.converged and tr.fixed_point is None
 

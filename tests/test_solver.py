@@ -11,6 +11,7 @@ from rhofix import (
     DimensionMismatch,
     DivergenceError,
     InconsistentContractionError,
+    IterationTrace,
     MapSpec,
     ModularSpec,
     ModularUnderflowError,
@@ -186,11 +187,12 @@ def test_picard_affine_geometric_error():
         assert abs(tr.X[n, 0] - 2.0) == 2.0 * 2.0 ** -n
 
 
-def test_picard_records_residual_and_doubled_orbit():
+def test_picard_records_step_residual_and_iterate():
+    assert IterationTrace.dtype(3).names == ("step_mod", "residual", "x")
     tr = picard_solve(MapSpec.half(), P1, [1.0], 1e-10, 100)
-    for x, residual, doubled in zip(tr.X[:, 0], tr.residual, tr.doubled_orbit):
+    assert tr.table.dtype == IterationTrace.dtype(1)
+    for x, residual in zip(tr.X[:, 0], tr.residual):
         assert residual == abs(x / 2.0 - x)
-        assert doubled == abs(2.0 * x)
     assert tr.residual[-1] <= 1e-10
 
 
