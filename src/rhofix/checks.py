@@ -11,6 +11,7 @@ batches; a report is independent of how the batches were split.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -54,10 +55,11 @@ __all__ = [
 _SPECIAL_VALUES = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 
 MAX_WITNESSES = 20        # violations a report keeps as witnesses
-_LOG_RANGE = (-3.0, 3.0)  # log10 of the least and greatest log-uniform magnitude
 _FATOU_DIRECTIONS = 8     # direction pairs the Fatou check samples
 _EPS = float(np.finfo(float).eps)
 _TINY = math.ulp(0.0)     # the least subnormal double
+# a word's top 16 bits (sign, kind, binade, 4 mantissa bits) in its int16 view
+_TOP = 3 if sys.byteorder == "little" else 0
 
 
 def _row_sup(x: np.ndarray) -> np.ndarray:
@@ -73,10 +75,12 @@ def _row_sup(x: np.ndarray) -> np.ndarray:
 class PointSampler:
     """Seeded point generator used by every randomized checker.
 
-    Coordinates are a mixture of uniform[-1, 1] draws, log-uniform
-    magnitudes in [1e-3, 1e3] with random sign, and a sprinkle of special
-    values (0, +-0.5, +-1, +-2): axiom and doubling failures often appear
-    only at extreme scales or on round points.
+    Each coordinate is one 64-bit word of the seed's PCG64 stream, decoded
+    into a mixture: a special value (0, +-0.5, +-1, +-2) with probability
+    7/64, a uniform value on (-1, 1) with probability 29/64, and a magnitude
+    in [2**-16, 2**16), uniform in its binade's mantissa, with random sign,
+    with probability 28/64. Axiom and doubling failures often appear only at
+    extreme scales or on round points.
     """
 
     def __init__(self, dim: int, seed: int = 0):
@@ -89,36 +93,50 @@ class PointSampler:
     def points(self, n: int) -> np.ndarray:
         """An (n, dim) batch of mixture-sampled points.
 
-        The stream is five full (n, dim) draws in turn -- uniform(-1, 1),
-        uniform(-3, 3) for log10 magnitudes, a sign draw, a mixture draw
-        (the uniform value where < 0.45) and a special draw (a special
-        value where < 0.10) -- then the special values' indices. Each draw
-        is consumed before the next is made, so three (n, dim) buffers
-        hold them all.
+        The batch is n * dim words of `rng.bit_generator.random_raw`, one
+        per coordinate in row-major order, so `points(a)` then `points(b)`
+        equals `points(a + b)`. Word w decodes with integer and exact float
+        operations only: bit 63 is the sign, bits 0-51 the mantissa, bits
+        57-62 the kind and bits 52-56 the binade. Kind < 7 is
+        `_SPECIAL_VALUES[kind]`; kind < 36 is +-[1, 2) from the sign and
+        mantissa, minus the sign; any other kind is +-2**(binade - 16) *
+        [1, 2). The batch is the word buffer itself, viewed as float64.
         """
-        rng = self.rng
-        shape = (n, self.dim)
-        out = rng.uniform(-1.0, 1.0, shape)
-        draw = rng.uniform(*_LOG_RANGE, shape)
-        mags = np.power(10.0, draw)
-        rng.random(out=draw)
-        np.subtract(draw, 0.5, out=draw)
-        np.copysign(mags, draw, out=mags)
-        rng.random(out=draw)
-        take = draw < 0.45
-        # the mixture as a 64-bit blend, m ^ ((u ^ m) * take): exact and
-        # branch-free, where np.where mispredicts on a random mask
-        u, m, blend = out.view(np.int64), mags.view(np.int64), draw.view(np.int64)
-        np.bitwise_xor(u, m, out=blend)
-        np.multiply(blend, take, out=u)
-        np.bitwise_xor(u, m, out=u)
-        rng.random(out=draw)
-        special = draw < 0.10
-        k = np.count_nonzero(special)
-        if k:
-            # the draw rng.choice(_SPECIAL_VALUES, k) makes, without its argument checks
-            out[special] = _SPECIAL_VALUES[rng.integers(0, _SPECIAL_VALUES.size, k)]
-        return out
+        words = self.rng.bit_generator.random_raw(n * self.dim)
+        top = words.view(np.int16)[_TOP::4]
+        hi = top.copy()
+        key = np.bitwise_and(hi, 0x7FFF)  # kind << 9 | binade << 4 | ..., the sign cleared
+        # masks as arithmetic shifts, -1 where kind < 7 (special), then where
+        # kind < 36 (uniform), else 0: comparisons and bool products would
+        # each touch one more numpy kernel, whose code then stays resident
+        mask = np.subtract(key, 7 << 9)
+        mask >>= 15
+        special = np.flatnonzero(mask.astype(bool))
+        kinds = words[special]
+        kinds <<= np.uint64(1)  # the sign shifted out
+        kinds >>= np.uint64(58)
+        uniform = np.subtract(key, 36 << 9, out=mask)
+        uniform >>= 15
+        del key
+        # the exponent field 1007 + binade, or 1023 where uniform: the latter
+        # adds uniform & (0x100 - (binade << 4)), branch-free
+        step = np.bitwise_and(hi, 0x01F0)
+        np.subtract(0x0100, step, out=step)
+        step &= uniform
+        hi &= -0x7E01  # 0x81FF: the sign, binade and mantissa bits
+        hi += 0x3EF0  # 1007 << 4
+        hi += step
+        del step
+        top[...] = hi
+        # x - s where uniform, s = +-1 the sign of x; x - 0 elsewhere
+        sign = hi
+        sign >>= 15
+        sign |= 1
+        sign &= uniform
+        out = words.view(np.float64)
+        out -= sign
+        out[special] = _SPECIAL_VALUES[kinds]
+        return out.reshape(n, self.dim)
 
     def point(self) -> np.ndarray:
         return self.points(1)[0]
@@ -489,13 +507,13 @@ def check_fatou_sampled(
     elif sampler.dim != xa.size:
         raise DimensionMismatch(f"expected a point of dim {xa.size}, got dim {sampler.dim}")
     else:
-        # the sampler's own rows, finite and of the point's width: written as drawn
-        U, V = np.empty((2, _FATOU_DIRECTIONS, xa.size))
+        # one draw whose rows alternate v, w: the stream of a point() pair
+        # per direction, since the sampler's stream does not depend on how
+        # it is split
+        VW = sampler.points(2 * _FATOU_DIRECTIONS)
+        V, W = VW[0::2], VW[1::2]
         gap_signs = np.sign(gap)
-        for u, v in zip(U, V):
-            v[:] = sampler.point()
-            w = sampler.point()
-            np.add(v, np.where(gap_signs != 0.0, gap_signs * np.abs(w), w), out=u)
+        U = V + np.where(gap_signs != 0.0, gap_signs * np.abs(W), W)
 
     lhs = m.evaluate(gap)
     rep = AxiomReport(trials=len(U))

@@ -37,31 +37,39 @@ FAMILIES = [
 IDS = ["ppower-0.5", "ppower-1", "ppower-2", "weighted_sum", "orlicz-power", "orlicz-exp",
        "orlicz-ulog", "named"]
 
-# a contraction whose pairwise ratio varies with the pair, so a claim of 0.5
-# holds on some pairs and fails on others under every family above
+# a contraction whose pairwise ratio varies with the pair, so a claim taken
+# from the ratios themselves holds on some pairs and fails on others
 MAP = MapSpec.logistic_damped(0.9)
 TRIALS = 300
 
 
-def reference_ratio_check(m, scale, factor, seed):
-    """Scalar loop: witness row indices and the max ratio."""
+def reference_pairs(m, scale, seed):
+    """Scalar loop: the rows, and per pair rho(x - y) and rho(scale (Tx - Ty))."""
     sampler = PointSampler(DIM, seed)
     X = np.vstack((np.eye(DIM), sampler.points(TRIALS)))
     Y = np.vstack((np.zeros((DIM, DIM)), sampler.points(TRIALS)))
+    d = [m.evaluate(x - y) for x, y in zip(X, Y)]
+    lhs = [m.evaluate(scale * (MAP.apply(x) - MAP.apply(y))) for x, y in zip(X, Y)]
+    return X, Y, d, lhs
+
+
+def split_claim(d, lhs):
+    """A factor that splits the pairs: the median of the finite ratios,
+    strictly between the least and the greatest of them."""
+    ratios = [b / a for a, b in zip(d, lhs) if 0.0 < a < np.inf and np.isfinite(b)]
+    claim = float(np.median(ratios))
+    assert min(ratios) < claim < max(ratios)
+    return claim
+
+
+def assert_matches_reference(rep, X, Y, d, lhs, factor):
     bad, best = [], np.nan
-    for i, (x, y) in enumerate(zip(X, Y)):
-        d = m.evaluate(x - y)
-        lhs = m.evaluate(scale * (MAP.apply(x) - MAP.apply(y)))
-        rhs = factor * d if np.isfinite(d) else (np.inf if factor > 0 else 0.0)
-        if lhs > rhs + slack_tol(lhs, rhs):
+    for i, (a, b) in enumerate(zip(d, lhs)):
+        rhs = factor * a if np.isfinite(a) else (np.inf if factor > 0 else 0.0)
+        if b > rhs + slack_tol(b, rhs):
             bad.append(i)
-        if 0.0 < d < np.inf and np.isfinite(lhs):
-            best = np.fmax(best, lhs / d)
-    return X, Y, bad, best
-
-
-def assert_matches_reference(rep, m, scale, factor, seed):
-    X, Y, bad, best = reference_ratio_check(m, scale, factor, seed)
+        if 0.0 < a < np.inf and np.isfinite(b):
+            best = np.fmax(best, b / a)
     assert 0 < len(bad) < len(X)  # the claim splits the pairs
     assert abs(rep.max_ratio - best) <= slack_tol(best)
     # every violation counted, the first MAX_WITNESSES kept as witnesses
@@ -73,15 +81,19 @@ def assert_matches_reference(rep, m, scale, factor, seed):
 
 @pytest.mark.parametrize("m", FAMILIES, ids=IDS)
 def test_contraction_matches_scalar_loop(m):
-    rep = verify_contraction(MAP, m, 0.5, PointSampler(DIM, 17), TRIALS)
-    assert_matches_reference(rep, m, 1.0, 0.5, 17)
+    pairs = reference_pairs(m, 1.0, 17)
+    claim = split_claim(*pairs[2:])
+    rep = verify_contraction(MAP, m, claim, PointSampler(DIM, 17), TRIALS)
+    assert_matches_reference(rep, *pairs, claim)
 
 
 @pytest.mark.parametrize("m", FAMILIES, ids=IDS)
 def test_scaled_form_matches_scalar_loop(m):
-    # rho(1.5 (Tx - Ty)) <= 0.5**1 rho(x - y): the same check on 1.5 T
-    rep = verify_s_contraction(MAP, m, 1.5, 0.5, 1.0, PointSampler(DIM, 18), TRIALS)
-    assert_matches_reference(rep, m, 1.5, 0.5, 18)
+    # rho(1.5 (Tx - Ty)) <= k**1 rho(x - y): the same check on 1.5 T
+    pairs = reference_pairs(m, 1.5, 18)
+    k = split_claim(*pairs[2:])
+    rep = verify_s_contraction(MAP, m, 1.5, k, 1.0, PointSampler(DIM, 18), TRIALS)
+    assert_matches_reference(rep, *pairs, k)
 
 
 @pytest.mark.parametrize("m", FAMILIES, ids=IDS)

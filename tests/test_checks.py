@@ -34,7 +34,7 @@ from rhofix import (
     sign_skewed,
     slack_tol,
 )
-from rhofix.checks import _ineq_violations, _zero_at_nonzero
+from rhofix.checks import _FATOU_DIRECTIONS, _ineq_violations, _zero_at_nonzero
 from rhofix.output import report_payload, write_json
 
 VALID = [
@@ -252,12 +252,13 @@ def test_report_keeps_the_first_witnesses_and_counts_every_violation(tmp_path):
     rep = check_modular_axioms(INVALID_FUNCTIONALS["sign_skewed"][0], PointSampler(1, seed=123),
                                10_000)
     assert len(rep.violations) == MAX_WITNESSES
-    assert rep.n_violations == sum(rep.axiom_counts.values()) == 9_833
+    # every nonzero x is a witness; the sampler draws x = 0 at about 1 in 64
+    assert rep.n_violations == sum(rep.axiom_counts.values()) == 9_818
     assert rep.violated_axioms() == {"symmetry"} and not rep.passed
-    # the report's bytes as written before the cap, when all 9,833 witnesses were kept
+    # the report's bytes: the count and the first MAX_WITNESSES witnesses
     write_json(tmp_path / "r.json", report_payload("modular_axioms", rep))
     assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == (
-        "b013098a09189fa2e98cd94822eccdcfa119e1bf4e8a4de2d38df97dd8cd248d")
+        "36b496d2b6f207645a58de394f2f455b94e7ea4208987cf43581184ac80118c9")
 
 
 def test_witness_cap_spans_calls_and_counts_every_axiom():
@@ -527,6 +528,33 @@ def test_fatou_batch_matches_the_per_direction_loop(m):
         got = check_fatou_sampled(m, x, y, ratio, steps, directions=dirs)
         _assert_same_report(got, want)
     assert not check_fatou_sampled(m, x, y, 0.5, 20, directions=dirs).passed
+
+
+def _spike_at(gap):
+    # 2 at the gap itself and 1 elsewhere: every sequence that moves violates Fatou
+    return NamedFunctional("spike", lambda a: np.where(np.all(a == gap, axis=-1), 2.0, 1.0),
+                           dim=gap.size, batched=True)
+
+
+@pytest.mark.parametrize("x,y", [([1.0], [0.0]), ([0.5, -2.0, 3.0], [0.5, 1.0, -1.0])],
+                         ids=["d1", "d3-zero-gap-coordinate"])
+def test_fatou_one_draw_matches_a_point_pair_per_direction(x, y):
+    # the sampled directions as 16 point() calls made them: v, then w, per
+    # direction, with w sign-aligned to the gap where the gap is nonzero
+    x, y = np.array(x), np.array(y)
+    ref = PointSampler(x.size, seed=29)
+    signs = np.sign(x - y)
+    dirs = []
+    for _ in range(_FATOU_DIRECTIONS):
+        v, w = ref.point(), ref.point()
+        dirs.append((v + np.where(signs != 0.0, signs * np.abs(w), w), v))
+    m = _spike_at(x - y)
+    sampler = PointSampler(x.size, seed=29)
+    got = check_fatou_sampled(m, x, y, 0.5, 12, sampler=sampler)
+    # every direction that moves (w != 0) is a witness
+    assert got.n_violations == sum(bool(np.any(u != v)) for u, v in dirs) > 0
+    _assert_same_report(got, check_fatou_sampled(m, x, y, 0.5, 12, directions=dirs))
+    assert sampler.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def test_fatou_with_no_directions_evaluates_no_sequence():

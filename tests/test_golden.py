@@ -6,19 +6,19 @@ report) is pinned by its SHA-256, so a change that alters any output byte
 fails here, not only one that alters a verdict. The configs run at their
 own seeds. Their maps and modulars are affine, halving and damped-logistic
 maps under p-power and weighted-sum modulars: no libm transcendental
-enters the traces or certificates. The summaries also hold the
-empirical contraction ratio, read off sampled points whose magnitudes
-are drawn as 10**u; a platform whose `pow` rounds differently could move
-that figure's last digits. The certificate summaries hold the certified
-factor too, `pow` of the halving and damped-logistic factors and a LAPACK
-eigenvalue for the affine map (of a 1 x 1 matrix, so exact), and the
-shift bound `pair_check` built from it.
+enters the traces or certificates. The summaries also hold the empirical
+contraction ratio, read off sampled points; those are decoded from PCG64
+words with integer and exact float operations, so neither libm nor numpy's
+CPU dispatch level can move them. The certificate summaries hold the
+certified factor too, `pow` of the halving and damped-logistic factors and
+a LAPACK eigenvalue for the affine map (of a 1 x 1 matrix, so exact), and
+the shift bound `pair_check` built from it.
 
-The `check` reports rest on more libm than that. Every checker reads the
-same sampled points, drawn as 10**u, and `orlicz_check`'s modular is the
-Orlicz integrand exp(u) - 1, evaluated by `expm1`: a platform whose `pow`
-or `expm1` rounds differently could move the witnesses and constants in
-its reports.
+The `check` reports rest on more libm than that: `orlicz_check`'s
+modular is the Orlicz integrand exp(u) - 1, evaluated by `expm1`, and
+`bad_functional`'s is |sin(pi u)| + |u| / 10, so a platform whose `expm1`
+or `sin` rounds differently could move the witnesses and constants in
+their reports.
 
 The inline Orlicz solves cover the two paths the shipped configs miss: an
 unbounded doubling constant (Picard) and a sampled one (the power path).
@@ -39,7 +39,7 @@ CONFIGS = Path(__file__).parents[1] / "configs"
 
 GOLDEN = {
     ("solve", "affine_p2"): {
-        "solve_summary.json": "a229f4074631acdf4ed78a40dcbd602fc9c017820d3c3d9f136251a251e4e125",
+        "solve_summary.json": "dd4dc90f115fcf229ed4170d06dc01382a2ea0db23899dbfb6a18d7c296f0bad",
         "trace.npy": "2bd0f35b48690e09524b8a5b242641ca29acbd1a04049c18c4abe332d8b1656d",
     },
     ("solve", "half_p1"): {
@@ -47,7 +47,7 @@ GOLDEN = {
         "trace.npy": "48cc3257b38366e4eb660fdde2dad9995e8043436d4752418d5b98ad616d1724",
     },
     ("solve", "weighted_logistic"): {
-        "solve_summary.json": "448be3441e6633d57a179f0c31dd3b5d6a52d115ee28efe679aef93a87e90011",
+        "solve_summary.json": "466c522eb7f0549612ee77f3f7bcc7f867a3d0f801d412ea6f1f56349e124875",
         "trace.npy": "ed3a4bc3413e1980be43d04814ba78cf2c52065651cab2cb83177aab5601c8ce",
     },
     ("certificate", "affine_p2"): {
@@ -73,7 +73,7 @@ CHECK_GOLDEN = {
         "report_fatou.json": "0dd07b9db5a3072a3cf834ee5c6cec2c9b520f4c5a199e44bd447aebed3f066c",
     },
     ("bad_functional", 1): {
-        "report_axioms.json": "4b8e1bcf7b2fdaf6d85c00823f296502127ab7ef357617fa7c6e721dac52aa63",
+        "report_axioms.json": "e0ec4855ddf1dc816c3f1f4dab6fe1e8fa3b7feb801f1afa8d9aeabe036c4fe3",
         "report_delta2.json": "d2efa3cfd92c34ca32cbd3df6a0673e07ce2a8b31c8bde685562f8ffeb000d7a",
         "report_fatou.json": "0dd07b9db5a3072a3cf834ee5c6cec2c9b520f4c5a199e44bd447aebed3f066c",
     },
@@ -101,13 +101,13 @@ INLINE_SOLVE_GOLDEN = {
     # unbounded doubling constant: Picard, 86 iterations, k_used null
     "{space: {family: orlicz, phi: exp_minus_one}, map: {kind: logistic_damped, lam: 0.8, c: 0.8},"
     " initial_point: [0.5, -0.25, 0.1, 0.0], seed: 5}": {
-        "solve_summary.json": "bb11c6ff19946326d30fb126af12c6289c7f5566813a930299a599e9a091ef78",
+        "solve_summary.json": "1b03225bab39a5d7c897bfdb8af1fc9c633f423c326c97f3bc3ef851d0a289dd",
         "trace.npy": "d6a3fb655c8c8d71575b09a7a96d82cdccd35eca761911705454d19027d0e925",
     },
     # closed-form doubling constant 4: the power path with T^3 (the sampled
     # 3.998151127820284 picked the same power, so only k_used moved)
     "{space: {family: orlicz, phi: u_log}, map: {kind: half}, initial_point: [1.0, 2.0], seed: 5}": {
-        "solve_summary.json": "c61b63e967a75814dd5031f5681c26e64664e2628cee608687889e565dc95182",
+        "solve_summary.json": "fafc7224253962d946c44968bcaca38ec82ff70bf6a43fdd0eab9f4ac005257f",
         "trace.npy": "734efce31d0c85bb688d3c3fcb00f6373a993ecdcbf2574834523896d0192da0",
     },
 }
