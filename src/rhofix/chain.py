@@ -253,8 +253,11 @@ def _shift_check(cert: ChainCertificate, powers: np.ndarray, r: np.ndarray,
     proves nothing. `powers` are the chain's c**n, `r` the r_j."""
     N = cert.length
     gap = np.arange(N - 1, -1, -1)  # N - j for j = 1..N
+    # c_m**n by the scalar pow the chain's powers use: numpy's vector power
+    # rounds by the CPU's SIMD kernels, so its bits vary between hosts
+    c_m_powers = np.array([c_m**n for n in range(N)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = powers[gap] * (cert.alphas[0] - cert.alphas[1:]) - np.power(c_m, gap) * r
+        bounds = powers[gap] * (cert.alphas[0] - cert.alphas[1:]) - c_m_powers[gap] * r
     if not np.all(bounds >= 0.0):
         return None
     if N == 0:

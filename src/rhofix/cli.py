@@ -6,7 +6,8 @@ and `certificate`, makes the output directory, builds the `PointSampler`
 and picks `say` (`print`, or a no-op under `--quiet`). Each runner,
 `run_check | run_solve | run_certificate(cfg, out, sampler, say)`, then
 holds only its stages: it builds its summaries here and writes them with
-the reports and records of `output` into the output directory.
+the reports and records of `output` into the output directory; `solve`
+hands its open `trace.npy` to the solver, which streams the trace into it.
 
 Exit codes: 0 success (no violations / converged / certificate passed),
 1 mathematical failure (violations, divergence, failed certificate),
@@ -35,7 +36,7 @@ from .checks import (
 )
 from .config import ProblemConfig, check_seed, load_config
 from .errors import ConfigError, InvalidModularError, SolveError, UnboundedOrbitError
-from .output import report_payload, write_certificate, write_json, write_trace
+from .output import report_payload, write_certificate, write_json
 from .solver import (picard_solve, power_index, solve_via_power, verify_contraction,
                      verify_s_contraction)
 
@@ -48,10 +49,13 @@ EXIT_USAGE = 2
 # trials used for the pre-solve empirical contraction check
 VERIFY_TRIALS = 512
 
-# the keys that size each subcommand's arrays, as (key, ProblemConfig field)
+# the keys that size each subcommand's arrays, as (key, ProblemConfig field).
+# A solve streams its trace to its file, so solve.max_iter sizes none of its
+# arrays: they are blocks of points, as wide as the initial point, and the
+# doubling estimate's min(check.trials, 2048) samples
 _SIZE_KEYS = {
     "check": (("check.trials", "trials"), ("check.fatou_steps", "fatou_steps")),
-    "solve": (("solve.max_iter", "max_iter"),),
+    "solve": (("len(initial_point)", "dim"), ("check.trials", "trials")),
     "certificate": (("chain.N", "chain_n"),),
 }
 
@@ -149,17 +153,17 @@ def run_solve(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
     k = doubling_constant(cfg.space, sampler, min(cfg.trials, 2048))
     power = power_index(c_eff, k) if k is not None and 0.0 <= c_eff < 1.0 else 1
     error = None
-    try:
-        if power > 1:
-            trace = solve_via_power(
-                cfg.map, cfg.space, c_eff, cfg.initial_point, cfg.tol, cfg.max_iter, k=k
-            )
-        else:
-            trace = picard_solve(cfg.map, cfg.space, cfg.initial_point, cfg.tol, cfg.max_iter)
-    except SolveError as exc:
-        trace, error = exc.trace, str(exc)
-
-    write_trace(out / "trace.npy", trace)
+    # the solver streams the trace table into its file block by block
+    with open(out / "trace.npy", "w+b") as file:
+        try:
+            if power > 1:
+                trace = solve_via_power(cfg.map, cfg.space, c_eff, cfg.initial_point, cfg.tol,
+                                        cfg.max_iter, k=k, file=file)
+            else:
+                trace = picard_solve(cfg.map, cfg.space, cfg.initial_point, cfg.tol,
+                                     cfg.max_iter, file=file)
+        except SolveError as exc:
+            trace, error = exc.trace, str(exc)
     summary = {
         "converged": trace.converged,
         "iterations": trace.iterations,

@@ -1,7 +1,9 @@
 """Binary trace/certificate tables and JSON report summaries.
 
 Each record is one `.npy` file, its own table saved by `np.save` with no
-copy: a structured float64 array, one row per orbit row, laid out by
+copy (or, for a solve given its trace file, streamed by the solver block
+by block with the same bytes): a structured float64 array, one row per
+orbit row, laid out by
 `IterationTrace.dtype` or `ChainCertificate.dtype`, where `x` is a
 subarray of the d coordinates. The row index is n; it is not stored. The
 doubles are stored as they are, so reading a file back gives the recorded
@@ -65,7 +67,8 @@ def _columns(table: np.ndarray) -> dict:
 
 
 def write_trace(path, trace: IterationTrace) -> None:
-    """Trace table: the trace's own `table` (`IterationTrace.dtype`)."""
+    """Trace table: the trace's own `table` (`IterationTrace.dtype`), of a
+    run that kept its rows in memory (a run given a `file` wrote them)."""
     with open(path, "wb") as fh:
         np.save(fh, trace.table)
 

@@ -6,8 +6,10 @@ Convergence requires BOTH below tol, which guards against declaring
 victory on a slowly moving orbit. The orbit depends on T alone, so it is
 computed first, in blocks (`MapSpec.orbit`, each row written in place by
 the map's step kernel) written straight into the tail of the trace's
-table, the one `output.write_trace` saves (`IterationTrace.dtype`); each
-block's modulars are then one batch call, evaluated in place over the rows
+table, the one `output.write_trace` saves (`IterationTrace.dtype`), or,
+given an open trace file, into one block-sized table whose kept rows are
+appended to the file as `np.save` would write them; each block's
+modulars are then one batch call, evaluated in place over the rows
 X[1:] - X[:-1] (residuals and steps alike). The first block has 8 rows.
 Each later one is sized from the geometric decay of the residuals over the
 block before: the rows left until tol, plus a small margin; it doubles
@@ -24,6 +26,7 @@ single map. k comes from the caller or a closed form, never from samples
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -254,20 +257,26 @@ class MapSpec:
 
 @dataclass
 class IterationTrace:
-    """Full record of one Picard run: one `table` row per iterate x_n, laid
-    out as `dtype(d)`, the table the run's blocks were walked in. `X` and
-    the modulars are views of its fields, read through properties, so none
-    of them can be reassigned."""
+    """Record of one Picard run: one row per iterate x_n, laid out as
+    `dtype(d)`. `table` holds every row the blocks were walked in, or the
+    last row alone when the run streamed its rows to a trace file; `rows`
+    counts them either way. `X` and the modulars are views of the table's
+    fields, read through properties, so none of them can be reassigned."""
 
     table: np.ndarray
     converged: bool = False
     fixed_point: np.ndarray | None = None
     power: int = 1              # the composite T^power the engine stepped
     k_used: float | None = None  # doubling constant behind the power choice
+    rows: int | None = None     # the run's row count; None takes len(table)
 
     step_mod = property(lambda self: self.table["step_mod"])  # rho(x_n - x_{n-1}); nan at n = 0
     residual = property(lambda self: self.table["residual"])  # rho(T x_n - x_n)
     X = property(lambda self: self.table["x"])  # (rows, d) iterates
+
+    def __post_init__(self):
+        if self.rows is None:
+            self.rows = len(self.table)
 
     @staticmethod
     def dtype(d: int) -> np.dtype:
@@ -276,7 +285,7 @@ class IterationTrace:
 
     @property
     def iterations(self) -> int:
-        return len(self.table) - 1
+        return self.rows - 1
 
 
 def _map_dim(T: MapSpec, m: ModularLike, x0) -> int:
@@ -297,6 +306,9 @@ def _check_scaled(c: float | None, k: float | None, s: float) -> tuple[str, str]
     return None
 
 
+_CHECK_VALUES = 16_384  # entries of a contraction-check block: 128 KiB per float64 array
+
+
 def _ratio_check(
     T: MapSpec, m: ModularLike, scale: float, factor: float,
     sampler: PointSampler, trials: int, axiom: str, scalars: tuple,
@@ -304,38 +316,68 @@ def _ratio_check(
     """Sampled check of rho(scale (Tx - Ty)) <= factor rho(x - y).
 
     The rows are every canonical basis vector against the origin, then
-    `trials` sampled pairs: all x are drawn as one batch, then all y. Each
-    side is mapped by one `T.apply` call and every modular is one batch
-    evaluation. The report carries the largest observed ratio
+    `trials` sampled pairs: all x are the sampler's next trials * d words,
+    then all y the words after them. The stacked rows are walked in blocks
+    of max(1, _CHECK_VALUES // d) rows, the last of which takes in a
+    remainder of up to 1/16 of a block (so the 544 rows of d = 32 at 512
+    trials are one block); each block's x and y are mapped by one
+    `T.apply` call each, its modulars are one batch evaluation each, and
+    its violations are recorded in row order. Only rho(x - y) and
+    rho(scale (Tx - Ty)) of every row are kept. A block draws its x rows,
+    advances the sampler's generator to its y rows and, unless it is the
+    last, back to the next block's x rows, so the draws are those of one
+    x batch and one y batch whatever the blocks; a check of one block
+    draws the two batches in turn and advances nothing.
+
+    The report carries the largest observed ratio
     rho(scale (Tx - Ty)) / rho(x - y) over the rows where both modulars
     measure something: a 0 at x != y, or at Tx != Ty, is an underflow, and
-    so is a ratio of 0 between two positive modulars.
+    so is a ratio of 0 between two positive modulars. Whether Tx = Ty on a
+    row whose modular reads 0 is read off the block's own images.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dim = _map_dim(T, m, np.zeros(sampler.dim))
-    X = np.vstack((np.eye(dim), sampler.points(trials)))
-    Y = np.vstack((np.zeros((dim, dim)), sampler.points(trials)))
-    d = m._evaluate_owned(X - Y)
-    TX = T.apply(X)
-    np.subtract(TX, T.apply(Y), out=TX)  # scale (Tx - Ty) is formed in TX's buffer
-    lhs = m._evaluate_owned(np.multiply(scale, TX, out=TX))
-    with np.errstate(invalid="ignore"):  # 0 * inf: a zero factor bounds an infinite gap by 0
-        rhs = np.where(np.isinf(d), INF if factor > 0.0 else 0.0, factor * d)
-    rep = AxiomReport(trials=trials)
-    i = _ineq_violations(lhs, rhs)
-    rep.record_rows(axiom, (X[i], Y[i]), scalars, lhs[i], rhs[i])
+    total, size = dim + trials, max(1, _CHECK_VALUES // dim)
+    ends = [*range(size, total - size // 16, size), total]
+    rhos, lhss = [], []  # each block's rho(x - y) and rho(scale (Tx - Ty))
+    rep, tied = AxiomReport(trials=trials), False
+    bits, words = sampler.rng.bit_generator, trials * dim
+    for at, end in zip([0, *ends], ends):
+        X = np.eye(max(0, min(end, dim) - at), dim, at)  # the block's basis rows, if any
+        Y = np.zeros(X.shape)
+        if end > dim:  # and its sampled rows
+            n = end - max(at, dim)
+            xs = sampler.points(n)
+            X = xs if at >= dim else np.vstack((X, xs))
+            if n < trials:
+                bits.advance(words - n * dim)  # from the x rows past this block to its y rows
+            ys = sampler.points(n)
+            Y = ys if at >= dim else np.vstack((Y, ys))
+            if end < total:
+                bits.advance(-words)  # back to the next block's x rows
+            del xs, ys
+        db = m._evaluate_owned(X - Y)
+        TX, TY = T.apply(X), T.apply(Y)
+        diff = np.subtract(TX, TY)  # scale (Tx - Ty) is formed in its own buffer
+        lb = m._evaluate_owned(np.multiply(scale, diff, out=diff))
+        rhos.append(db)
+        lhss.append(lb)
+        with np.errstate(invalid="ignore"):  # 0 * inf: a zero factor bounds an infinite gap by 0
+            rhs = np.where(np.isinf(db), INF if factor > 0.0 else 0.0, factor * db)
+        i = _ineq_violations(lb, rhs)
+        rep.record_rows(axiom, (X[i], Y[i]), scalars, lb[i], rhs[i])
+        if not tied and np.count_nonzero(lb) < lb.size:
+            # a ratio of 0 counts only where Tx = Ty exactly: at Tx != Ty
+            # rho(Tx - Ty), or the ratio itself, underflowed
+            z = np.flatnonzero((lb == 0.0) & (db > 0.0) & (db < INF))
+            tied = bool(np.any(np.all(TX[z] == TY[z], axis=-1)))
+        del X, Y, TX, TY, diff  # before the next block's draws
+    d, lhs = (v[0] if len(v) == 1 else np.concatenate(v) for v in (rhos, lhss))
     ok = np.flatnonzero((d > 0.0) & (d < INF) & ~np.isinf(lhs))
     if ok.size:
         top = float(np.max(lhs[ok] / d[ok]))
-        if top == 0.0:
-            # a ratio of 0 counts only where Tx = Ty exactly: at Tx != Ty
-            # rho(Tx - Ty), or the ratio itself, underflowed. The images are
-            # mapped again here, so the usual case holds no batch of them
-            z = ok[lhs[ok] == 0.0]
-            if not np.any(np.all(T.apply(X)[z] == T.apply(Y)[z], axis=-1)):
-                top = math.nan
-        rep.max_ratio = top
+        rep.max_ratio = math.nan if top == 0.0 and not tied else top
     return rep
 
 
@@ -398,17 +440,59 @@ def _block_size(res: np.ndarray, tol: float, cap: int) -> int:
     return min(2 * len(res), cap)
 
 
+_MOVE_BYTES = 1 << 20  # bytes moved at a time when a trace file's header shrinks
+
+
+def _npy_header(dtype: np.dtype, rows: int) -> bytes:
+    """The header `np.save` writes before a table of `rows` rows of `dtype`."""
+    fmt, buf = np.lib.format, io.BytesIO()
+    fmt.write_array_header_1_0(buf, {"descr": fmt.dtype_to_descr(dtype),
+                                     "fortran_order": False, "shape": (rows,)})
+    return buf.getvalue()
+
+
+def _end_table(file, start: int, reserved: int, header: bytes, nbytes: int) -> None:
+    """Put `header` in front of the `nbytes` of rows written at `start` after
+    a header of `reserved` bytes, and cut the file after them. Its row count
+    is at most the reserved one, so the header is never longer. numpy pads
+    a row count of up to 21 digits to one width, so it is as long, unless
+    the reserved count had more digits: the rows then move forward in
+    chunks of _MOVE_BYTES, each read before it is overwritten."""
+    end = start + len(header) + nbytes
+    if len(header) < reserved:
+        for at in range(0, nbytes, _MOVE_BYTES):
+            file.seek(start + reserved + at)
+            chunk = file.read(min(_MOVE_BYTES, nbytes - at))
+            file.seek(start + len(header) + at)
+            file.write(chunk)
+    file.truncate(end)
+    file.seek(start)
+    file.write(header)
+    file.seek(end)
+
+
 def _run_picard(
-    T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int, power: int
+    T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int, power: int, file=None
 ) -> IterationTrace:
     """Picard on T^power from x0, for `picard_solve`, `solve_via_power` and
     `output.reverify_trace`. The orbit is walked in `MapSpec.orbit` blocks,
-    8 rows first, then `_block_size` rows up to `_block_cap(d)`, each written
-    into the trace table's tail: the table grows by the block, whose first
-    row is the last block's last, and shrinks to the kept rows at the end.
-    A block is tested for finite entries as a whole and its steps are one
-    modular call. A trace row depends only on the rows before it, so block
-    sizes change no bit, stop or error."""
+    8 rows first, then `_block_size` rows up to `_block_cap(d)`. A block is
+    tested for finite entries as a whole and its steps are one modular
+    call. A trace row depends only on the rows before it, so block sizes
+    change no bit, stop or error.
+
+    Without `file` every block is written into the trace table's tail: the
+    table grows by the block, whose first row is the last block's last, and
+    shrinks to the kept rows at the end. With `file`, an open binary file
+    (readable, writable and seekable) at the point where the table is to
+    start, the blocks are walked in one table, grown to the largest block
+    so far plus two rows (at most `_block_cap(d) + 2`): row 0 holds the row
+    before the block (the underflow test reads it), and each block's kept
+    rows are appended to the file as they are judged.
+    The file starts with `np.save`'s header for max_iter + 1 rows; however
+    the run ends, that header is rewritten for the rows written
+    (`_end_table`), so the file is `np.save` of the rows judged so far, and
+    the trace holds the last row alone."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 0:
@@ -417,42 +501,65 @@ def _run_picard(
         raise ValueError("power must be >= 1")
     rho = m._evaluate_owned
     x = as_point(x0, _map_dim(T, m, x0))
-    table, error = np.empty(1, IterationTrace.dtype(x.size)), None  # row n holds x_n
-    table["x"][0] = x
+    dtype, error = IterationTrace.dtype(x.size), None
     n, step, size, cap = 0, math.nan, _BLOCK_MIN, _block_cap(x.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while n <= max_iter:
-            # X[i] = x_{n+i}, in the table grown by the block while no view of
-            # it is alive (README "Performance notes"); X[rows] starts the next
-            # block. Row i's residual rho(X[i+1] - X[i]) is row i+1's step; a
-            # non-finite image gives +inf
-            rows = min(size, max_iter + 1 - n)
-            table.resize(n + rows + 1, refcheck=False)
-            X = T.orbit(table["x"][n], rows, power, out=table["x"][n:])
-            fin = rows + 1  # leading rows in the space
-            if not np.isfinite(X).all():  # the first row with a non-finite entry
-                fin = int(np.argmin(np.isfinite(X).all(axis=1)))
-            res = np.full(min(rows, fin), INF)
-            if fin > 1:  # a batched functional is never handed an empty batch
-                res[: fin - 1] = rho(np.subtract(X[1:fin], X[: fin - 1]))
-            del X
-            step_mods = np.concatenate(([step], res[:-1]))
-            hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
-            k = int(hit[0]) + 1 if hit.size else res.size
-            table["step_mod"][n : n + k], table["residual"][n : n + k] = step_mods[:k], res[:k]
-            n += k  # the rows kept so far
-            if hit.size:
-                if _underflows(table["x"], n - 1, step_mods[k - 1], res[k - 1]):
-                    error = ModularUnderflowError(
-                        f"modular underflow at step {n - 1}: rho is 0 at a nonzero step or "
-                        f"residual, so the stopping test (tol {tol:.3e}) measured nothing")
-                break
-            if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
-                error = DivergenceError(f"non-finite iterate at step {n}")
-                break
-            step, size = float(res[-1]), _block_size(res, tol, cap)
-    table.resize(n, refcheck=False)  # drops the image past the last kept row
-    trace = IterationTrace(table, power=power)
+    if file is None:
+        table, o = np.empty(1, dtype), 0  # table[o] holds x_n
+    else:
+        table, o = np.empty(2, dtype), 1
+        start, reserved = file.tell(), _npy_header(dtype, max_iter + 1)
+        file.write(reserved)
+    table["x"][o] = x
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while n <= max_iter:
+                # X[i] = x_{n+i}, in the table grown by the block while no view
+                # of it is alive (README "Performance notes"); X[rows] starts
+                # the next block. Row i's residual rho(X[i+1] - X[i]) is row
+                # i+1's step; a non-finite image gives +inf
+                rows = min(size, max_iter + 1 - n)
+                if file is None:
+                    table.resize(n + rows + 1, refcheck=False)
+                    o = n
+                elif len(table) < rows + 2:
+                    table.resize(rows + 2, refcheck=False)
+                X = T.orbit(table["x"][o], rows, power, out=table["x"][o : o + rows + 1])
+                fin = rows + 1  # leading rows in the space
+                if not np.isfinite(X).all():  # the first row with a non-finite entry
+                    fin = int(np.argmin(np.isfinite(X).all(axis=1)))
+                res = np.full(min(rows, fin), INF)
+                if fin > 1:  # a batched functional is never handed an empty batch
+                    res[: fin - 1] = rho(np.subtract(X[1:fin], X[: fin - 1]))
+                del X
+                step_mods = np.concatenate(([step], res[:-1]))
+                hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
+                k = int(hit[0]) + 1 if hit.size else res.size
+                kept = table[o : o + k]
+                kept["step_mod"], kept["residual"] = step_mods[:k], res[:k]
+                under = hit.size and _underflows(table["x"], o + k - 1, step_mods[k - 1], res[k - 1])
+                if file is not None:
+                    file.write(kept)
+                    table[:2] = table[k : k + 2]  # the last kept row and the next
+                del kept
+                n += k  # the rows kept so far
+                if hit.size:
+                    if under:
+                        error = ModularUnderflowError(
+                            f"modular underflow at step {n - 1}: rho is 0 at a nonzero step or "
+                            f"residual, so the stopping test (tol {tol:.3e}) measured nothing")
+                    break
+                if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
+                    error = DivergenceError(f"non-finite iterate at step {n}")
+                    break
+                step, size = float(res[-1]), _block_size(res, tol, cap)
+    finally:
+        if file is not None:
+            _end_table(file, start, len(reserved), _npy_header(dtype, n), n * dtype.itemsize)
+    if file is None:
+        table.resize(n, refcheck=False)  # drops the image past the last kept row
+    else:
+        table = table[:1].copy()  # the last kept row
+    trace = IterationTrace(table, power=power, rows=n)
     if error is not None:
         error.trace = trace
         raise error
@@ -469,7 +576,9 @@ def _underflows(X: np.ndarray, i: int, step: float, res: float) -> bool:
     return bool((step == 0.0 and np.any(x != X[i - 1])) or (res == 0.0 and np.any(X[i + 1] != x)))
 
 
-def picard_solve(T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int) -> IterationTrace:
+def picard_solve(
+    T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int, *, file=None
+) -> IterationTrace:
     """Iterate x_{n+1} = T x_n until step and residual modulars are <= tol.
 
     Records every step; `fixed_point` is set only on convergence. A
@@ -478,8 +587,11 @@ def picard_solve(T: MapSpec, m: ModularLike, x0, tol: float, max_iter: int) -> I
     underflow, e.g. 2**-1100 under the p = 1100 power modular) raises
     ModularUnderflowError carrying the trace up to that row.
     With max_iter = 0 the trace holds only the initial point.
+    With `file` (a binary file open for reading and writing) the rows are
+    streamed into it as `np.save` of the trace table, and the returned
+    trace holds the last row alone (`_run_picard`).
     """
-    return _run_picard(T, m, x0, tol, max_iter, power=1)
+    return _run_picard(T, m, x0, tol, max_iter, 1, file)
 
 
 def power_index(c: float, k: float) -> int:
@@ -506,7 +618,8 @@ def power_index(c: float, k: float) -> int:
 
 
 def solve_via_power(
-    T: MapSpec, m: ModularLike, c: float, x0, tol: float, max_iter: int, *, k: float | None = None
+    T: MapSpec, m: ModularLike, c: float, x0, tol: float, max_iter: int, *,
+    k: float | None = None, file=None,
 ) -> IterationTrace:
     """Picard on the composite T^n with n = power_index(c, k), then confirm
     the result is fixed for T itself.
@@ -516,7 +629,8 @@ def solve_via_power(
     unbounded. The composite is applied by n-fold application per step. A
     composite fixed point whose single-map residual exceeds tol raises
     InconsistentContractionError: the contraction claim c is then false
-    (e.g. the map has a periodic orbit).
+    (e.g. the map has a periodic orbit). `file` streams the rows as in
+    `picard_solve`.
     """
     if k is None:
         k = exact_doubling_constant(m)
@@ -524,7 +638,7 @@ def solve_via_power(
         raise ValueError("no exact doubling constant for this modular; pass k "
                          "(checks.doubling_constant estimates one)")
     n = power_index(c, float(k))
-    trace = _run_picard(T, m, x0, tol, max_iter, power=n)
+    trace = _run_picard(T, m, x0, tol, max_iter, n, file)
     trace.k_used = float(k)
     if trace.converged:
         x_star = trace.fixed_point

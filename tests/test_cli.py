@@ -216,7 +216,7 @@ def test_the_largest_size_numpy_can_make_loads(tmp_path, section, key):
 @pytest.mark.parametrize("command, targets, named", [
     ("check", ["check_modular_axioms"], "check.trials = 4000, check.fatou_steps = 20"),
     ("check", ["check_fatou_sampled"], "check.trials = 4000, check.fatou_steps = 20"),
-    ("solve", ["picard_solve", "solve_via_power"], "solve.max_iter = 10000"),
+    ("solve", ["picard_solve", "solve_via_power"], "len(initial_point) = 1, check.trials = 4000"),
     ("certificate", ["build_chain"], "chain.N = 30"),
 ])
 def test_a_run_out_of_memory_exits_2_naming_its_size_keys(tmp_path, capsys, monkeypatch,

@@ -179,6 +179,34 @@ def test_certify_chain_shapes_take_the_shift(tmp_path, d, N):
     _assert_replays(tmp_path / "out", cfg)
 
 
+# pair_check of the certify_chain benchmark's five problems at its seed 11,
+# drawn in turn from one generator as the benchmark draws them. At (32, 200)
+# numpy's vector power of c_m once gave 0x1.5557087f00000p-46 with its
+# AVX-512 kernels and 0x1.5557087e00000p-46 at its baseline dispatch
+CHAIN_SEED_11 = [((2, 100), "0x1.a38204aa00000p-35"), ((16, 150), "0x1.54f9af0800000p-40"),
+                 ((32, 200), "0x1.5557087e00000p-46"), ((8, 300), "0x1.b34f3c2e00000p-64"),
+                 ((4, 400), "0x1.2c7b16d000000p-80")]
+
+
+def test_shift_bounds_do_not_depend_on_numpy_simd_dispatch():
+    """The shift bound's c_m**(N - j) is Python's scalar pow, as the chain's
+    c**n are, so pair_check has the same bits at any SIMD dispatch level:
+    it equals the least bound computed in scalars, and its pins hold (CI
+    runs this test again with numpy held to its baseline dispatch)."""
+    rng = np.random.default_rng(11)
+    for (d, N), pinned in CHAIN_SEED_11:
+        T = random_affine_contraction(rng, d, 0.9)
+        x0 = rng.uniform(-1.0, 1.0, d)
+        rng.integers(0, 2**32)  # the problem's seed
+        m = ModularSpec.p_power(1.0, d)
+        cert = build_chain(m, T, x0, 0.9, None, N)
+        assert cert.pairs == "shift" and cert.all_pass
+        c_m, a = max(0.9, cert.c_certified), cert.alphas.tolist()
+        r = m.evaluate_batch(cert.X[0] - cert.X[1:]).tolist()
+        bounds = [0.9 ** (N - j) * (a[0] - a[j]) - c_m ** (N - j) * r[j - 1] for j in range(1, N + 1)]
+        assert cert.pair_check.hex() == min(bounds).hex() == pinned
+
+
 @pytest.mark.parametrize("name", ["affine_p2", "half_p1", "weighted_logistic"])
 def test_shipped_certificates_take_the_shift(tmp_path, name):
     cfg = CONFIGS / f"{name}.yaml"

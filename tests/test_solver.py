@@ -70,14 +70,24 @@ def test_map_validation():
 
 # --- verify_contraction ------------------------------------------------------
 
-def test_underflowed_ratios_give_no_max_ratio():
+def _underflowed_ratio_checks(d: int):
     # under p = 1100 each ratio 2**-1100 underflows, as do most rho(Tx - Ty)
-    m = ModularSpec.p_power(1100.0, 2)
-    rep = verify_contraction(MapSpec.half(), m, 0.5, PointSampler(2, seed=0), 512)
+    m = ModularSpec.p_power(1100.0, d)
+    rep = verify_contraction(MapSpec.half(), m, 0.5, PointSampler(d, seed=0), 512)
     assert rep.passed and math.isnan(rep.max_ratio)
     # a constant map's exact 0 (Tx = Ty) still counts
-    rep = verify_contraction(MapSpec.const([0.3, 0.1]), m, 0.5, PointSampler(2, seed=0), 512)
+    target = np.resize([0.3, 0.1], d)
+    rep = verify_contraction(MapSpec.const(target), m, 0.5, PointSampler(d, seed=0), 512)
     assert rep.max_ratio == 0.0
+
+
+def test_underflowed_ratios_give_no_max_ratio():
+    _underflowed_ratio_checks(2)
+
+
+def test_underflowed_ratios_over_several_blocks_give_no_max_ratio():
+    # d = 64: the check walks its 576 rows in blocks of 256
+    _underflowed_ratio_checks(64)
 
 
 def test_contraction_half_exact_ratio():
