@@ -7,12 +7,14 @@ and picks `say` (`print`, or a no-op under `--quiet`). Each runner,
 `run_check | run_solve | run_certificate(cfg, out, sampler, say)`, then
 holds only its stages: it builds its summaries here and writes them with
 the reports and records of `output` into the output directory; `solve`
-hands its open `trace.npy` to the solver, which streams the trace into it.
+opens `trace.npy` with `output.trace_file` and hands it to the solver,
+which writes each block's kept rows into it as it judges them.
 
 Exit codes: 0 success (no violations / converged / certificate passed),
 1 mathematical failure (violations, divergence, failed certificate),
-2 usage or config parse error, or a run whose arrays do not fit in memory
-(the message names the subcommand's size keys and their values).
+2 usage or config parse error, a run whose arrays do not fit in memory
+(naming the subcommand's size keys and their values) or an output file
+that cannot be written (naming it and the reason).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .checks import (
 )
 from .config import ProblemConfig, check_seed, load_config
 from .errors import ConfigError, InvalidModularError, SolveError, UnboundedOrbitError
-from .output import report_payload, write_certificate, write_json
+from .output import report_payload, trace_file, write_certificate, write_json
 from .solver import (picard_solve, power_index, solve_via_power, verify_contraction,
                      verify_s_contraction)
 
@@ -153,8 +155,7 @@ def run_solve(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
     k = doubling_constant(cfg.space, sampler, min(cfg.trials, 2048))
     power = power_index(c_eff, k) if k is not None and 0.0 <= c_eff < 1.0 else 1
     error = None
-    # the solver streams the trace table into its file block by block
-    with open(out / "trace.npy", "w+b") as file:
+    with trace_file(out / "trace.npy", cfg.dim) as file:
         try:
             if power > 1:
                 trace = solve_via_power(cfg.map, cfg.space, c_eff, cfg.initial_point, cfg.tol,
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
             sizes = ", ".join(f"{key} = {getattr(cfg, field)}"
                               for key, field in _SIZE_KEYS[args.command])
             raise ConfigError(sizes, "the arrays these sizes imply do not fit in memory") from None
+        except OSError as exc:  # every runner's I/O writes its outputs
+            raise ConfigError("out_dir", f"cannot write {exc.filename or out}: "
+                              f"{exc.strerror or exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

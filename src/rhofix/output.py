@@ -1,11 +1,11 @@
 """Binary trace/certificate tables and JSON report summaries.
 
-Each record is one `.npy` file, its own table saved by `np.save` with no
-copy (or, for a solve given its trace file, streamed by the solver block
-by block with the same bytes): a structured float64 array, one row per
-orbit row, laid out by
+Each record is one `.npy` file, the bytes `np.save` writes for its table:
+a structured float64 array, one row per orbit row, laid out by
 `IterationTrace.dtype` or `ChainCertificate.dtype`, where `x` is a
-subarray of the d coordinates. The row index is n; it is not stored. The
+subarray of the d coordinates. A certificate is saved by `np.save`; a
+trace goes through `trace_file`, which owns its header, from `write_trace`
+or block by block from the solver. The row index is n; it is not stored. The
 doubles are stored as they are, so reading a file back gives the recorded
 values bit for bit (nan, +-inf, -0.0 and subnormals included) and recorded
 slacks can be re-verified losslessly.
@@ -25,8 +25,10 @@ the CLI builds every other summary itself.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ from .modular import ModularLike
 from .solver import IterationTrace, MapSpec, _run_picard
 
 __all__ = [
+    "trace_file",
     "write_trace",
     "read_trace",
     "write_certificate",
@@ -66,11 +69,38 @@ def _columns(table: np.ndarray) -> dict:
     return {"n": np.arange(len(table)), **{name: table[name] for name in table.dtype.names}}
 
 
+def _npy_header(dtype: np.dtype, rows: int) -> bytes:
+    """The header `np.save` writes before a table of `rows` rows of `dtype`."""
+    fmt, buf = np.lib.format, io.BytesIO()
+    fmt.write_array_header_1_0(buf, {"descr": fmt.dtype_to_descr(dtype),
+                                     "fortran_order": False, "shape": (rows,)})
+    return buf.getvalue()
+
+
+@contextmanager
+def trace_file(path, d: int):
+    """Yield a trace file open after `np.save`'s header for 0 rows of
+    `IterationTrace.dtype(d)`. However the `with` block ends, the header is
+    rewritten, in place, for the rows written, so the file is `np.save` of
+    them: numpy pads a row count to 21 digits, more rows than a disk holds."""
+    dtype = IterationTrace.dtype(d)
+    header = _npy_header(dtype, 0)
+    with open(path, "wb") as file:
+        file.write(header)
+        try:
+            yield file
+        finally:
+            rows = (file.seek(0, io.SEEK_END) - len(header)) // dtype.itemsize
+            file.truncate(len(header) + rows * dtype.itemsize)  # no part of a row
+            file.seek(0)
+            file.write(_npy_header(dtype, rows))
+
+
 def write_trace(path, trace: IterationTrace) -> None:
     """Trace table: the trace's own `table` (`IterationTrace.dtype`), of a
     run that kept its rows in memory (a run given a `file` wrote them)."""
-    with open(path, "wb") as fh:
-        np.save(fh, trace.table)
+    with trace_file(path, trace.X.shape[1]) as file:
+        file.write(np.ascontiguousarray(trace.table))
 
 
 def read_trace(path) -> dict:

@@ -5,17 +5,16 @@ step modular rho(x_n - x_{n-1}) and the residual rho(T x_n - x_n).
 Convergence requires BOTH below tol, which guards against declaring
 victory on a slowly moving orbit. The orbit depends on T alone, so it is
 computed first, in blocks (`MapSpec.orbit`, each row written in place by
-the map's step kernel) written straight into the tail of the trace's
-table, the one `output.write_trace` saves (`IterationTrace.dtype`), or,
-given an open trace file, into one block-sized table whose kept rows are
-appended to the file as `np.save` would write them; each block's
-modulars are then one batch call, evaluated in place over the rows
-X[1:] - X[:-1] (residuals and steps alike). The first block has 8 rows.
-Each later one is sized from the geometric decay of the residuals over the
-block before: the rows left until tol, plus a small margin; it doubles
-instead while they do not decay. It holds at least 8 rows and at most
-max(256, 65,536 // d), so no block has more entries than 256 rows at
-d = 256.
+the map's step kernel) walked in one block-sized table laid out as a trace
+row (`IterationTrace.dtype`); each block's modulars are then one batch
+call, evaluated in place over the rows X[1:] - X[:-1] (residuals and
+steps alike), and its kept rows are written to the run's `file` (such as
+`output.trace_file`'s) or to the table the returned trace holds. The
+first block has 8 rows. Each later one is sized from the geometric decay
+of the residuals over the block before: the rows left until tol, plus a
+small margin; it doubles instead while they do not decay. It holds at
+least 8 rows and at most max(256, 65,536 // d), so no block has more
+entries than 256 rows at d = 256.
 
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
@@ -26,7 +25,6 @@ single map. k comes from the caller or a closed form, never from samples
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -258,10 +256,10 @@ class MapSpec:
 @dataclass
 class IterationTrace:
     """Record of one Picard run: one row per iterate x_n, laid out as
-    `dtype(d)`. `table` holds every row the blocks were walked in, or the
-    last row alone when the run streamed its rows to a trace file; `rows`
-    counts them either way. `X` and the modulars are views of the table's
-    fields, read through properties, so none of them can be reassigned."""
+    `dtype(d)`. `table` holds every row, or the last row alone for a run
+    given a `file` (so `X` is that row alone then); `rows` counts the run's
+    rows either way. `X` and the modulars are views of the table's fields,
+    read through properties, so none of them can be reassigned."""
 
     table: np.ndarray
     converged: bool = False
@@ -440,35 +438,16 @@ def _block_size(res: np.ndarray, tol: float, cap: int) -> int:
     return min(2 * len(res), cap)
 
 
-_MOVE_BYTES = 1 << 20  # bytes moved at a time when a trace file's header shrinks
+class _Rows:
+    """The rows of a run given no file: a table grown by each write."""
 
+    def __init__(self, dtype: np.dtype):
+        self.table = np.empty(0, dtype)
 
-def _npy_header(dtype: np.dtype, rows: int) -> bytes:
-    """The header `np.save` writes before a table of `rows` rows of `dtype`."""
-    fmt, buf = np.lib.format, io.BytesIO()
-    fmt.write_array_header_1_0(buf, {"descr": fmt.dtype_to_descr(dtype),
-                                     "fortran_order": False, "shape": (rows,)})
-    return buf.getvalue()
-
-
-def _end_table(file, start: int, reserved: int, header: bytes, nbytes: int) -> None:
-    """Put `header` in front of the `nbytes` of rows written at `start` after
-    a header of `reserved` bytes, and cut the file after them. Its row count
-    is at most the reserved one, so the header is never longer. numpy pads
-    a row count of up to 21 digits to one width, so it is as long, unless
-    the reserved count had more digits: the rows then move forward in
-    chunks of _MOVE_BYTES, each read before it is overwritten."""
-    end = start + len(header) + nbytes
-    if len(header) < reserved:
-        for at in range(0, nbytes, _MOVE_BYTES):
-            file.seek(start + reserved + at)
-            chunk = file.read(min(_MOVE_BYTES, nbytes - at))
-            file.seek(start + len(header) + at)
-            file.write(chunk)
-    file.truncate(end)
-    file.seek(start)
-    file.write(header)
-    file.seek(end)
+    def write(self, rows: np.ndarray) -> None:
+        n = len(self.table)
+        self.table.resize(n + len(rows), refcheck=False)
+        self.table[n:] = rows
 
 
 def _run_picard(
@@ -481,18 +460,12 @@ def _run_picard(
     call. A trace row depends only on the rows before it, so block sizes
     change no bit, stop or error.
 
-    Without `file` every block is written into the trace table's tail: the
-    table grows by the block, whose first row is the last block's last, and
-    shrinks to the kept rows at the end. With `file`, an open binary file
-    (readable, writable and seekable) at the point where the table is to
-    start, the blocks are walked in one table, grown to the largest block
-    so far plus two rows (at most `_block_cap(d) + 2`): row 0 holds the row
-    before the block (the underflow test reads it), and each block's kept
-    rows are appended to the file as they are judged.
-    The file starts with `np.save`'s header for max_iter + 1 rows; however
-    the run ends, that header is rewritten for the rows written
-    (`_end_table`), so the file is `np.save` of the rows judged so far, and
-    the trace holds the last row alone."""
+    The blocks are walked in one table, grown to the largest block so far
+    plus two rows (at most `_block_cap(d) + 2`): row 0 holds the row before
+    the block (the underflow test reads it). Each block's kept rows go to
+    `file.write` as they are judged, so however the run ends `file` has
+    every row judged so far; given no `file`, to a `_Rows` table, which the
+    trace holds (given one, the trace holds the last row alone)."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 0:
@@ -502,64 +475,48 @@ def _run_picard(
     rho = m._evaluate_owned
     x = as_point(x0, _map_dim(T, m, x0))
     dtype, error = IterationTrace.dtype(x.size), None
+    sink = _Rows(dtype) if file is None else file
     n, step, size, cap = 0, math.nan, _BLOCK_MIN, _block_cap(x.size)
-    if file is None:
-        table, o = np.empty(1, dtype), 0  # table[o] holds x_n
-    else:
-        table, o = np.empty(2, dtype), 1
-        start, reserved = file.tell(), _npy_header(dtype, max_iter + 1)
-        file.write(reserved)
-    table["x"][o] = x
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            while n <= max_iter:
-                # X[i] = x_{n+i}, in the table grown by the block while no view
-                # of it is alive (README "Performance notes"); X[rows] starts
-                # the next block. Row i's residual rho(X[i+1] - X[i]) is row
-                # i+1's step; a non-finite image gives +inf
-                rows = min(size, max_iter + 1 - n)
-                if file is None:
-                    table.resize(n + rows + 1, refcheck=False)
-                    o = n
-                elif len(table) < rows + 2:
-                    table.resize(rows + 2, refcheck=False)
-                X = T.orbit(table["x"][o], rows, power, out=table["x"][o : o + rows + 1])
-                fin = rows + 1  # leading rows in the space
-                if not np.isfinite(X).all():  # the first row with a non-finite entry
-                    fin = int(np.argmin(np.isfinite(X).all(axis=1)))
-                res = np.full(min(rows, fin), INF)
-                if fin > 1:  # a batched functional is never handed an empty batch
-                    res[: fin - 1] = rho(np.subtract(X[1:fin], X[: fin - 1]))
-                del X
-                step_mods = np.concatenate(([step], res[:-1]))
-                hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
-                k = int(hit[0]) + 1 if hit.size else res.size
-                kept = table[o : o + k]
-                kept["step_mod"], kept["residual"] = step_mods[:k], res[:k]
-                under = hit.size and _underflows(table["x"], o + k - 1, step_mods[k - 1], res[k - 1])
-                if file is not None:
-                    file.write(kept)
-                    table[:2] = table[k : k + 2]  # the last kept row and the next
-                del kept
-                n += k  # the rows kept so far
-                if hit.size:
-                    if under:
-                        error = ModularUnderflowError(
-                            f"modular underflow at step {n - 1}: rho is 0 at a nonzero step or "
-                            f"residual, so the stopping test (tol {tol:.3e}) measured nothing")
-                    break
-                if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
-                    error = DivergenceError(f"non-finite iterate at step {n}")
-                    break
-                step, size = float(res[-1]), _block_size(res, tol, cap)
-    finally:
-        if file is not None:
-            _end_table(file, start, len(reserved), _npy_header(dtype, n), n * dtype.itemsize)
-    if file is None:
-        table.resize(n, refcheck=False)  # drops the image past the last kept row
-    else:
-        table = table[:1].copy()  # the last kept row
-    trace = IterationTrace(table, power=power, rows=n)
+    table = np.empty(2, dtype)
+    table["x"][1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n <= max_iter:
+            # X[i] = x_{n+i}, in the table grown to the block while no view of
+            # it is alive (README "Performance notes"); X[rows] starts the
+            # next block. Row i's residual rho(X[i+1] - X[i]) is row i+1's
+            # step; a non-finite image gives +inf
+            rows = min(size, max_iter + 1 - n)
+            if len(table) < rows + 2:
+                table.resize(rows + 2, refcheck=False)
+            X = T.orbit(table["x"][1], rows, power, out=table["x"][1 : rows + 2])
+            fin = rows + 1  # leading rows in the space
+            if not np.isfinite(X).all():  # the first row with a non-finite entry
+                fin = int(np.argmin(np.isfinite(X).all(axis=1)))
+            res = np.full(min(rows, fin), INF)
+            if fin > 1:  # a batched functional is never handed an empty batch
+                res[: fin - 1] = rho(np.subtract(X[1:fin], X[: fin - 1]))
+            del X
+            step_mods = np.concatenate(([step], res[:-1]))
+            hit = np.flatnonzero((step_mods <= tol) & (res <= tol))
+            k = int(hit[0]) + 1 if hit.size else res.size
+            kept = table[1 : k + 1]
+            kept["step_mod"], kept["residual"] = step_mods[:k], res[:k]
+            under = hit.size and _underflows(table["x"], k, step_mods[k - 1], res[k - 1])
+            sink.write(kept)
+            del kept
+            table[:2] = table[k : k + 2]  # the last kept row and the next
+            n += k  # the rows kept so far
+            if hit.size:
+                if under:
+                    error = ModularUnderflowError(
+                        f"modular underflow at step {n - 1}: rho is 0 at a nonzero step or "
+                        f"residual, so the stopping test (tol {tol:.3e}) measured nothing")
+                break
+            if fin <= rows and max_iter:  # max_iter = 0 records x0 alone, whatever T x0 is
+                error = DivergenceError(f"non-finite iterate at step {n}")
+                break
+            step, size = float(res[-1]), _block_size(res, tol, cap)
+    trace = IterationTrace(sink.table if file is None else table[:1].copy(), power=power, rows=n)
     if error is not None:
         error.trace = trace
         raise error
@@ -587,9 +544,9 @@ def picard_solve(
     underflow, e.g. 2**-1100 under the p = 1100 power modular) raises
     ModularUnderflowError carrying the trace up to that row.
     With max_iter = 0 the trace holds only the initial point.
-    With `file` (a binary file open for reading and writing) the rows are
-    streamed into it as `np.save` of the trace table, and the returned
-    trace holds the last row alone (`_run_picard`).
+    With `file`, anything whose `write` takes a table of trace rows (such as
+    `output.trace_file`'s), each block's kept rows are written to it in
+    order, and the returned trace holds the last row alone.
     """
     return _run_picard(T, m, x0, tol, max_iter, 1, file)
 

@@ -1,5 +1,6 @@
 """CLI: config parsing, exit codes, determinism, and file round-trips."""
 
+import errno
 import json
 import os
 import struct
@@ -717,6 +718,20 @@ def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys, command, where):
     assert main([command, *argv, "--quiet"]) == 2
     assert "out_dir" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command,name", [
+    ("check", "report_axioms.json"), ("solve", "trace.npy"), ("certificate", "certificate.npy"),
+])
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, command, name):
+    # a directory where the output file goes: exit 1 would read as a
+    # mathematical failure, so the OS error is a config error on out_dir
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", half_cfg(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out_dir: cannot write ")
+    assert str(out / name) in err and os.strerror(errno.EISDIR) in err
 
 
 def _files(root):

@@ -1,15 +1,14 @@
-"""Traces the solver streams into their file, against `np.save` of the
+"""Traces the solver streams into a `trace_file`, against `np.save` of the
 trace table a run without a file keeps in memory, byte for byte.
 
-With `file`, `_run_picard` walks its blocks in one table of at most
-`_block_cap(d) + 2` rows, appends each block's kept rows to the file and,
-however the run ends, rewrites the header it reserved for max_iter + 1
-rows for the rows written, moving the rows where the header's padded
-length changed. The file must then be `np.save` of the rows judged so
-far: after a convergence, a run out of steps, each `SolveError` and any
-other exception. The run's returned trace holds the last row alone, with
-the row count. CI runs this file again under an older OpenBLAS kernel set
-and at numpy's baseline SIMD dispatch.
+`_run_picard` walks its blocks in one table of at most `_block_cap(d) + 2`
+rows and writes each block's kept rows to its `file`. `output.trace_file`
+starts the file with `np.save`'s header for 0 rows and, however its `with`
+block ends, rewrites it for the rows written. The file must then be
+`np.save` of the rows judged so far: after a convergence, a run out of
+steps, each `SolveError` and any other exception. The run's returned trace
+holds the last row alone, with the row count. CI runs this file again
+under an older OpenBLAS kernel set and at numpy's baseline SIMD dispatch.
 """
 
 import io
@@ -33,8 +32,8 @@ from rhofix import (
 )
 from rhofix import solver
 from rhofix.cli import main
-from rhofix.output import read_trace
-from rhofix.solver import _npy_header, _run_picard
+from rhofix.output import _npy_header, read_trace, trace_file, write_trace
+from rhofix.solver import _run_picard
 
 from test_golden import CONFIGS, GOLDEN, INLINE_SOLVE_GOLDEN
 
@@ -56,12 +55,12 @@ def _outcome(fn, *args, **kwargs):
         return exc.trace, f"{type(exc).__name__}: {exc}"
 
 
-def _streamed(tmp_path, fn, *args, **kwargs):
-    """(file bytes, trace, error text) of a run streamed into a fresh file."""
+def _streamed(tmp_path, d, fn, *args, **kwargs):
+    """(file bytes, trace, error text) of a run of width d streamed into a
+    fresh trace file."""
     path = tmp_path / "trace.npy"
-    with open(path, "w+b") as file:
+    with trace_file(path, d) as file:
         trace, error = _outcome(fn, *args, file=file, **kwargs)
-        assert file.tell() == path.stat().st_size  # left at the end of the table
     return path.read_bytes(), trace, error
 
 
@@ -125,21 +124,32 @@ ENDINGS = {
 def test_a_streamed_run_writes_np_save_of_the_kept_table(tmp_path, case):
     T, m, x0, tol, max_iter, power = ENDINGS[case]
     kept = _outcome(_run_picard, T, m, x0, tol, max_iter, power)
-    assert_streamed_as_kept(_streamed(tmp_path, _run_picard, T, m, x0, tol, max_iter, power), kept)
+    assert_streamed_as_kept(
+        _streamed(tmp_path, np.size(x0), _run_picard, T, m, x0, tol, max_iter, power), kept)
+
+
+@pytest.mark.parametrize("case", list(ENDINGS))
+def test_write_trace_writes_np_save_of_the_kept_table(tmp_path, case):
+    # a library caller's record goes through the same trace file
+    T, m, x0, tol, max_iter, power = ENDINGS[case]
+    trace, _ = _outcome(_run_picard, T, m, x0, tol, max_iter, power)
+    write_trace(tmp_path / "trace.npy", trace)
+    assert (tmp_path / "trace.npy").read_bytes() == _saved(trace.table)
 
 
 def test_the_public_solvers_stream_as_they_keep(tmp_path):
     T, m = MapSpec.logistic_damped(0.95), ModularSpec.p_power(1.0, 3)
-    assert_streamed_as_kept(_streamed(tmp_path, picard_solve, T, m, X0, 1e-10, 10_000),
+    assert_streamed_as_kept(_streamed(tmp_path, 3, picard_solve, T, m, X0, 1e-10, 10_000),
                             _outcome(picard_solve, T, m, X0, 1e-10, 10_000))
-    assert_streamed_as_kept(_streamed(tmp_path, solve_via_power, T, m, 0.95, X0, 1e-10, 10_000, k=2.0),
+    assert_streamed_as_kept(_streamed(tmp_path, 3, solve_via_power, T, m, 0.95, X0, 1e-10, 10_000,
+                                      k=2.0),
                             _outcome(solve_via_power, T, m, 0.95, X0, 1e-10, 10_000, k=2.0))
     # x -> -x: T^2 is the identity, an InconsistentContractionError
     T = MapSpec.affine([[-1.0]], [0.0])
     kept = _outcome(solve_via_power, T, P1, 0.3, [1.0], 1e-10, 50, k=2.0)
     assert kept[1].startswith("InconsistentContractionError")
-    assert_streamed_as_kept(_streamed(tmp_path, solve_via_power, T, P1, 0.3, [1.0], 1e-10, 50, k=2.0),
-                            kept)
+    assert_streamed_as_kept(_streamed(tmp_path, 1, solve_via_power, T, P1, 0.3, [1.0], 1e-10, 50,
+                                      k=2.0), kept)
 
 
 def test_a_stop_on_a_blocks_first_row_reads_the_row_before(tmp_path):
@@ -151,52 +161,76 @@ def test_a_stop_on_a_blocks_first_row_reads_the_row_before(tmp_path):
     m = ModularSpec.p_power(1.0, 7)
     kept = _outcome(picard_solve, T, m, np.arange(1.0, 8.0), 1e-10, 100)
     assert kept[1] is None and kept[0].converged and kept[0].iterations == 8
-    assert_streamed_as_kept(_streamed(tmp_path, picard_solve, T, m, np.arange(1.0, 8.0), 1e-10, 100),
-                            kept)
+    assert_streamed_as_kept(_streamed(tmp_path, 7, picard_solve, T, m, np.arange(1.0, 8.0), 1e-10,
+                                      100), kept)
 
 
-def test_a_run_ended_by_another_exception_leaves_the_rows_judged(tmp_path):
-    # the modular's second call raises: the first block's 8 rows were judged
+def _failing_on_call(n):
+    """A batched l1 functional on R^3 whose n-th call raises."""
     calls = []
 
     def failing(a):
         calls.append(len(a))
-        if len(calls) == 2:
+        if len(calls) == n:
             raise RuntimeError("functional failed")
         return np.sum(np.abs(a), axis=-1)
 
+    return NamedFunctional("l1", failing, dim=3, batched=True)
+
+
+def _ended_by_call(tmp_path, call) -> dict:
+    """Run with a modular that raises on its `call`-th call, check that the
+    trace file is `np.save` of the rows judged before it (each earlier call
+    judged one 8-row block), and read the file back."""
     T = MapSpec.logistic_damped(0.999)
-    m = NamedFunctional("l1", failing, dim=3, batched=True)
     path = tmp_path / "trace.npy"
-    with open(path, "w+b") as file, pytest.raises(RuntimeError, match="functional failed"):
-        picard_solve(T, m, X0, 1e-10, 10_000, file=file)
+    with pytest.raises(RuntimeError, match="functional failed"), trace_file(path, 3) as file:
+        picard_solve(T, _failing_on_call(call), X0, 1e-10, 10_000, file=file)
     m = NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=3, batched=True)
     full = picard_solve(T, m, X0, 1e-10, 10_000)
-    assert path.read_bytes() == _saved(full.table[:solver._BLOCK_MIN])
-    assert read_trace(path)["n"].size == solver._BLOCK_MIN
+    assert path.read_bytes() == _saved(full.table[: solver._BLOCK_MIN * (call - 1)])
+    return read_trace(path)
 
 
-@pytest.mark.parametrize("move_bytes", [solver._MOVE_BYTES, 1000])
-def test_a_shorter_final_header_moves_the_rows(tmp_path, monkeypatch, move_bytes):
-    # numpy pads a header's row count to 21 digits, and a count of more
-    # digits lengthens it: 301 rows under a header reserved for 10**k + 1
-    # rows, k the least that crosses a 64-byte boundary of the padded
-    # header. The rows move in one chunk, or in 1,000-byte chunks
-    monkeypatch.setattr(solver, "_MOVE_BYTES", move_bytes)
-    d, dtype = 3, solver.IterationTrace.dtype(3)
-    max_iter = next(10**k for k in range(21, 100)
-                    if len(_npy_header(dtype, 301)) < len(_npy_header(dtype, 10**k + 1)))
+def test_a_run_ended_by_another_exception_leaves_the_rows_judged(tmp_path):
+    # the modular's second call raises: the first block's 8 rows were judged
+    assert _ended_by_call(tmp_path, 2)["n"].size == solver._BLOCK_MIN
+
+
+def test_a_run_ended_by_its_first_modular_call_leaves_an_empty_table(tmp_path):
+    # no row was judged: the file is np.save of a table of 0 rows of width 3
+    data = _ended_by_call(tmp_path, 1)
+    assert data["n"].size == 0 and data["x"].shape == (0, 3)
+
+
+def test_a_max_iter_of_more_than_21_digits_streams_np_save_of_the_kept_table(tmp_path):
+    # the header is written for 0 rows, whatever max_iter is: 301 rows of a
+    # run allowed 10**30 steps
+    d = 3
     T, m, x0 = MapSpec.half(), ModularSpec.p_power(1.0, d), np.ones(d)
-    kept = _outcome(picard_solve, T, m, x0, d * 2.0**-300, max_iter)
+    kept = _outcome(picard_solve, T, m, x0, d * 2.0**-300, 10**30)
     assert kept[0].iterations == 300
-    assert_streamed_as_kept(_streamed(tmp_path, picard_solve, T, m, x0, d * 2.0**-300, max_iter),
-                            kept)
+    assert_streamed_as_kept(
+        _streamed(tmp_path, d, picard_solve, T, m, x0, d * 2.0**-300, 10**30), kept)
 
 
 def test_numpy_pads_the_header_to_one_length():
-    # up to 21 digits of rows the reserved header is rewritten in place
-    dtype = solver.IterationTrace.dtype(16)
-    assert len(_npy_header(dtype, 1)) == len(_npy_header(dtype, 100_001))
+    # numpy pads a row count to 21 digits, so trace_file rewrites its
+    # 0-row header in place for any count a disk can hold
+    for d in (1, 16, 256):
+        dtype = solver.IterationTrace.dtype(d)
+        lengths = {len(_npy_header(dtype, rows)) for rows in (0, 1, 10**6, 10**21 - 1)}
+        assert len(lengths) == 1, d
+
+
+def test_a_trace_file_drops_a_partial_row(tmp_path):
+    # a write cut short (say, by an interrupt) leaves np.save of the whole rows
+    path, row = tmp_path / "trace.npy", np.full(1, 0.5, solver.IterationTrace.dtype(2))
+    with pytest.raises(RuntimeError, match="cut short"), trace_file(path, 2) as file:
+        file.write(row)
+        file.write(row.tobytes()[:20])
+        raise RuntimeError("cut short")
+    assert path.read_bytes() == _saved(row)
 
 
 def test_a_solve_writes_its_trace_file_whatever_ends_it(tmp_path):
@@ -235,7 +269,7 @@ def test_a_streamed_solves_peak_does_not_grow_with_its_rows(tmp_path):
     x0 = np.random.default_rng(1).uniform(-1.0, 1.0, 16)
 
     def run(max_iter):
-        with open(tmp_path / "trace.npy", "w+b") as file:
+        with trace_file(tmp_path / "trace.npy", 16) as file:
             trace = picard_solve(T, m, x0, 1e-10, max_iter, file=file)
         assert trace.iterations == max_iter
 
@@ -251,7 +285,7 @@ def test_a_streamed_d256_solve_holds_under_a_block_and_a_half(tmp_path):
     x0 = np.random.default_rng(7).uniform(-1.0, 1.0, d)
 
     def run():
-        with open(tmp_path / "trace.npy", "w+b") as file:
+        with trace_file(tmp_path / "trace.npy", d) as file:
             assert picard_solve(T, m, x0, 1e-10, 100_000, file=file).converged
 
     run()
