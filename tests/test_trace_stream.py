@@ -203,15 +203,33 @@ def test_a_run_ended_by_its_first_modular_call_leaves_an_empty_table(tmp_path):
     assert data["n"].size == 0 and data["x"].shape == (0, 3)
 
 
-def test_a_max_iter_of_more_than_21_digits_streams_np_save_of_the_kept_table(tmp_path):
-    # the header is written for 0 rows, whatever max_iter is: 301 rows of a
-    # run allowed 10**30 steps
-    d = 3
+class _Chunks:
+    """A file whose writes reach `file` in pieces of at most `size` bytes."""
+
+    def __init__(self, file, size):
+        self.file, self.size = file, size
+
+    def write(self, rows):
+        data = rows.tobytes()
+        for start in range(0, len(data), self.size):
+            self.file.write(data[start:start + self.size])
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 1000])
+def test_a_shorter_final_header_moves_the_rows(tmp_path, chunk):
+    # 301 rows of a run allowed 10**30 steps: a header sized up front for
+    # max_iter + 1 rows would be longer than the final one, and the rows
+    # would move. trace_file starts at the 0-row header, so they stay put,
+    # whether each block reaches the file whole or in 1,000-byte writes that
+    # cut its rows
+    d, tol = 3, 3 * 2.0**-300
     T, m, x0 = MapSpec.half(), ModularSpec.p_power(1.0, d), np.ones(d)
-    kept = _outcome(picard_solve, T, m, x0, d * 2.0**-300, 10**30)
+    kept = _outcome(picard_solve, T, m, x0, tol, 10**30)
     assert kept[0].iterations == 300
-    assert_streamed_as_kept(
-        _streamed(tmp_path, d, picard_solve, T, m, x0, d * 2.0**-300, 10**30), kept)
+    path = tmp_path / "trace.npy"
+    with trace_file(path, d) as file:
+        trace, error = _outcome(picard_solve, T, m, x0, tol, 10**30, file=_Chunks(file, chunk))
+    assert_streamed_as_kept((path.read_bytes(), trace, error), kept)
 
 
 def test_numpy_pads_the_header_to_one_length():
