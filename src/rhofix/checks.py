@@ -4,8 +4,11 @@ All checkers are deterministic for a given sampler seed and never raise on a
 mathematical violation: findings are collected into an AxiomReport, which
 counts every violation and keeps the first MAX_WITNESSES with full
 witnesses. The only exceptions are usage errors and the invalid-modular
-condition in `delta2_type_estimate`. Trials are drawn and evaluated in
-batches; a report is independent of how the batches were split.
+condition in `delta2_type_estimate`. The axiom, s-convexity and doubling
+checkers (and `solver`'s contraction check) walk their trials in blocks of
+at most `_CHECK_VALUES` entries (`_walk`): each block draws its rows, judges
+them and drops them, and the draws are those of one whole draw per stream,
+so a report does not depend on where the blocks end.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +58,7 @@ __all__ = [
 _SPECIAL_VALUES = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 
 MAX_WITNESSES = 20        # violations a report keeps as witnesses
+_CHECK_VALUES = 16_384    # entries of a sampled-check block: 128 KiB per float64 array
 _FATOU_DIRECTIONS = 8     # direction pairs the Fatou check samples
 _EPS = float(np.finfo(float).eps)
 _TINY = math.ulp(0.0)     # the least subnormal double
@@ -70,6 +74,16 @@ def _row_sup(x: np.ndarray) -> np.ndarray:
     for col in a.T[1:]:
         np.maximum(sup, col, out=sup)
     return sup
+
+
+def _unit_rows(out: np.ndarray) -> np.ndarray:
+    """Rescale each row of `out` to unit sup-norm, in place, and return the
+    indices of the rows that are all zeros, which are left as they are."""
+    sup = _row_sup(out)
+    zero = np.flatnonzero(sup == 0.0)
+    sup[zero] = 1.0
+    np.divide(out, sup[:, None], out=out)
+    return zero
 
 
 class PointSampler:
@@ -142,16 +156,14 @@ class PointSampler:
         return self.points(1)[0]
 
     def directions(self, n: int) -> np.ndarray:
-        """An (n, dim) batch rescaled to unit sup-norm per row; a row that
-        is all zeros is redrawn."""
+        """An (n, dim) batch rescaled to unit sup-norm per row; the rows
+        that are all zeros are redrawn after all n rows, by one
+        `directions` call for all of them."""
         out = self.points(n)
-        sup = _row_sup(out)
-        redraw = np.flatnonzero(sup == 0.0)
-        while redraw.size:
-            out[redraw] = self.points(redraw.size)
-            sup[redraw] = _row_sup(out[redraw])
-            redraw = redraw[sup[redraw] == 0.0]
-        return np.divide(out, sup[:, None], out=out)
+        zero = _unit_rows(out)
+        if zero.size:
+            out[zero] = self.directions(zero.size)
+        return out
 
     def units(self, n: int) -> np.ndarray:
         return self.rng.uniform(size=n)
@@ -260,6 +272,51 @@ def _zero_at_nonzero(rx: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return i[np.any(xs[i] != 0.0, axis=1)]
 
 
+def _walk(sampler: PointSampler, trials: int, streams, judge, lead: int = 0) -> None:
+    """Walk a sampled check's `lead` rows of its own, then its `trials`
+    sampled rows, in blocks of max(1, _CHECK_VALUES // dim) rows; the last
+    block takes in a remainder of up to 1/16 of a block.
+
+    `streams` are pairs (draw, words per row), such as (sampler.points,
+    dim) or (sampler.units, 1): the sampler's stream is one whole draw of
+    each, in turn. `judge(at, end, draw)` judges rows [at, end), and its
+    i-th `draw()` returns the block's sampled rows of stream i: the
+    generator is advanced (`advance`) to the words the whole draw gave
+    them. So neither the draws nor the generator's state after the walk
+    depend on the blocks, and a walk of one block advances nothing. A
+    block's arrays go when its judge returns, before the next block draws.
+    """
+    bits, size = sampler.rng.bit_generator, max(1, _CHECK_VALUES // sampler.dim)
+    total, pos = lead + trials, 0  # pos: the words drawn so far, across the streams
+    starts = [0, *accumulate(trials * words for _, words in streams)]
+    ends = [*range(size, total - size // 16, size), total]
+    for at, end in zip([0, *ends], ends):
+        lo, hi, each = max(at - lead, 0), end - lead, iter(zip(starts, streams))
+
+        def draw():
+            nonlocal pos
+            start, (sample, words) = next(each)
+            if pos != start + lo * words:
+                bits.advance(start + lo * words - pos)
+            pos = start + hi * words
+            return sample(hi - lo)
+
+        judge(at, end, draw)
+
+
+def _joined(trials: int, parts) -> AxiomReport:
+    """One report of the reports `parts`, in turn: their witnesses, up to
+    MAX_WITNESSES, counts and largest offense."""
+    rep = AxiomReport(trials=trials)
+    for part in parts:
+        rep.violations += part.violations[: MAX_WITNESSES - len(rep.violations)]
+        rep.n_violations += part.n_violations
+        for axiom, n in part.axiom_counts.items():
+            rep.axiom_counts[axiom] = rep.axiom_counts.get(axiom, 0) + n
+        rep.max_slack_violation = max(rep.max_slack_violation, part.max_slack_violation)
+    return rep
+
+
 def check_modular_axioms(m: ModularLike, sampler: PointSampler, trials: int) -> AxiomReport:
     """Sampled check of the three modular axioms.
 
@@ -269,62 +326,71 @@ def check_modular_axioms(m: ModularLike, sampler: PointSampler, trials: int) -> 
         symmetry   rho(x) = rho(-x) exactly
         convexity  rho(a x + (1-a) y) <= rho(x) + rho(y)  up to slack
 
-    Violations are recorded with witnesses; nothing is raised.
+    Violations are recorded with witnesses; nothing is raised. All x are
+    the sampler's next trials * dim words, all y the words after them and
+    all a the `units` after those. The trials are judged in `_walk` blocks,
+    each axiom's violations in row order into a report of its own; the
+    report returned joins them: zero_iff, symmetry, then convexity.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rho, dim = _resolve(m, sampler)
+    zero_iff, symmetry, convexity = (AxiomReport(trials=trials) for _ in range(3))
+
+    zero = np.zeros(dim)
+    r0 = float(rho(zero[None, :])[0])
+    if r0 != 0.0:
+        zero_iff.record("zero_iff", (zero,), (r0,), r0, 0.0)
+
+    def judge(at, end, draw):
+        xs, ys, a = draw(), draw(), draw()
+        rx = rho(xs)
+        rmx = m._evaluate_owned(-xs)
+        ry = rho(ys)
+        combo = m._evaluate_owned(a[:, None] * xs + (1.0 - a)[:, None] * ys)
+
+        i = _zero_at_nonzero(rx, xs)
+        xi = xs[i]
+        zero_iff.record_rows("zero_iff", (xi,), (rx[i],), np.max(np.abs(xi), axis=1),
+                             np.zeros(i.size))
+        i = np.nonzero(rx != rmx)[0]
+        r, rm = rx[i], rmx[i]
+        # Python's max/min: the first argument unless the second is strictly
+        # larger (smaller); this keeps ties and nan as the scalar checker had them
+        symmetry.record_rows("symmetry", (xs[i],), (r, rm),
+                             np.where(rm > r, rm, r), np.where(rm < r, rm, r))
+        rhs = rx + ry
+        i = _ineq_violations(combo, rhs)
+        convexity.record_rows("convexity", (xs[i], ys[i]), (a[i], 1.0 - a[i]), combo[i], rhs[i])
+
+    _walk(sampler, trials, ((sampler.points, dim), (sampler.points, dim), (sampler.units, 1)),
+          judge)
+    return _joined(trials, (zero_iff, symmetry, convexity))
+
+
+def check_s_convexity(m: ModularLike, s: float, sampler: PointSampler, trials: int) -> AxiomReport:
+    """Check rho(a x + b y) <= a**s rho(x) + b**s rho(y) over a**s + b**s = 1,
+    on the draws of `check_modular_axioms`, in its blocks."""
+    if not 0.0 < s <= 1.0:
+        raise ValueError("s must lie in (0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rho, dim = _resolve(m, sampler)
     rep = AxiomReport(trials=trials)
 
-    zero = np.zeros(dim)
-    r0 = float(rho(zero[None, :])[0])
-    if r0 != 0.0:
-        rep.record("zero_iff", (zero,), (r0,), r0, 0.0)
+    def judge(at, end, draw):
+        xs, ys, a = draw(), draw(), draw()
+        b = (1.0 - a**s) ** (1.0 / s)
+        lhs = m._evaluate_owned(a[:, None] * xs + b[:, None] * ys)
+        # a vanished coefficient removes its term even against an infinite rho
+        with np.errstate(invalid="ignore"):
+            rhs = (np.where(a == 0.0, 0.0, a**s * rho(xs))
+                   + np.where(b == 0.0, 0.0, b**s * rho(ys)))
+        i = _ineq_violations(lhs, rhs)
+        rep.record_rows("s_convexity", (xs[i], ys[i]), (a[i], b[i], s), lhs[i], rhs[i])
 
-    xs = sampler.points(trials)
-    ys = sampler.points(trials)
-    a = sampler.units(trials)
-
-    rx = rho(xs)
-    rmx = m._evaluate_owned(-xs)
-    ry = rho(ys)
-    combo = m._evaluate_owned(a[:, None] * xs + (1.0 - a)[:, None] * ys)
-
-    i = _zero_at_nonzero(rx, xs)
-    xi = xs[i]
-    rep.record_rows("zero_iff", (xi,), (rx[i],), np.max(np.abs(xi), axis=1), np.zeros(i.size))
-    i = np.nonzero(rx != rmx)[0]
-    r, rm = rx[i], rmx[i]
-    # Python's max/min: the first argument unless the second is strictly
-    # larger (smaller); this keeps ties and nan as the scalar checker had them
-    rep.record_rows("symmetry", (xs[i],), (r, rm),
-                    np.where(rm > r, rm, r), np.where(rm < r, rm, r))
-    rhs = rx + ry
-    i = _ineq_violations(combo, rhs)
-    rep.record_rows("convexity", (xs[i], ys[i]), (a[i], 1.0 - a[i]), combo[i], rhs[i])
-    return rep
-
-
-def check_s_convexity(m: ModularLike, s: float, sampler: PointSampler, trials: int) -> AxiomReport:
-    """Check rho(a x + b y) <= a**s rho(x) + b**s rho(y) over a**s + b**s = 1."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError("s must lie in (0, 1]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rho, _ = _resolve(m, sampler)
-    rep = AxiomReport(trials=trials)
-
-    xs = sampler.points(trials)
-    ys = sampler.points(trials)
-    a = sampler.units(trials)
-    b = (1.0 - a**s) ** (1.0 / s)
-
-    lhs = m._evaluate_owned(a[:, None] * xs + b[:, None] * ys)
-    # a vanished coefficient removes its term even against an infinite rho
-    with np.errstate(invalid="ignore"):
-        rhs = np.where(a == 0.0, 0.0, a**s * rho(xs)) + np.where(b == 0.0, 0.0, b**s * rho(ys))
-    i = _ineq_violations(lhs, rhs)
-    rep.record_rows("s_convexity", (xs[i], ys[i]), (a[i], b[i], s), lhs[i], rhs[i])
+    _walk(sampler, trials, ((sampler.points, dim), (sampler.points, dim), (sampler.units, 1)),
+          judge)
     return rep
 
 
@@ -418,6 +484,18 @@ def certified_factor(T, m: ModularLike) -> tuple[float, bool] | None:
         return _rounded_up(top, d * d + 4), True
 
 
+def _exps(trials: int, rows: np.ndarray) -> np.ndarray:
+    """np.linspace(-3, 3, trials)[rows] for ascending row indices, bit for
+    bit: row i is i * (6 / (trials - 1)) - 3, and the last row is 3."""
+    if trials == 1:
+        return np.full(len(rows), -3.0)
+    exps = np.multiply(rows, 6.0 / (trials - 1), dtype=float)
+    exps -= 3.0
+    if rows[-1] == trials - 1:
+        exps[-1] = 3.0
+    return exps
+
+
 def delta2_type_estimate(m: ModularLike, sampler: PointSampler, trials: int) -> Delta2Result:
     """Estimate the least K with rho(2x) <= K rho(x) by sampled ratios.
 
@@ -426,30 +504,65 @@ def delta2_type_estimate(m: ModularLike, sampler: PointSampler, trials: int) -> 
     still grows by more than 1% over the top decade of scales. A sample
     with rho(x) = 0 at nonzero x raises InvalidModularError: no finite K
     can exist for such a functional.
+
+    The directions are `sampler.directions(trials)`, walked in `_walk`
+    blocks. A block's rows that are all zeros are held, measuring nothing,
+    until the last block: all held rows are redrawn then, as `directions`
+    redraws them, after the last row. Both maxima are running maxima over
+    the blocks and the redrawn rows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rho, _ = _resolve(m, sampler)
-    exps = np.linspace(-3.0, 3.0, trials) if trials > 1 else np.array([-3.0])
-    X = (10.0**exps)[:, None] * sampler.directions(trials)
-    r1 = rho(X)
-    if np.any(r1 == 0.0):
-        i = int(np.nonzero(r1 == 0.0)[0][0])
+    rho, dim = _resolve(m, sampler)
+    top = np.full(2, -INF)  # the largest ratio, and the largest at exps <= 2
+    zeros, held = [], []  # rows at rho(x) = 0; the held rows of each block before the last
+
+    def ratios(rows, U, hold):
+        """Judge the rows `rows` (ascending) of directions U, scaled in
+        place; the rows `hold` of U measure nothing."""
+        exps = _exps(trials, rows)
+        X = np.multiply((10.0**exps)[:, None], U, out=U)
+        r1 = rho(X)
+        zero = _zero_at_nonzero(r1, X)  # a held row is all zeros
+        if zero.size:
+            zeros.append(int(rows[zero[0]]))
+            return
+        r2 = m._evaluate_owned(2.0 * X)
+        with np.errstate(invalid="ignore"):  # inf / inf, or 0 / 0 at a held row
+            ratio = np.where(np.isinf(r1), -INF, r2 / r1)  # both-inf samples are indeterminate
+        ratio[hold] = -INF
+        early = np.searchsorted(exps, 2.0, side="right")  # the rows at exps <= 2 lead
+        np.maximum(top, (np.max(ratio), np.max(ratio[:early], initial=-INF)), out=top)
+
+    def judge(at, end, draw):
+        U = draw()
+        hold = _unit_rows(U)
+        if end < trials:
+            held.append(at + hold)
+            ratios(np.arange(at, end), U, hold)
+            return
+        rows = np.concatenate((*held, at + hold))
+        if rows.size:  # the redraws follow the last row in the stream
+            redrawn = sampler.directions(rows.size)
+            n = rows.size - hold.size  # the held rows of the blocks before
+            U[hold] = redrawn[n:]
+            if n:
+                ratios(rows[:n], redrawn[:n], hold[:0])
+        ratios(np.arange(at, end), U, hold[:0])
+
+    _walk(sampler, trials, ((sampler.points, dim),), judge)
+    if zeros:
+        i = min(zeros)
         raise InvalidModularError(
-            f"rho(x) = 0 at a nonzero point (scale 1e{exps[i]:+.2f}); no doubling constant exists"
+            f"rho(x) = 0 at a nonzero point (scale 1e{_exps(trials, [i])[0]:+.2f}); "
+            "no doubling constant exists"
         )
-    r2 = m._evaluate_owned(2.0 * X)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(np.isinf(r1), -INF, r2 / r1)  # both-inf samples are indeterminate
-    best = float(np.max(ratio))
+    best, best_before_top = top.tolist()
     if best == -INF:
         best = 0.0
     unbounded = math.isinf(best)
-    if not unbounded:
-        early = ratio[exps <= 2.0]
-        best_before_top = float(np.max(early)) if early.size else 0.0
-        if best_before_top > 0.0:
-            unbounded = best > 1.01 * best_before_top
+    if not unbounded and best_before_top > 0.0:
+        unbounded = best > 1.01 * best_before_top
     return Delta2Result(best, unbounded)
 
 

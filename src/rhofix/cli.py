@@ -52,12 +52,15 @@ EXIT_USAGE = 2
 VERIFY_TRIALS = 512
 
 # the keys that size each subcommand's arrays, as (key, ProblemConfig field).
-# A solve streams its trace to its file, so solve.max_iter sizes none of its
-# arrays: they are blocks of points, as wide as the initial point, and the
-# doubling estimate's min(check.trials, 2048) samples
+# The sampled checks walk their trials in blocks of at most 16,384 entries;
+# per trial they keep only the doubling estimate's rows whose direction was
+# all zeros, held for their redraw after the last trial (one row in 64**d,
+# so about check.trials / 64 at d = 1). A solve's estimate takes at most
+# 2,048 trials and its trace streams to its file, so its arrays are blocks
+# of points, as wide as the initial point
 _SIZE_KEYS = {
     "check": (("check.trials", "trials"), ("check.fatou_steps", "fatou_steps")),
-    "solve": (("len(initial_point)", "dim"), ("check.trials", "trials")),
+    "solve": (("len(initial_point)", "dim"),),
     "certificate": (("chain.N", "chain_n"),),
 }
 

@@ -170,9 +170,10 @@ _MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
 
 
 def _as_size(value, path: str, minimum: int, dim: int) -> int:
-    """An integer key that sizes arrays of up to value + 1 rows of `dim`
-    floats (sampled points, Fatou sequences, the chain's orbit). A value whose
-    array numpy cannot make is refused here, not met as a traceback later."""
+    """An integer key that counts rows of `dim` floats (sampled trials,
+    Fatou steps, the chain's nodes). A value whose value + 1 rows numpy
+    could not hold in one array is refused here, not met as a traceback
+    later."""
     n = _as_int(value, path, minimum)
     if (n + 1) * dim * 8 > _MAX_ARRAY_BYTES:
         raise ConfigError(path, f"{n} is too large: {n + 1} rows of {dim} floats "

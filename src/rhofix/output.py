@@ -98,7 +98,12 @@ def trace_file(path, d: int):
 
 def write_trace(path, trace: IterationTrace) -> None:
     """Trace table: the trace's own `table` (`IterationTrace.dtype`), of a
-    run that kept its rows in memory (a run given a `file` wrote them)."""
+    run that kept its rows in memory. The trace of a run given a `file`
+    holds its last row alone, since the file has its rows: a ValueError,
+    raised before `path` is opened."""
+    if trace.rows != len(trace.table):
+        raise ValueError(f"the trace holds {len(trace.table)} of its {trace.rows} rows; "
+                         "the run wrote them to its file")
     with trace_file(path, trace.X.shape[1]) as file:
         file.write(np.ascontiguousarray(trace.table))
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .checks import AxiomReport, PointSampler, _ineq_violations, exact_doubling_constant
+from .checks import (AxiomReport, PointSampler, _ineq_violations, _walk,
+                     exact_doubling_constant)
 from .errors import (
     DimensionMismatch,
     DivergenceError,
@@ -304,9 +305,6 @@ def _check_scaled(c: float | None, k: float | None, s: float) -> tuple[str, str]
     return None
 
 
-_CHECK_VALUES = 16_384  # entries of a contraction-check block: 128 KiB per float64 array
-
-
 def _ratio_check(
     T: MapSpec, m: ModularLike, scale: float, factor: float,
     sampler: PointSampler, trials: int, axiom: str, scalars: tuple,
@@ -315,17 +313,13 @@ def _ratio_check(
 
     The rows are every canonical basis vector against the origin, then
     `trials` sampled pairs: all x are the sampler's next trials * d words,
-    then all y the words after them. The stacked rows are walked in blocks
-    of max(1, _CHECK_VALUES // d) rows, the last of which takes in a
-    remainder of up to 1/16 of a block (so the 544 rows of d = 32 at 512
-    trials are one block); each block's x and y are mapped by one
-    `T.apply` call each, its modulars are one batch evaluation each, and
-    its violations are recorded in row order. Only rho(x - y) and
-    rho(scale (Tx - Ty)) of every row are kept. A block draws its x rows,
-    advances the sampler's generator to its y rows and, unless it is the
-    last, back to the next block's x rows, so the draws are those of one
-    x batch and one y batch whatever the blocks; a check of one block
-    draws the two batches in turn and advances nothing.
+    then all y the words after them. The stacked rows are walked in
+    `checks._walk` blocks of max(1, _CHECK_VALUES // d) rows, the last of
+    which takes in a remainder of up to 1/16 of a block (so the 544 rows of
+    d = 32 at 512 trials are one block); each block's x and y are mapped by
+    one `T.apply` call each, its modulars are one batch evaluation each,
+    and its violations are recorded in row order. Only rho(x - y) and
+    rho(scale (Tx - Ty)) of every row are kept.
 
     The report carries the largest observed ratio
     rho(scale (Tx - Ty)) / rho(x - y) over the rows where both modulars
@@ -336,25 +330,16 @@ def _ratio_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dim = _map_dim(T, m, np.zeros(sampler.dim))
-    total, size = dim + trials, max(1, _CHECK_VALUES // dim)
-    ends = [*range(size, total - size // 16, size), total]
     rhos, lhss = [], []  # each block's rho(x - y) and rho(scale (Tx - Ty))
     rep, tied = AxiomReport(trials=trials), False
-    bits, words = sampler.rng.bit_generator, trials * dim
-    for at, end in zip([0, *ends], ends):
+
+    def judge(at, end, draw):
+        nonlocal tied
         X = np.eye(max(0, min(end, dim) - at), dim, at)  # the block's basis rows, if any
         Y = np.zeros(X.shape)
         if end > dim:  # and its sampled rows
-            n = end - max(at, dim)
-            xs = sampler.points(n)
-            X = xs if at >= dim else np.vstack((X, xs))
-            if n < trials:
-                bits.advance(words - n * dim)  # from the x rows past this block to its y rows
-            ys = sampler.points(n)
-            Y = ys if at >= dim else np.vstack((Y, ys))
-            if end < total:
-                bits.advance(-words)  # back to the next block's x rows
-            del xs, ys
+            X = draw() if at >= dim else np.vstack((X, draw()))
+            Y = draw() if at >= dim else np.vstack((Y, draw()))
         db = m._evaluate_owned(X - Y)
         TX, TY = T.apply(X), T.apply(Y)
         diff = np.subtract(TX, TY)  # scale (Tx - Ty) is formed in its own buffer
@@ -370,7 +355,8 @@ def _ratio_check(
             # rho(Tx - Ty), or the ratio itself, underflowed
             z = np.flatnonzero((lb == 0.0) & (db > 0.0) & (db < INF))
             tied = bool(np.any(np.all(TX[z] == TY[z], axis=-1)))
-        del X, Y, TX, TY, diff  # before the next block's draws
+
+    _walk(sampler, trials, ((sampler.points, dim),) * 2, judge, lead=dim)
     d, lhs = (v[0] if len(v) == 1 else np.concatenate(v) for v in (rhos, lhss))
     ok = np.flatnonzero((d > 0.0) & (d < INF) & ~np.isinf(lhs))
     if ok.size:

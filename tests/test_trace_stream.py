@@ -137,6 +137,19 @@ def test_write_trace_writes_np_save_of_the_kept_table(tmp_path, case):
     assert (tmp_path / "trace.npy").read_bytes() == _saved(trace.table)
 
 
+def test_write_trace_refuses_the_trace_of_a_streamed_run(tmp_path):
+    # a d = 1 halving solve of 35 rows streamed into its trace file: the
+    # returned trace holds the last row alone, and writing it would give a
+    # file of that one row
+    with trace_file(tmp_path / "trace.npy", 1) as file:
+        trace = picard_solve(MapSpec.half(), P1, [1.0], 1e-10, 100, file=file)
+    assert (trace.rows, len(trace.table)) == (35, 1)
+    with pytest.raises(ValueError, match="holds 1 of its 35 rows"):
+        write_trace(tmp_path / "again.npy", trace)
+    assert not (tmp_path / "again.npy").exists()
+    assert read_trace(tmp_path / "trace.npy")["n"].size == 35
+
+
 def test_the_public_solvers_stream_as_they_keep(tmp_path):
     T, m = MapSpec.logistic_damped(0.95), ModularSpec.p_power(1.0, 3)
     assert_streamed_as_kept(_streamed(tmp_path, 3, picard_solve, T, m, X0, 1e-10, 10_000),
