@@ -446,20 +446,28 @@ def certified_factor(T, m: ModularLike) -> tuple[float, bool] | None:
       attained at the basis vector e_j;
     - `affine` with p = 2: the largest squared singular value of
       W**(1/2) A W**(-1/2), attained at its top singular vector (computed
-      as the top eigenvalue of B^T B, B that matrix).
+      as the top eigenvalue of B^T B, B that matrix);
+    - `half` under `orlicz` with a convex phi (`exp_minus_one`, `u_log`,
+      `power` with p >= 1): 1/2, and `logistic_damped` with lam <= 1: lam.
+      Such a phi is increasing with phi(0) = 0, so phi(t u) <= t phi(u)
+      for t <= 1 (Khamsi & Kozlowski, 2015), and each map is coordinatewise
+      Lipschitz with its factor.
 
-    Every case here is tight. The returned c is rounded up past the
-    rounding of its computation (`_rounded_up`), so it stays an upper
-    bound: 2**-1100 computes to 0.0, and is returned as a subnormal above
-    it. A factor past the largest double is +inf.
+    The Orlicz rows are exact and not marked tight (`power` with p > 1
+    halves by 2**-p); every other case is tight, and its c is rounded up
+    past the rounding of its computation (`_rounded_up`), so it stays an
+    upper bound: 2**-1100 computes to 0.0, and is returned as a subnormal
+    above it. A factor past the largest double is +inf.
     """
     if not isinstance(m, ModularSpec):
         return None
     kind = T.kind.value  # MapKind lives in solver, which imports this module
     if kind == "const":
         return 0.0, True
-    if m.family not in (Family.PPOWER, Family.WEIGHTED_SUM):
-        return None
+    if m.family is Family.ORLICZ:
+        lam = 0.5 if kind == "half" else T.lam if kind == "logistic_damped" else INF
+        convex = m.phi is not Phi.POWER or m.p >= 1.0
+        return (lam, False) if convex and lam <= 1.0 else None
     p = m.p
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "half":

@@ -30,6 +30,7 @@ import numpy as np
 from .chain import build_chain, cauchy_modulus
 from .checks import (
     PointSampler,
+    certified_factor,
     check_fatou_sampled,
     check_modular_axioms,
     check_s_convexity,
@@ -38,6 +39,7 @@ from .checks import (
 )
 from .config import ProblemConfig, check_seed, load_config
 from .errors import ConfigError, InvalidModularError, SolveError, UnboundedOrbitError
+from .modular import REL_TOL
 from .output import report_payload, trace_file, write_certificate, write_json
 from .solver import (picard_solve, power_index, solve_via_power, verify_contraction,
                      verify_s_contraction)
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("check", "run the modular axiom / s-convexity / doubling / Fatou checkers"),
-        ("solve", "verify the contraction empirically and run Picard iteration"),
+        ("solve", "prove or sample the contraction factor and run Picard iteration"),
         ("certificate", "build and verify a finite chain certificate"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -96,10 +98,19 @@ def _out_dir(cfg: ProblemConfig) -> Path:
 
 
 def _effective_c(cfg: ProblemConfig, sampler: PointSampler, say):
-    """Claimed factor if present, else the empirical max ratio (auto-fill).
-    With `map.s` set, c belongs to the scaled form, whose verdict is returned
-    as a summary entry (None without `s`)."""
+    """(c_eff, c_emp, violations, c_certified, scaled). A claimed c with
+    `certified_factor` c* <= c (1 + REL_TOL), the sampled check's allowance,
+    is proved: c_eff is c, c_certified c*, and nothing is sampled (c_emp
+    nan), so the sampler's stream stays put. Otherwise the contraction is
+    sampled, c_certified is None and c_eff is the claim if no sampled pair
+    violates it, else the empirical max ratio (auto-fill). With `map.s` set,
+    c belongs to the scaled form, whose verdict is returned as a summary
+    entry (None without `s`)."""
     T, claimed = cfg.map, cfg.c_claimed
+    if claimed is not None:
+        certified = certified_factor(T, cfg.space)
+        if certified is not None and certified[0] <= claimed * (1.0 + REL_TOL):
+            return claimed, math.nan, 0, certified[0], None
     probe_c = claimed if claimed is not None else 1.0 - 1e-12
     report = verify_contraction(T, cfg.space, probe_c, sampler, VERIFY_TRIALS)
     c_emp = report.max_ratio
@@ -118,7 +129,7 @@ def _effective_c(cfg: ProblemConfig, sampler: PointSampler, say):
                   "n_violations": rep_s.n_violations}
         if not rep_s.passed:
             say(f"warning: scaled form (c, k, s) = ({c}, {k}, {s}) violated")
-    return c_eff, c_emp, report, scaled
+    return c_eff, c_emp, report.n_violations, None, scaled
 
 
 def _report(out: Path, say, name: str, checker: str, report, label: str,
@@ -154,7 +165,7 @@ def run_check(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
 
 
 def run_solve(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
-    c_eff, c_emp, report, scaled = _effective_c(cfg, sampler, say)
+    c_eff, c_emp, violations, c_certified, scaled = _effective_c(cfg, sampler, say)
     k = doubling_constant(cfg.space, sampler, min(cfg.trials, 2048))
     power = power_index(c_eff, k) if k is not None and 0.0 <= c_eff < 1.0 else 1
     error = None
@@ -180,7 +191,9 @@ def run_solve(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
         "scaled_form": scaled,
         "c_effective": None if math.isnan(c_eff) else c_eff,
         "c_empirical": None if math.isnan(c_emp) else c_emp,
-        "contraction_violations": report.n_violations,
+        # only a proved claim has the key, so a sampled summary keeps its keys
+        **({} if c_certified is None else {"c_certified": c_certified}),
+        "contraction_violations": violations,
         "solver": "power" if power > 1 else "picard",
         "tol": cfg.tol,
         "seed": cfg.seed,
@@ -196,7 +209,7 @@ def run_solve(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
 
 
 def run_certificate(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
-    c_eff, c_emp, _, scaled = _effective_c(cfg, sampler, say)
+    c_eff, c_emp, _, _, scaled = _effective_c(cfg, sampler, say)
     cert = None
     if math.isnan(c_eff) or not 0.0 <= c_eff < 1.0:
         error = line = f"no contraction factor below 1 (empirical {c_emp:.6g})"

@@ -123,18 +123,10 @@ class MapSpec:
         """The map's formula as an in-place kernel `step(y, out)` on arrays of
         `shape`: the one place each kind's arithmetic is written. `out` may be
         `y`: each kernel reads y before it overwrites it. A damped-logistic
-        kernel holds one scratch array of `shape`. A step makes only the calls
-        its arithmetic needs: scalars are 0-d float64 arrays bound once, so no
-        call promotes a Python float (same values, same bits), and an affine
-        row is `np.dot` (one multiply at d = 1), matmul's BLAS product and bits
-        without its gufunc dispatch, which buffers an output that overlaps its
-        input.
-
-        With `folded`, the damped-logistic step takes sign-folded values
-        v = s y (s = +-1 per coordinate, the sign of the orbit's first row)
-        and returns s T(y): lam v / (1 + v) in three calls, with no
-        `absolute`, since 1 + v = 1 + |y| wherever v is a magnitude, a zero
-        or a nan (see `orbit`). Other kinds ignore `folded`."""
+        kernel holds one scratch array of `shape`; with `folded`, its step
+        takes sign-folded values v = s y and returns s T(y) (see `orbit`).
+        Other kinds ignore `folded`. README "Performance notes" says how a
+        step keeps the formula's bits in fewer calls."""
         # the ufuncs are bound once, so a step makes no module attribute lookups
         if self.kind is MapKind.AFFINE:
             # b's -0.0 entries are made +0.0: matmul's sums start at +0.0 and
@@ -210,17 +202,10 @@ class MapSpec:
         before the last alternate between two scratch rows), of `out` when
         it is given (a float64 (steps + 1, d) array, which x may be the
         first row of), else of a new array. Non-finite rows are kept; the
-        caller decides what they mean.
-
-        A damped-logistic orbit is stepped on sign-folded values: with
-        s = copysign(1, x) it starts from v = s x and ends with one pass
-        X[1:] *= s. The bits are the unfolded orbit's: multiplying by +-1 is
-        exact and commutes with lam *, so v_k = s y_k at every step, and
-        1 + v_k = 1 + |y_k| where v_k is a magnitude or a zero (lam = -0.0
-        makes zeros of either sign). A nan times +-1 is that nan, and a nan
-        numerator is the quotient whatever the denominator, so a payload of
-        either sign, and the default nan of an inf / inf row, keep their
-        bits."""
+        caller decides what they mean. A damped-logistic orbit is stepped on
+        the sign-folded values s x, s = copysign(1, x), and unfolded with one
+        X[1:] *= s pass, with the unfolded orbit's bits (README "Performance
+        notes" has the proof)."""
         x = self._checked(x)
         X = np.empty((steps + 1, x.size)) if out is None else out
         X[0] = x

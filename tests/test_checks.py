@@ -624,14 +624,27 @@ def test_certified_factor_past_the_largest_double_is_inf(T, m):
 
 
 @pytest.mark.parametrize("T,m", [
-    (MapSpec.half(), ModularSpec.orlicz(Phi.POWER, 2, p=2.0)),
-    (MapSpec.logistic_damped(0.8), ModularSpec.orlicz(Phi.U_LOG, 2)),
+    # phi(u) = u**0.5 is not convex: u -> u/2 contracts it by 2**-0.5 only
+    (MapSpec.half(), ModularSpec.orlicz(Phi.POWER, 2, p=0.5)),
+    # lam > 1: u -> lam u / (1 + |u|) is not a contraction near 0
+    (MapSpec.logistic_damped(1.5), ModularSpec.orlicz(Phi.EXP_MINUS_ONE, 2)),
+    (MapSpec.affine([[0.5, 0.1], [0.2, 0.3]], [0.0, 0.0]), ModularSpec.orlicz(Phi.U_LOG, 2)),
     (MapSpec.affine([[0.5, 0.1], [0.2, 0.3]], [0.0, 0.0]), ModularSpec.p_power(1.5, 2)),
     (MapSpec.half(), NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=2)),
     (MapSpec.const([1.0]), NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=2)),
-], ids=["orlicz-half", "orlicz-logistic", "affine-p1.5", "named-half", "named-const"])
+], ids=["orlicz-half", "orlicz-logistic", "orlicz-affine", "affine-p1.5", "named-half",
+        "named-const"])
 def test_certified_factor_is_none_without_a_closed_form(T, m):
     assert certified_factor(T, m) is None
+
+
+@pytest.mark.parametrize("phi,p", [(Phi.EXP_MINUS_ONE, None), (Phi.U_LOG, None),
+                                   (Phi.POWER, 1.0), (Phi.POWER, 2.5)])
+def test_orlicz_rows_are_half_and_lam_and_not_tight(phi, p):
+    m = ModularSpec.orlicz(phi, 3, p=p)
+    assert certified_factor(MapSpec.half(), m) == (0.5, False)
+    assert certified_factor(MapSpec.logistic_damped(0.8), m) == (0.8, False)
+    assert certified_factor(MapSpec.logistic_damped(1.0), m) == (1.0, False)
 
 
 def _ratios(T, m, X, Y):
@@ -642,12 +655,22 @@ def _ratios(T, m, X, Y):
     return lhs[ok] / d[ok]
 
 
+_CONVEX_PHIS = st.sampled_from([(Phi.EXP_MINUS_ONE, None), (Phi.U_LOG, None)]) | st.tuples(
+    st.just(Phi.POWER), st.floats(1.0, 4.0))
+
+
 @st.composite
 def _certified_problems(draw):
     """A (map, modular) pair that `certified_factor` covers. An affine map's
     offset drops out of Tx - Ty; it is 0 here, so no cancellation against
-    it enters the sampled ratio."""
+    it enters the sampled ratio. A third of the draws are the Orlicz rows:
+    `half` or `logistic_damped` with lam <= 1 under a convex phi."""
     dim = draw(st.integers(1, 4))
+    if draw(st.integers(0, 2)) == 0:
+        phi, p = draw(_CONVEX_PHIS)
+        lam = draw(st.floats(0.0, 1.0))
+        return draw(st.sampled_from([MapSpec.half(), MapSpec.logistic_damped(lam)])), \
+            ModularSpec.orlicz(phi, dim, p=p)
     kind = draw(st.sampled_from(["const", "half", "logistic_damped", "affine"]))
     p = draw(st.floats(0.3, 1.0) | st.just(2.0)) if kind == "affine" else draw(st.floats(0.3, 4.0))
     if draw(st.booleans()):

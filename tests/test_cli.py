@@ -573,9 +573,11 @@ def test_underflowed_sampled_ratios_give_no_empirical_factor(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "certificate"])
 def test_an_unmeasured_claim_is_warned_about(tmp_path, capsys, command):
-    # the claim c = 0.5 passes a check in which no row measured a ratio
-    tree = {"space": {"family": "ppower", "p": 1100}, "map": {"kind": "half", "c": 0.5},
-            "initial_point": [1.0, 0.7]}
+    # the claim c = 0.5 passes a check in which no row measured a ratio; an
+    # affine map under p = 1100 has no certified factor, so the claim is sampled
+    tree = {"space": {"family": "ppower", "p": 1100},
+            "map": {"kind": "affine", "matrix": [[0.5]], "offset": [0.0], "c": 0.5},
+            "initial_point": [1.0]}
     cfg = write_cfg(tmp_path / "problem.yaml", tree)
     summaries = []
     for out, quiet in (("loud", []), ("quiet", ["--quiet"])):
@@ -855,7 +857,10 @@ SOLVE_KEYS = ["converged", "iterations", "power", "k_used", "final_step_mod", "f
 FAILED_CERTIFICATE_KEYS = ["all_pass", "error", "c_empirical", "scaled_form", "seed"]
 
 SUMMARY_KEYS = {  # case -> (command, overrides of half_cfg, file, its keys in order)
-    "solve converged": ("solve", {}, "solve_summary.json", SOLVE_KEYS),
+    # the halving claim c = 0.5 is proved by its certified factor; an
+    # unclaimed run samples and has no c_certified
+    "solve converged": ("solve", {}, "solve_summary.json",
+                        SOLVE_KEYS[:11] + ["c_certified"] + SOLVE_KEYS[11:]),
     "solve diverged": ("solve", DIVERGING, "solve_summary.json", SOLVE_KEYS + ["error"]),
     "certificate pass": ("certificate", {}, "certificate_summary.json", [
         "alpha", "c", "c_certified", "N", "pairs", "pair_check", "max_check", "all_pass",

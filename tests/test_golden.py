@@ -6,13 +6,13 @@ report) is pinned by its SHA-256, so a change that alters any output byte
 fails here, not only one that alters a verdict. The configs run at their
 own seeds. Their maps and modulars are affine, halving and damped-logistic
 maps under p-power and weighted-sum modulars: no libm transcendental
-enters the traces or certificates. The summaries also hold the empirical
-contraction ratio, read off sampled points; those are decoded from PCG64
-words with integer and exact float operations, so neither libm nor numpy's
-CPU dispatch level can move them. The certificate summaries hold the
-certified factor too, `pow` of the halving and damped-logistic factors and
-a LAPACK eigenvalue for the affine map (of a 1 x 1 matrix, so exact), and
-the shift bound `pair_check` built from it.
+enters the traces or certificates. Every shipped map claims its factor,
+and the certified factor proves each claim, so no contraction pair is
+sampled and the solve summaries hold `c_empirical: null`. All six
+summaries hold that certified factor, `pow` of the halving and
+damped-logistic factors and a LAPACK eigenvalue for the affine map (of a
+1 x 1 matrix, so exact); the certificate summaries also hold the shift
+bound `pair_check` built from it.
 
 The `check` reports rest on more libm than that: `orlicz_check`'s
 modular is the Orlicz integrand exp(u) - 1, evaluated by `expm1`, and
@@ -21,11 +21,13 @@ or `sin` rounds differently could move the witnesses and constants in
 their reports.
 
 The inline Orlicz solves cover the two paths the shipped configs miss: an
-unbounded doubling constant (Picard) and a sampled one (the power path).
-Their traces are Orlicz modulars, evaluated by `expm1` for exp(u) - 1 and
-by `log1p` for u log(1 + u), and the u log(1 + u) run's power rests on its
-sampled doubling estimate; a platform whose `pow`, `expm1` or `log1p`
-rounds differently could move their bytes.
+unbounded doubling constant (Picard), on a claim that the Orlicz row of
+the certified factor proves, and a closed-form one (the power path), on
+an unclaimed map whose empirical factor is sampled from PCG64 words
+decoded with integer and exact float operations. Their traces are Orlicz
+modulars, evaluated by `expm1` for exp(u) - 1 and by `log1p` for
+u log(1 + u); a platform whose `pow`, `expm1` or `log1p` rounds
+differently could move their bytes.
 """
 
 import hashlib
@@ -39,15 +41,15 @@ CONFIGS = Path(__file__).parents[1] / "configs"
 
 GOLDEN = {
     ("solve", "affine_p2"): {
-        "solve_summary.json": "dd4dc90f115fcf229ed4170d06dc01382a2ea0db23899dbfb6a18d7c296f0bad",
+        "solve_summary.json": "0ac935faea2cf8c125edd317f6bf21ced1cd2f9e5cd5ce2a5ac917b7037ee77e",
         "trace.npy": "2bd0f35b48690e09524b8a5b242641ca29acbd1a04049c18c4abe332d8b1656d",
     },
     ("solve", "half_p1"): {
-        "solve_summary.json": "7afc07fcb456a1212adfb618c5cd7ee062fa3ed76202ae7e907d5b0ff2002c55",
+        "solve_summary.json": "e238be4d0f23cc93cbbde95225b842d3213f7f81acd0e8bfd79d05d119a47561",
         "trace.npy": "48cc3257b38366e4eb660fdde2dad9995e8043436d4752418d5b98ad616d1724",
     },
     ("solve", "weighted_logistic"): {
-        "solve_summary.json": "466c522eb7f0549612ee77f3f7bcc7f867a3d0f801d412ea6f1f56349e124875",
+        "solve_summary.json": "d54060315530288790021b3c7e336b7fdf88bfd81648154c56f0f6747233bf52",
         "trace.npy": "ed3a4bc3413e1980be43d04814ba78cf2c52065651cab2cb83177aab5601c8ce",
     },
     ("certificate", "affine_p2"): {
@@ -101,7 +103,7 @@ INLINE_SOLVE_GOLDEN = {
     # unbounded doubling constant: Picard, 86 iterations, k_used null
     "{space: {family: orlicz, phi: exp_minus_one}, map: {kind: logistic_damped, lam: 0.8, c: 0.8},"
     " initial_point: [0.5, -0.25, 0.1, 0.0], seed: 5}": {
-        "solve_summary.json": "1b03225bab39a5d7c897bfdb8af1fc9c633f423c326c97f3bc3ef851d0a289dd",
+        "solve_summary.json": "6b357694697f6af0100edba603ae2b0f2a488f0aacbf504b6c7524ccf7fa037c",
         "trace.npy": "d6a3fb655c8c8d71575b09a7a96d82cdccd35eca761911705454d19027d0e925",
     },
     # closed-form doubling constant 4: the power path with T^3 (the sampled

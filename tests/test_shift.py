@@ -32,11 +32,16 @@ CONFIGS = Path(__file__).parents[1] / "configs"
 @st.composite
 def _certified_chains(draw):
     """A certified (map, modular) pair with a factor below 1, a base point
-    and a chain length; the claimed c is the certified factor or above it."""
+    and a chain length; the claimed c is the certified factor or above it.
+    A third of the half and damped logistic maps are under a convex Orlicz
+    modular."""
     dim = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["half", "logistic_damped", "affine"]))
     p = draw(st.floats(0.5, 1.0) | st.just(2.0)) if kind == "affine" else draw(st.floats(0.5, 3.0))
-    if draw(st.booleans()):
+    if kind != "affine" and draw(st.integers(0, 2)) == 0:  # an Orlicz row
+        phi = draw(st.sampled_from([Phi.EXP_MINUS_ONE, Phi.U_LOG, Phi.POWER]))
+        m = ModularSpec.orlicz(phi, dim, p=1.0 + p if phi is Phi.POWER else None)
+    elif draw(st.booleans()):
         m = ModularSpec.p_power(p, dim)
     else:
         m = ModularSpec.weighted_sum(p, draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim)))
@@ -217,19 +222,29 @@ def test_shipped_certificates_take_the_shift(tmp_path, name):
 
 
 def test_without_a_certified_factor_the_scan_runs():
-    m = ModularSpec.orlicz(Phi.POWER, 2, p=2.0)
-    cert = build_chain(m, MapSpec.half(), [1.0, -0.5], 0.5, None, 20)
+    # phi(u) = u**0.5 is not convex, so halving has no certified factor;
+    # its true factor is 2**-0.5
+    m = ModularSpec.orlicz(Phi.POWER, 2, p=0.5)
+    cert = build_chain(m, MapSpec.half(), [1.0, -0.5], 0.75, None, 20)
     assert cert.c_certified is None and cert.pairs == "scan" and cert.all_pass
     assert (cert.pair_check, cert.worst_pair) == verify_order_pairs(cert, m)
 
 
 @st.composite
 def _scanned_chains(draw):
-    """An Orlicz power modular, which has no certified factor, under a
-    half or damped logistic map: the chain is settled by the scan."""
+    """A (map, modular) pair with no certified factor, so the chain is
+    settled by the scan: a half or damped logistic map under an Orlicz
+    power modular with p < 1 (not convex), or an affine map under a convex
+    Orlicz modular."""
     dim = draw(st.integers(1, 4))
-    m = ModularSpec.orlicz(Phi.POWER, dim, p=draw(st.floats(1.0, 3.0)))
-    T = draw(st.sampled_from([MapSpec.half(), MapSpec.logistic_damped(0.8)]))
+    if draw(st.booleans()):
+        m = ModularSpec.orlicz(Phi.POWER, dim, p=draw(st.floats(0.3, 0.95)))
+        T = draw(st.sampled_from([MapSpec.half(), MapSpec.logistic_damped(0.8)]))
+    else:
+        m = ModularSpec.orlicz(draw(st.sampled_from([Phi.EXP_MINUS_ONE, Phi.U_LOG])), dim)
+        rows = st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim)
+        T = MapSpec.affine(draw(st.lists(rows, min_size=dim, max_size=dim)),
+                           draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)))
     omega = draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim))
     return m, T, omega, draw(st.floats(0.5, 0.95)), draw(st.integers(1, 40))
 
