@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import certified_factor
+from .checks import _zero_at_nonzero, certified_factor
 from .errors import InvalidModularError, UnboundedOrbitError
 from .modular import INF, ModularLike, as_point, slack_tol
 from .solver import MapSpec
@@ -224,7 +224,7 @@ def build_chain(
     cert.alphas[:], cert.X[:] = powers[: N + 1] * alpha, xs[: N + 1]
     diffs = cert.X - cert.limit_candidate
     node_mods = m.evaluate_batch(diffs)
-    vanished = np.flatnonzero((node_mods == 0.0) & np.any(diffs != 0.0, axis=1))
+    vanished = _zero_at_nonzero(node_mods, diffs)
     if vanished.size:
         raise InvalidModularError(f"rho(x_n - x_N) = 0 at node n = {vanished[0]}, a nonzero "
                                   "difference: rho vanishes off zero or underflowed")

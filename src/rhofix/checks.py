@@ -6,9 +6,8 @@ counts every violation and keeps the first MAX_WITNESSES with full
 witnesses. The only exceptions are usage errors and the invalid-modular
 condition in `delta2_type_estimate`. The axiom, s-convexity and doubling
 checkers (and `solver`'s contraction check) walk their trials in blocks of
-at most `_CHECK_VALUES` entries (`_walk`): each block draws its rows, judges
-them and drops them, and the draws are those of one whole draw per stream,
-so a report does not depend on where the blocks end.
+at most `_CHECK_VALUES` entries (`_walk`), and a report does not depend on
+where the blocks end.
 """
 
 from __future__ import annotations
@@ -248,12 +247,6 @@ class AxiomReport:
         return set(self.axiom_counts)
 
 
-def _resolve(m: ModularLike, sampler: PointSampler):
-    if m.dim != sampler.dim:
-        raise DimensionMismatch(f"sampler dim {sampler.dim} does not match modular dim {m.dim}")
-    return m.evaluate_batch, m.dim
-
-
 def _ineq_violations(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Indices where lhs > rhs beyond the numeric slack (inf-safe)."""
     scale = np.maximum(
@@ -275,7 +268,8 @@ def _zero_at_nonzero(rx: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def _walk(sampler: PointSampler, trials: int, streams, judge, lead: int = 0) -> None:
     """Walk a sampled check's `lead` rows of its own, then its `trials`
     sampled rows, in blocks of max(1, _CHECK_VALUES // dim) rows; the last
-    block takes in a remainder of up to 1/16 of a block.
+    block takes in a remainder of up to 1/16 of a block, so the 544 rows of
+    the d = 32 contraction check at 512 trials are one block.
 
     `streams` are pairs (draw, words per row), such as (sampler.points,
     dim) or (sampler.units, 1): the sampler's stream is one whole draw of
@@ -283,8 +277,13 @@ def _walk(sampler: PointSampler, trials: int, streams, judge, lead: int = 0) -> 
     i-th `draw()` returns the block's sampled rows of stream i: the
     generator is advanced (`advance`) to the words the whole draw gave
     them. So neither the draws nor the generator's state after the walk
-    depend on the blocks, and a walk of one block advances nothing. A
-    block's arrays go when its judge returns, before the next block draws.
+    depend on the blocks, and a walk of one block advances nothing.
+
+    Every check keeps one rule: a block draws its rows, is judged, folds
+    into the report (in row order) and running maxima, and is dropped
+    before the next block draws; only the doubling estimate's all-zero
+    row indices also cross blocks. So a check holds one block whatever
+    `trials` is, and its result is the one-batch result bit for bit.
     """
     bits, size = sampler.rng.bit_generator, max(1, _CHECK_VALUES // sampler.dim)
     total, pos = lead + trials, 0  # pos: the words drawn so far, across the streams
@@ -334,7 +333,7 @@ def check_modular_axioms(m: ModularLike, sampler: PointSampler, trials: int) -> 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rho, dim = _resolve(m, sampler)
+    rho, dim = m.evaluate_batch, m.dim
     zero_iff, symmetry, convexity = (AxiomReport(trials=trials) for _ in range(3))
 
     zero = np.zeros(dim)
@@ -375,7 +374,7 @@ def check_s_convexity(m: ModularLike, s: float, sampler: PointSampler, trials: i
         raise ValueError("s must lie in (0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rho, dim = _resolve(m, sampler)
+    rho, dim = m.evaluate_batch, m.dim
     rep = AxiomReport(trials=trials)
 
     def judge(at, end, draw):
@@ -513,25 +512,24 @@ def delta2_type_estimate(m: ModularLike, sampler: PointSampler, trials: int) -> 
     with rho(x) = 0 at nonzero x raises InvalidModularError: no finite K
     can exist for such a functional.
 
-    The directions are `sampler.directions(trials)`, walked in `_walk`
-    blocks. A block's rows that are all zeros are held, measuring nothing,
-    until the last block: all held rows are redrawn then, as `directions`
-    redraws them, after the last row. Both maxima are running maxima over
-    the blocks and the redrawn rows.
+    The directions are `sampler.directions(trials)`. A block's rows that
+    are all zeros, one in 64**d, measure nothing there; after the walk, one
+    `directions` call redraws all of them, as the whole draw redraws them
+    after its last row, and they are judged at their own scales.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rho, dim = _resolve(m, sampler)
+    rho, dim = m.evaluate_batch, m.dim
     top = np.full(2, -INF)  # the largest ratio, and the largest at exps <= 2
-    zeros, held = [], []  # rows at rho(x) = 0; the held rows of each block before the last
+    zeros, held = [], []  # rows at rho(x) = 0; each block's all-zero rows
 
     def ratios(rows, U, hold):
         """Judge the rows `rows` (ascending) of directions U, scaled in
-        place; the rows `hold` of U measure nothing."""
+        place; the rows `hold` of U are all zeros and measure nothing."""
         exps = _exps(trials, rows)
         X = np.multiply((10.0**exps)[:, None], U, out=U)
         r1 = rho(X)
-        zero = _zero_at_nonzero(r1, X)  # a held row is all zeros
+        zero = _zero_at_nonzero(r1, X)
         if zero.size:
             zeros.append(int(rows[zero[0]]))
             return
@@ -545,20 +543,13 @@ def delta2_type_estimate(m: ModularLike, sampler: PointSampler, trials: int) -> 
     def judge(at, end, draw):
         U = draw()
         hold = _unit_rows(U)
-        if end < trials:
-            held.append(at + hold)
-            ratios(np.arange(at, end), U, hold)
-            return
-        rows = np.concatenate((*held, at + hold))
-        if rows.size:  # the redraws follow the last row in the stream
-            redrawn = sampler.directions(rows.size)
-            n = rows.size - hold.size  # the held rows of the blocks before
-            U[hold] = redrawn[n:]
-            if n:
-                ratios(rows[:n], redrawn[:n], hold[:0])
-        ratios(np.arange(at, end), U, hold[:0])
+        held.append(at + hold)
+        ratios(np.arange(at, end), U, hold)
 
     _walk(sampler, trials, ((sampler.points, dim),), judge)
+    rows = np.concatenate(held)
+    if rows.size:  # the redraws follow the last row in the stream
+        ratios(rows, sampler.directions(rows.size), rows[:0])
     if zeros:
         i = min(zeros)
         raise InvalidModularError(

@@ -298,13 +298,9 @@ def _ratio_check(
 
     The rows are every canonical basis vector against the origin, then
     `trials` sampled pairs: all x are the sampler's next trials * d words,
-    then all y the words after them. The stacked rows are walked in
-    `checks._walk` blocks of max(1, _CHECK_VALUES // d) rows, the last of
-    which takes in a remainder of up to 1/16 of a block (so the 544 rows of
-    d = 32 at 512 trials are one block); each block's x and y are mapped by
-    one `T.apply` call each, its modulars are one batch evaluation each,
-    and its violations are recorded in row order. Only rho(x - y) and
-    rho(scale (Tx - Ty)) of every row are kept.
+    then all y the words after them. Each `checks._walk` block's x and y
+    are mapped by one `T.apply` call each, and its modulars are one batch
+    evaluation each.
 
     The report carries the largest observed ratio
     rho(scale (Tx - Ty)) / rho(x - y) over the rows where both modulars
@@ -315,11 +311,10 @@ def _ratio_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dim = _map_dim(T, m, np.zeros(sampler.dim))
-    rhos, lhss = [], []  # each block's rho(x - y) and rho(scale (Tx - Ty))
-    rep, tied = AxiomReport(trials=trials), False
+    rep, top, tied = AxiomReport(trials=trials), None, False  # top: the largest ratio so far
 
     def judge(at, end, draw):
-        nonlocal tied
+        nonlocal top, tied
         X = np.eye(max(0, min(end, dim) - at), dim, at)  # the block's basis rows, if any
         Y = np.zeros(X.shape)
         if end > dim:  # and its sampled rows
@@ -329,12 +324,13 @@ def _ratio_check(
         TX, TY = T.apply(X), T.apply(Y)
         diff = np.subtract(TX, TY)  # scale (Tx - Ty) is formed in its own buffer
         lb = m._evaluate_owned(np.multiply(scale, diff, out=diff))
-        rhos.append(db)
-        lhss.append(lb)
         with np.errstate(invalid="ignore"):  # 0 * inf: a zero factor bounds an infinite gap by 0
             rhs = np.where(np.isinf(db), INF if factor > 0.0 else 0.0, factor * db)
         i = _ineq_violations(lb, rhs)
         rep.record_rows(axiom, (X[i], Y[i]), scalars, lb[i], rhs[i])
+        ok = np.flatnonzero((db > 0.0) & (db < INF) & ~np.isinf(lb))
+        if ok.size:  # a nan ratio stays on top, as in one np.max over every row
+            top = np.max(lb[ok] / db[ok], initial=-INF if top is None else top)
         if not tied and np.count_nonzero(lb) < lb.size:
             # a ratio of 0 counts only where Tx = Ty exactly: at Tx != Ty
             # rho(Tx - Ty), or the ratio itself, underflowed
@@ -342,11 +338,8 @@ def _ratio_check(
             tied = bool(np.any(np.all(TX[z] == TY[z], axis=-1)))
 
     _walk(sampler, trials, ((sampler.points, dim),) * 2, judge, lead=dim)
-    d, lhs = (v[0] if len(v) == 1 else np.concatenate(v) for v in (rhos, lhss))
-    ok = np.flatnonzero((d > 0.0) & (d < INF) & ~np.isinf(lhs))
-    if ok.size:
-        top = float(np.max(lhs[ok] / d[ok]))
-        rep.max_ratio = math.nan if top == 0.0 and not tied else top
+    if top is not None:
+        rep.max_ratio = math.nan if top == 0.0 and not tied else float(top)
     return rep
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from rhofix import (
     InvalidModularError,
@@ -32,13 +33,14 @@ from rhofix import (
     check_modular_axioms,
     check_s_convexity,
     delta2_type_estimate,
+    verify_contraction,
 )
 from rhofix import checks
 from rhofix.checks import AxiomReport, INVALID_FUNCTIONALS, _ineq_violations, sine_bump
 from rhofix.cli import main
 from rhofix.modular import INF
 
-from test_check_blocks import assert_same_report
+from test_check_blocks import _cases, _one_batch, assert_same_report
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -219,6 +221,40 @@ def test_zero_directions_of_an_earlier_block_are_redrawn_after_the_last():
     assert np.any(PointSampler(1, seed=7).points(16_384) == 0.0)
     for m in (ModularSpec.orlicz(Phi.U_LOG, 1), INVALID_FUNCTIONALS["sign_skewed"][0]):
         assert_same_estimate(m, 1, trials, seed=7)
+
+
+@st.composite
+def _edge_counts(draw):
+    """(d, trials) with the last row near a block edge, or near the end of
+    the most a last block takes in, one to three blocks on; the
+    contraction check's d basis rows lead its sampled ones."""
+    d = draw(st.integers(1, 4))
+    size = 16_384 // d
+    edge = draw(st.integers(1, 3)) * size + draw(st.sampled_from([0, size // 16]))
+    return d, max(1, edge + draw(st.integers(-d - 2, 2)))
+
+
+DELTA2_MODULARS = {
+    "u_log": lambda d: ModularSpec.orlicz(Phi.U_LOG, d),
+    "exp_minus_one": lambda d: ModularSpec.orlicz(Phi.EXP_MINUS_ONE, d),
+    "weighted_sum": lambda d: ModularSpec.weighted_sum(1.5, np.linspace(0.5, 2.0, d)),
+}
+
+
+@given(seed=st.integers(0, 2**32 - 1), counts=_edge_counts(),
+       modular=st.sampled_from(sorted(DELTA2_MODULARS)),
+       case=st.sampled_from(sorted(_cases(1))))
+def test_blocked_estimates_and_contraction_checks_match_their_one_batch_references(
+        seed, counts, modular, case):
+    # at d = 1 about one direction in 64 is 0, so past 17,408 trials more
+    # than one block holds zero directions, all redrawn after the walk
+    d, trials = counts
+    assert_same_estimate(DELTA2_MODULARS[modular](d), d, trials, seed)
+    T, m, c = _cases(d)[case]
+    got_sampler, want_sampler = PointSampler(d, seed), PointSampler(d, seed)
+    assert_same_report(verify_contraction(T, m, c, got_sampler, trials),
+                       _one_batch(T, m, 1.0, c, want_sampler, trials, "contraction", (c,)))
+    _same_state(got_sampler, want_sampler)
 
 
 def test_witnesses_keep_the_axiom_order_across_blocks():

@@ -33,6 +33,7 @@ from rhofix import (
     sine_bump,
     sign_skewed,
     slack_tol,
+    verify_contraction,
 )
 from rhofix.checks import _FATOU_DIRECTIONS, _ineq_violations, _zero_at_nonzero
 from rhofix.output import report_payload, write_json
@@ -151,6 +152,27 @@ def test_batched_fn_of_wrong_shape_raises(fn):
         m.evaluate_batch(np.ones((4, 1)))
     with pytest.raises(DimensionMismatch):
         m.evaluate([1.0])
+
+
+SAMPLED_CHECKS = {
+    "axioms": lambda m, s: check_modular_axioms(m, s, 50),
+    "s_convexity": lambda m, s: check_s_convexity(m, 0.5, s, 50),
+    "delta2": lambda m, s: delta2_type_estimate(m, s, 50),
+    "contraction": lambda m, s: verify_contraction(MapSpec.half(), m, 0.5, s, 50),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SAMPLED_CHECKS))
+@pytest.mark.parametrize("kind", ["spec", "named"])
+@pytest.mark.parametrize("offset", [-1, 1], ids=["narrower", "wider"])
+def test_a_sampler_of_another_width_raises(check, kind, offset):
+    # the modular's own width check catches the sampler's rows, at the first
+    # block's first evaluation (or, for the contraction check, `_map_dim`)
+    d = 3
+    m = (ModularSpec.p_power(1.0, d) if kind == "spec" else
+         NamedFunctional("l1", lambda A: np.sum(np.abs(A), axis=-1), dim=d, batched=True))
+    with pytest.raises(DimensionMismatch):
+        SAMPLED_CHECKS[check](m, PointSampler(d + offset, seed=0))
 
 
 def test_scalar_named_functional_keeps_the_row_loop():

@@ -1,5 +1,7 @@
 """Trace and certificate tables: byte identity with an `np.save` reference,
-bit-exact round trips, bounded writer memory, and no unpickling on read."""
+bit-exact round trips, bounded writer memory, and no unpickling on read;
+and the JSON payloads: a report's keys, and numpy values written as the
+Python values they hold."""
 
 import math
 import re
@@ -14,16 +16,21 @@ from rhofix import (
     MapSpec,
     ModularSpec,
     ModularUnderflowError,
+    PointSampler,
     build_chain,
+    check_modular_axioms,
     picard_solve,
+    verify_contraction,
 )
 from rhofix.chain import ChainCertificate
 from rhofix.output import (
     read_certificate,
     read_trace,
+    report_payload,
     reverify_certificate,
     reverify_trace,
     write_certificate,
+    write_json,
     write_trace,
 )
 
@@ -361,3 +368,27 @@ def test_reverify_trace_of_a_table_with_no_rows_names_the_file(tmp_path):
     assert len(read_trace(path)["x"]) == 0
     with pytest.raises(ValueError, match=re.escape(f"{path}: the trace table has no rows")):
         reverify_trace(path, ModularSpec.p_power(1.0, 3), MapSpec.half(), [1.0, 2.0, 3.0], 1e-10)
+
+
+def test_a_contraction_report_payload_carries_its_max_ratio():
+    # rho(x/2 - y/2) = rho(x - y) / 2 under p = 1: every ratio is 1/2
+    rep = verify_contraction(MapSpec.half(), ModularSpec.p_power(1.0, 2), 0.6,
+                             PointSampler(2, seed=0), 64)
+    payload = report_payload("contraction", rep, {"c": 0.6})
+    assert rep.max_ratio == 0.5 and payload["max_ratio"] == 0.5
+    assert list(payload)[-2:] == ["max_ratio", "c"]
+    # an axiom report has no ratio, and no key for it
+    assert "max_ratio" not in report_payload("axioms", check_modular_axioms(
+        ModularSpec.p_power(1.0, 2), PointSampler(2, seed=0), 64))
+
+
+def test_write_json_writes_numpy_values_as_their_python_values(tmp_path):
+    numpy_payload = {"x": np.array([[0.5, -0.0], [1e-300, 3.0]]), "f": np.float64(0.1),
+                     "n": np.int64(-7), "nan": np.float64(math.nan), "inf": [np.float64(-math.inf)]}
+    python_payload = {"x": [[0.5, -0.0], [1e-300, 3.0]], "f": 0.1, "n": -7, "nan": math.nan,
+                      "inf": [-math.inf]}
+    write_json(tmp_path / "numpy.json", numpy_payload)
+    write_json(tmp_path / "python.json", python_payload)
+    text = (tmp_path / "numpy.json").read_bytes()
+    assert text == (tmp_path / "python.json").read_bytes()
+    assert b'"nan": "nan"' in text and b'"-inf"' in text and b"-7" in text
