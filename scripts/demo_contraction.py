@@ -13,7 +13,7 @@ from rhofix import (
     builtin_problems,
     cauchy_modulus,
     check_modular_axioms,
-    doubling_constant,
+    exact_doubling_constant,
     picard_solve,
     solve_via_power,
     verify_contraction,
@@ -44,7 +44,7 @@ def main() -> None:
     rep = check_modular_axioms(m, PointSampler(dim, args.seed), 10_000)
     print(f"axioms: {'ok' if rep.passed else 'VIOLATED'} over {rep.trials} trials")
 
-    k = doubling_constant(m, PointSampler(dim, args.seed), 2_000)
+    k = exact_doubling_constant(m)
     print(f"doubling constant: {k:.6g}")
 
     ver = verify_contraction(T, m, prob.c, PointSampler(dim, args.seed), 1_000)

@@ -43,7 +43,6 @@ __all__ = [
     "Delta2Result",
     "delta2_type_estimate",
     "exact_doubling_constant",
-    "doubling_constant",
     "certified_factor",
     "check_fatou_sampled",
     "sine_bump",
@@ -565,21 +564,6 @@ def delta2_type_estimate(m: ModularLike, sampler: PointSampler, trials: int) -> 
     return Delta2Result(best, unbounded)
 
 
-def doubling_constant(m: ModularLike, sampler: PointSampler, trials: int) -> float | None:
-    """The doubling constant a solve relies on: the exact one where known, else
-    the `delta2_type_estimate` constant (the only use of the sampler). None
-    when no finite k > 0 exists: k is unbounded, every sample was infinite
-    (estimate 0), or rho vanishes off zero (InvalidModularError)."""
-    k = exact_doubling_constant(m)
-    if k is None:
-        try:
-            est = delta2_type_estimate(m, sampler, trials)
-        except InvalidModularError:
-            return None
-        k = INF if est.unbounded else est.constant
-    return k if 0.0 < k < INF else None
-
-
 def check_fatou_sampled(
     m: ModularLike,
     x,
@@ -669,7 +653,7 @@ def dead_zone(x) -> np.ndarray:
 
 #: name -> (functional, axiom its violation targets)
 INVALID_FUNCTIONALS: dict[str, tuple[NamedFunctional, str]] = {
-    "sine_bump": (NamedFunctional("sine_bump", sine_bump, dim=1, batched=True), "convexity"),
-    "sign_skewed": (NamedFunctional("sign_skewed", sign_skewed, dim=1, batched=True), "symmetry"),
-    "dead_zone": (NamedFunctional("dead_zone", dead_zone, dim=1, batched=True), "zero_iff"),
+    "sine_bump": (NamedFunctional("sine_bump", sine_bump, dim=1), "convexity"),
+    "sign_skewed": (NamedFunctional("sign_skewed", sign_skewed, dim=1), "symmetry"),
+    "dead_zone": (NamedFunctional("dead_zone", dead_zone, dim=1), "zero_iff"),
 }

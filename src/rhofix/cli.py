@@ -35,7 +35,7 @@ from .checks import (
     check_modular_axioms,
     check_s_convexity,
     delta2_type_estimate,
-    doubling_constant,
+    exact_doubling_constant,
 )
 from .config import ProblemConfig, check_seed, load_config
 from .errors import ConfigError, InvalidModularError, SolveError, UnboundedOrbitError
@@ -57,9 +57,8 @@ VERIFY_TRIALS = 512
 # The sampled checks walk their trials in blocks of at most 16,384 entries;
 # per trial they keep only the doubling estimate's rows whose direction was
 # all zeros, held for their redraw after the last trial (one row in 64**d,
-# so about check.trials / 64 at d = 1). A solve's estimate takes at most
-# 2,048 trials and its trace streams to its file, so its arrays are blocks
-# of points, as wide as the initial point
+# so about check.trials / 64 at d = 1). A solve's trace streams to its
+# file, so its arrays are blocks of points, as wide as the initial point
 _SIZE_KEYS = {
     "check": (("check.trials", "trials"), ("check.fatou_steps", "fatou_steps")),
     "solve": (("len(initial_point)", "dim"),),
@@ -166,8 +165,8 @@ def run_check(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
 
 def run_solve(cfg: ProblemConfig, out: Path, sampler: PointSampler, say) -> int:
     c_eff, c_emp, violations, c_certified, scaled = _effective_c(cfg, sampler, say)
-    k = doubling_constant(cfg.space, sampler, min(cfg.trials, 2048))
-    power = power_index(c_eff, k) if k is not None and 0.0 <= c_eff < 1.0 else 1
+    k = exact_doubling_constant(cfg.space)  # the rule c**n k < 1/2 needs a true k
+    power = power_index(c_eff, k) if k is not None and k < math.inf and 0.0 <= c_eff < 1.0 else 1
     error = None
     with trace_file(out / "trace.npy", cfg.dim) as file:
         try:

@@ -33,16 +33,17 @@ A factor belongs to the map and the modular together: the claim keys go to
 
 The file is read from the event stream of PyYAML's `CSafeLoader` (libyaml),
 or of `SafeLoader` without libyaml, into the tree `yaml.load` builds with
-that loader: the same types, float bits and shared aliases. A sequence of
-plain scalars all spelled as digits, a dot and digits (`-0.25`, `1.`) or as
-a dot and digits (`.5`), each with an optional signed exponent (`e-3`),
-becomes its floats in one pass of float(); every other scalar and every
-key goes through the loader's `resolve` and `construct_object`. Numbers
-are YAML 1.1's: `1e3`, `1.5e10` and `+.5` are strings, `0x10`, `017`,
-`1_000` and `1:30` are integers, and `.inf`, `.nan` and `1_0.5` are
-floats; `yes`, `off` and the like are booleans, which no real accepts. A
-document the builder does not handle (a merge key, a tag on a collection,
-an error) goes to `yaml.load` whole.
+that loader: the same types and float bits. A sequence of plain scalars
+all spelled as digits, a dot and digits (`-0.25`, `1.`) or as a dot and
+digits (`.5`), each with an optional signed exponent (`e-3`), becomes its
+floats in one pass of float(); every other scalar and every key goes
+through the loader's `resolve` and `construct_object`. Numbers are YAML
+1.1's: `1e3`, `1.5e10` and `+.5` are strings, `0x10`, `017`, `1_000` and
+`1:30` are integers, and `.inf`, `.nan` and `1_0.5` are floats; `yes`,
+`off` and the like are booleans, which no real accepts. A document the
+builder does not handle (an anchor or alias, a merge key, a tag on a
+collection, an error) goes to `yaml.load` whole, so an aliased tree and
+the error for an undefined anchor are `yaml.load`'s own.
 """
 
 from __future__ import annotations
@@ -322,8 +323,8 @@ class _TreeBuilder:
     """The tree `yaml.load(text, Loader=loader_class)` gives, built from the
     loader's event stream. A sequence of plain float spellings becomes its
     floats in one pass of float(); every other scalar goes through the
-    loader's own `resolve` and `construct_object`. Tags on collections, anchored or
-    non-scalar keys, recursive aliases, path resolvers and a second document
+    loader's own `resolve` and `construct_object`. Anchors and aliases, tags
+    on collections, non-scalar keys, path resolvers and a second document
     raise `_Unsupported`; a merge key ("<<") or value key ("=") has no
     constructor of its own, so `construct_object` raises on it."""
 
@@ -332,7 +333,6 @@ class _TreeBuilder:
             raise _Unsupported
         self.loader = loader
         self.next = loader.get_event
-        self.anchors = {}
 
     def document(self):
         self.next()  # StreamStart
@@ -345,24 +345,15 @@ class _TreeBuilder:
         return data
 
     def node(self, event):
-        anchor = event.anchor
-        if isinstance(event, yaml.AliasEvent):
-            if anchor not in self.anchors:  # undefined, or inside its own node
-                raise _Unsupported
-            return self.anchors[anchor]
-        if anchor in self.anchors:
+        if event.anchor is not None:  # an alias event carries its anchor's name
             raise _Unsupported
         if isinstance(event, yaml.ScalarEvent):
-            data = self.scalar(event)
-        elif event.tag is not None:
+            return self.scalar(event)
+        if event.tag is not None:
             raise _Unsupported
-        elif isinstance(event, yaml.SequenceStartEvent):
-            data = self.sequence()
-        else:
-            data = self.mapping()
-        if anchor is not None:
-            self.anchors[anchor] = data
-        return data
+        if isinstance(event, yaml.SequenceStartEvent):
+            return self.sequence()
+        return self.mapping()
 
     def scalar(self, event):
         tag = event.tag

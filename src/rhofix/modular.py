@@ -194,37 +194,29 @@ class NamedFunctional:
     Used for the shipped deliberately-invalid test functionals and for any
     caller-supplied rho; the checkers treat it like a ModularSpec.
 
-    By default `fn` maps one point to one value and `evaluate_batch` loops
-    over rows. `batched=True` declares that `fn` also maps an (n, dim)
-    array to its n values in one call; `evaluate_batch` then makes that one
-    call and `evaluate` is its one-row case, so the two agree bit for bit.
+    `fn` maps an (n, dim) array to its n values in one call; `evaluate` is
+    the one-row case of `evaluate_batch`, so the two agree bit for bit.
     """
 
     name: str
-    fn: Callable[[np.ndarray], float | np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray]
     dim: int
-    batched: bool = False
 
     def evaluate(self, x) -> float:
         a = np.atleast_1d(np.asarray(x, dtype=float))
         if a.size != self.dim:
             raise DimensionMismatch(f"expected a point of dim {self.dim}, got dim {a.size}")
-        if self.batched:
-            return float(self.evaluate_batch(a.reshape(1, self.dim))[0])
-        return float(self.fn(a))
+        return float(self.evaluate_batch(a.reshape(1, self.dim))[0])
 
     def evaluate_batch(self, X) -> np.ndarray:
-        """rho of every row of an (n, dim) array: one `fn` call when
-        `batched`, else a plain row loop."""
+        """rho of every row of an (n, dim) array, in one `fn` call."""
         A = np.asarray(X, dtype=float)
         if A.ndim != 2 or A.shape[1] != self.dim:
             raise DimensionMismatch(f"expected an (n, {self.dim}) batch, got shape {A.shape}")
-        if not self.batched:
-            return np.array([self.evaluate(row) for row in A], dtype=float)
         out = np.asarray(self.fn(A), dtype=float)
         if out.shape != (A.shape[0],):
             raise DimensionMismatch(
-                f"batched {self.name!r} returned shape {out.shape} for {A.shape[0]} rows")
+                f"{self.name!r} returned shape {out.shape} for {A.shape[0]} rows")
         return out
 
     _evaluate_owned = evaluate_batch  # `fn` may not write its argument

@@ -141,7 +141,7 @@ def _jsonable(obj):
         return [_jsonable(value) for value in obj]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)

@@ -19,8 +19,8 @@ entries than 256 rows at d = 256.
 `solve_via_power` implements the doubling-constant shortcut: pick the
 smallest n with c**n k < 1/2 (k the doubling constant rho(2x) <= k rho(x)),
 iterate the n-fold composite, then confirm the point is fixed for the
-single map. k comes from the caller or a closed form, never from samples
-(`checks.doubling_constant` resolves it once per solve).
+single map. k comes from the caller or a closed form
+(`checks.exact_doubling_constant`), never from samples.
 """
 
 from __future__ import annotations
@@ -457,7 +457,7 @@ def _run_picard(
             if not np.isfinite(X).all():  # the first row with a non-finite entry
                 fin = int(np.argmin(np.isfinite(X).all(axis=1)))
             res = np.full(min(rows, fin), INF)
-            if fin > 1:  # a batched functional is never handed an empty batch
+            if fin > 1:  # a NamedFunctional's `fn` is never handed an empty batch
                 res[: fin - 1] = rho(np.subtract(X[1:fin], X[: fin - 1]))
             del X
             step_mods = np.concatenate(([step], res[:-1]))
@@ -546,18 +546,16 @@ def solve_via_power(
     the result is fixed for T itself.
 
     Without `k` the family's exact doubling constant is used; ValueError
-    when it has none (pass k, e.g. from `checks.doubling_constant`) or it is
-    unbounded. The composite is applied by n-fold application per step. A
-    composite fixed point whose single-map residual exceeds tol raises
-    InconsistentContractionError: the contraction claim c is then false
-    (e.g. the map has a periodic orbit). `file` streams the rows as in
-    `picard_solve`.
+    when it has none (pass a true k) or it is unbounded. The composite is
+    applied by n-fold application per step. A composite fixed point whose
+    single-map residual exceeds tol raises InconsistentContractionError:
+    the contraction claim c is then false (e.g. the map has a periodic
+    orbit). `file` streams the rows as in `picard_solve`.
     """
     if k is None:
         k = exact_doubling_constant(m)
     if k is None:
-        raise ValueError("no exact doubling constant for this modular; pass k "
-                         "(checks.doubling_constant estimates one)")
+        raise ValueError("no exact doubling constant for this modular; pass k")
     n = power_index(c, float(k))
     trace = _run_picard(T, m, x0, tol, max_iter, n, file)
     trace.k_used = float(k)

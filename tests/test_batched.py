@@ -32,7 +32,7 @@ FAMILIES = [
     ModularSpec.orlicz(Phi.POWER, DIM, p=2.0),
     ModularSpec.orlicz(Phi.EXP_MINUS_ONE, DIM),
     ModularSpec.orlicz(Phi.U_LOG, DIM),
-    NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=DIM),
+    NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=DIM),
 ]
 IDS = ["ppower-0.5", "ppower-1", "ppower-2", "weighted_sum", "orlicz-power", "orlicz-exp",
        "orlicz-ulog", "named"]

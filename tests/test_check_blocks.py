@@ -89,7 +89,7 @@ def _cases(d: int):
         "half-p1100": (MapSpec.half(), ModularSpec.p_power(1100.0, d), 0.5),
         "const-p2": (MapSpec.const(np.linspace(-1.0, 1.0, d)), ModularSpec.p_power(2.0, d), 0.0),
         "named": (MapSpec.logistic_damped(0.7),
-                  NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=d, batched=True),
+                  NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=d),
                   0.2),
     }
 

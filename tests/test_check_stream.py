@@ -131,7 +131,7 @@ class _Sampled:
 
     def __init__(self, m):
         self.rows = []
-        self.m = NamedFunctional("sampled", self._rho, dim=m.dim, batched=True)
+        self.m = NamedFunctional("sampled", self._rho, dim=m.dim)
         self._inner = m
 
     def _rho(self, X):
@@ -161,7 +161,7 @@ def _bumpy(d: int) -> NamedFunctional:
     def fn(X):
         u = X[..., -1]
         return sine_bump(X) + np.abs(u) / 1000.0 + 0.01 * (u > 0.0)
-    return NamedFunctional("bumpy", fn, dim=d, batched=True)
+    return NamedFunctional("bumpy", fn, dim=d)
 
 
 def _far_skewed(X):
@@ -170,7 +170,7 @@ def _far_skewed(X):
     return sine_bump(X) + (np.asarray(X)[..., 0] >= 65_000.0)
 
 
-FAR_SKEWED = NamedFunctional("far_skewed", _far_skewed, dim=1, batched=True)
+FAR_SKEWED = NamedFunctional("far_skewed", _far_skewed, dim=1)
 
 
 def _trials(d: int) -> list[int]:
@@ -286,7 +286,7 @@ def test_sign_skewed_symmetry_witnesses_come_before_the_first_blocks_convexity(m
     # MAX_WITNESSES and convexity in some, so witnesses kept in block order
     # would list that convexity before the later blocks' symmetry
     monkeypatch.setattr(checks, "_CHECK_VALUES", 16)
-    m, trials = NamedFunctional("skewed_bump", _skewed_bump, dim=1, batched=True), 50
+    m, trials = NamedFunctional("skewed_bump", _skewed_bump, dim=1), 50
     sampler = PointSampler(1, seed=0)
     xs, ys, a = sampler.points(trials), sampler.points(trials), sampler.units(trials)
     combo = _skewed_bump(a[:, None] * xs + (1.0 - a)[:, None] * ys)

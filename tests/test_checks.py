@@ -28,7 +28,6 @@ from rhofix import (
     certified_factor,
     dead_zone,
     delta2_type_estimate,
-    doubling_constant,
     exact_doubling_constant,
     sine_bump,
     sign_skewed,
@@ -115,7 +114,6 @@ def _bits(a):
 @pytest.mark.parametrize("name", sorted(INVALID_FUNCTIONALS))
 def test_batched_invalid_functionals_match_scalar_reference(name):
     fn, _ = INVALID_FUNCTIONALS[name]
-    assert fn.batched
     X = np.vstack((PointSampler(1, seed=31).points(5_000), np.array(EDGE_POINTS)[:, None]))
     got = fn.evaluate_batch(X)
     want = np.array([REFERENCE[name](float(u)) for u in X[:, 0]])
@@ -147,7 +145,7 @@ def test_invalid_functionals_accept_a_point_or_a_list():
 
 @pytest.mark.parametrize("fn", [lambda A: A, lambda A: A[1:, 0]], ids=["n_by_1", "n_minus_1"])
 def test_batched_fn_of_wrong_shape_raises(fn):
-    m = NamedFunctional("wrong_shape", fn, dim=1, batched=True)
+    m = NamedFunctional("wrong_shape", fn, dim=1)
     with pytest.raises(DimensionMismatch):
         m.evaluate_batch(np.ones((4, 1)))
     with pytest.raises(DimensionMismatch):
@@ -170,23 +168,9 @@ def test_a_sampler_of_another_width_raises(check, kind, offset):
     # block's first evaluation (or, for the contraction check, `_map_dim`)
     d = 3
     m = (ModularSpec.p_power(1.0, d) if kind == "spec" else
-         NamedFunctional("l1", lambda A: np.sum(np.abs(A), axis=-1), dim=d, batched=True))
+         NamedFunctional("l1", lambda A: np.sum(np.abs(A), axis=-1), dim=d))
     with pytest.raises(DimensionMismatch):
         SAMPLED_CHECKS[check](m, PointSampler(d + offset, seed=0))
-
-
-def test_scalar_named_functional_keeps_the_row_loop():
-    seen = []
-
-    def rho(x):
-        seen.append(x.shape)
-        return float(np.sum(np.abs(x)))
-
-    m = NamedFunctional("l1", rho, dim=2)
-    assert not m.batched
-    out = m.evaluate_batch(np.arange(10.0).reshape(5, 2))
-    assert seen == [(2,)] * 5
-    assert out.tolist() == [1.0, 5.0, 9.0, 13.0, 17.0]
 
 
 def _per_index_axiom_report(m, seed, trials):
@@ -221,7 +205,7 @@ def _nan_left(x):
 @pytest.mark.parametrize("fn", [
     INVALID_FUNCTIONALS["sign_skewed"][0],
     INVALID_FUNCTIONALS["dead_zone"][0],
-    NamedFunctional("nan_left", _nan_left, dim=1, batched=True),
+    NamedFunctional("nan_left", _nan_left, dim=1),
 ], ids=lambda fn: fn.name)
 def test_bulk_recording_matches_per_index_records(fn):
     bulk = check_modular_axioms(fn, PointSampler(1, seed=2024), 4_000)
@@ -408,48 +392,31 @@ def test_exact_doubling_constant_of_exponential_orlicz_is_unbounded():
     (ModularSpec.orlicz(Phi.POWER, 4, p=3.0), 8.0),
 ])
 def test_doubling_constant_exact_families(m, k):
-    sampler = PointSampler(m.dim, seed=3)
-    state = sampler.rng.bit_generator.state
-    assert doubling_constant(m, sampler, 500) == k
-    assert sampler.rng.bit_generator.state == state
-
-
-def test_doubling_constant_exponential_orlicz_is_none_without_sampling():
-    sampler = PointSampler(4, seed=3)
-    state = sampler.rng.bit_generator.state
-    assert doubling_constant(ModularSpec.orlicz(Phi.EXP_MINUS_ONE, 4), sampler, 2_000) is None
-    assert sampler.rng.bit_generator.state == state
+    assert exact_doubling_constant(m) == k
 
 
 def test_doubling_constant_u_log_is_four_without_sampling():
     # phi(2u) / phi(u) = 2 log(1 + 2u) / log(1 + u) <= 4, with limit 4 at
     # u -> 0; the sampled estimate stays below it, so it is no bound
     m = ModularSpec.orlicz(Phi.U_LOG, 4)
-    sampler = PointSampler(4, seed=3)
-    state = sampler.rng.bit_generator.state
-    assert doubling_constant(m, sampler, 2_000) == 4.0
-    assert sampler.rng.bit_generator.state == state
+    assert exact_doubling_constant(m) == 4.0
     assert delta2_type_estimate(m, PointSampler(4, seed=3), 2_000).constant < 4.0
 
 
-def test_doubling_constant_of_a_named_functional_is_the_estimate():
-    m = NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=4, batched=True)
-    k = doubling_constant(m, PointSampler(4, seed=3), 2_000)
-    assert k == delta2_type_estimate(m, PointSampler(4, seed=3), 2_000).constant
-    assert k == pytest.approx(2.0)
-
-
 def test_doubling_constant_invalid_modular_is_none():
+    # no closed form, and the estimate finds rho = 0 off zero
     fn, _ = INVALID_FUNCTIONALS["dead_zone"]
-    assert doubling_constant(fn, PointSampler(1, seed=3), 500) is None
+    assert exact_doubling_constant(fn) is None
+    with pytest.raises(InvalidModularError):
+        delta2_type_estimate(fn, PointSampler(1, seed=3), 500)
 
 
 def test_doubling_constant_zero_estimate_is_none():
     # infinite at every nonzero point: every sampled ratio is inf / inf
     fn = NamedFunctional("inf_off_zero", lambda x: np.where(x[..., 0] == 0.0, 0.0, np.inf),
-                         dim=1, batched=True)
+                         dim=1)
+    assert exact_doubling_constant(fn) is None
     assert delta2_type_estimate(fn, PointSampler(1, seed=3), 500) == (0.0, False)
-    assert doubling_constant(fn, PointSampler(1, seed=3), 500) is None
 
 
 # --- Fatou -----------------------------------------------------------------
@@ -481,14 +448,16 @@ def test_fatou_sampled_passes_on_valid_families(m):
     assert rep.passed
 
 
+def _heavy_core(x):
+    # 2|u| for |u| <= 1, else |u|: rho jumps at |u| = 1
+    u = np.abs(np.asarray(x, dtype=float)[..., 0])
+    return np.where(u <= 1.0, 2.0 * u, u)
+
+
 def test_fatou_catches_planted_jump():
     # rho jumps up exactly at |u| = 1, so a sequence approaching from above
     # has liminf 1 while rho at the limit is 2: a genuine Fatou failure
-    def heavy_core(x):
-        u = abs(float(x[0]))
-        return 2.0 * u if u <= 1.0 else u
-
-    fn = NamedFunctional("heavy_core", heavy_core, dim=1)
+    fn = NamedFunctional("heavy_core", _heavy_core, dim=1)
     rep = check_fatou_sampled(fn, [1.0], [0.0], 0.5, 20, directions=[([1.0], [0.0])])
     assert not rep.passed
     assert rep.violations[0].axiom == "fatou"
@@ -525,15 +494,9 @@ def _assert_same_report(got: AxiomReport, want: AxiomReport):
         assert np.array_equal(_bits([g.lhs, g.rhs, g.slack]), _bits([w.lhs, w.rhs, w.slack]))
 
 
-def _heavy_core_batch(x):
-    # rho jumps up at |u| = 1, as in `test_fatou_catches_planted_jump`
-    u = np.abs(np.asarray(x, dtype=float)[..., 0])
-    return np.where(u <= 1.0, 2.0 * u, u)
-
-
 @pytest.mark.parametrize("m", VALID + [
-    NamedFunctional("l1-batched", lambda a: np.sum(np.abs(a), axis=-1), dim=3, batched=True),
-    NamedFunctional("heavy_core-batched", _heavy_core_batch, dim=1, batched=True),
+    NamedFunctional("l1-batched", lambda a: np.sum(np.abs(a), axis=-1), dim=3),
+    NamedFunctional("heavy_core-batched", _heavy_core, dim=1),
 ], ids=lambda m: getattr(m, "name", None) or f"{m.family.value}-{m.phi or m.p}")
 def test_fatou_batch_matches_the_per_direction_loop(m):
     # sampled directions, their negatives (sequences from below, which the
@@ -555,7 +518,7 @@ def test_fatou_batch_matches_the_per_direction_loop(m):
 def _spike_at(gap):
     # 2 at the gap itself and 1 elsewhere: every sequence that moves violates Fatou
     return NamedFunctional("spike", lambda a: np.where(np.all(a == gap, axis=-1), 2.0, 1.0),
-                           dim=gap.size, batched=True)
+                           dim=gap.size)
 
 
 @pytest.mark.parametrize("x,y", [([1.0], [0.0]), ([0.5, -2.0, 3.0], [0.5, 1.0, -1.0])],
@@ -652,8 +615,8 @@ def test_certified_factor_past_the_largest_double_is_inf(T, m):
     (MapSpec.logistic_damped(1.5), ModularSpec.orlicz(Phi.EXP_MINUS_ONE, 2)),
     (MapSpec.affine([[0.5, 0.1], [0.2, 0.3]], [0.0, 0.0]), ModularSpec.orlicz(Phi.U_LOG, 2)),
     (MapSpec.affine([[0.5, 0.1], [0.2, 0.3]], [0.0, 0.0]), ModularSpec.p_power(1.5, 2)),
-    (MapSpec.half(), NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=2)),
-    (MapSpec.const([1.0]), NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=2)),
+    (MapSpec.half(), NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=2)),
+    (MapSpec.const([1.0]), NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=2)),
 ], ids=["orlicz-half", "orlicz-logistic", "orlicz-affine", "affine-p1.5", "named-half",
         "named-const"])
 def test_certified_factor_is_none_without_a_closed_form(T, m):

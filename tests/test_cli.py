@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, strategies as st
 
 import rhofix
-from rhofix import ConfigError, ModularSpec, cli, config, load_config, slack_tol
+from rhofix import ConfigError, ModularSpec, PointSampler, cli, config, load_config, slack_tol
 from rhofix.cli import build_parser, main
 from rhofix.output import read_certificate, read_trace, reverify_certificate, reverify_trace
 
@@ -344,6 +344,20 @@ def test_solve_with_overflowing_doubling_constant_gives_a_verdict(tmp_path, caps
     summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
     assert summary["solver"] == "picard" and summary["k_used"] is None
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_named_functional_solves_by_picard_without_sampling_k(tmp_path):
+    # sign_skewed has no closed-form doubling constant, and a sampled one is
+    # no true k: the solve takes Picard and draws nothing after its check
+    cfg = load_config(write_cfg(tmp_path / "problem.yaml", {
+        "space": {"family": "sign_skewed"}, "map": {"kind": "half"}, "initial_point": [1.0]}))
+    sampler, alone = PointSampler(1, cfg.seed), PointSampler(1, cfg.seed)
+    assert cli.run_solve(cfg, tmp_path, sampler, lambda msg: None) == 0
+    summary = json.loads((tmp_path / "solve_summary.json").read_text())
+    assert summary["solver"] == "picard" and summary["power"] == 1
+    assert summary["k_used"] is None
+    cli._effective_c(cfg, alone, lambda msg: None)
+    assert sampler.rng.bit_generator.state == alone.rng.bit_generator.state
 
 
 def test_solve_on_an_underflowed_modular_exits_1(tmp_path):

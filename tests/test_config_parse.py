@@ -232,9 +232,8 @@ def test_number_spellings_keep_their_outcome(tmp_path, loader_class, line, key):
 
 # --- the fast path is taken ------------------------------------------------------
 
-@pytest.mark.parametrize("loader_class", LOADERS, ids=LOADER_IDS)
-def test_matrix_entries_skip_the_float_constructor(tmp_path, loader_class):
-    """A bench-shaped d = 32 file: no matrix entry reaches construct_yaml_float."""
+def _bench_shaped():
+    """A d = 32 affine problem as the benchmark writes it: (text, matrix, point)."""
     rng = np.random.default_rng(16)
     T = random_affine_contraction(rng, 32, 0.9)
     matrix = T.matrix.copy()
@@ -245,7 +244,13 @@ def test_matrix_entries_skip_the_float_constructor(tmp_path, loader_class):
             "map": {"kind": "affine", "matrix": matrix.tolist(), "offset": T.offset.tolist(),
                     "c": 0.9},
             "initial_point": point.tolist(), "chain": {"N": 200}, "seed": 5}
-    text = yaml.safe_dump(tree)
+    return yaml.safe_dump(tree), matrix, point
+
+
+@pytest.mark.parametrize("loader_class", LOADERS, ids=LOADER_IDS)
+def test_matrix_entries_skip_the_float_constructor(tmp_path, loader_class):
+    """A bench-shaped d = 32 file: no matrix entry reaches construct_yaml_float."""
+    text, matrix, point = _bench_shaped()
     assert "5.0e-324" in text and "1.0e+300" in text and "- -0.0" in text
     path = tmp_path / "problem.yaml"
     path.write_text(text)
@@ -259,6 +264,23 @@ def test_matrix_entries_skip_the_float_constructor(tmp_path, loader_class):
     assert cfg.map.matrix.tobytes() == matrix.tobytes()
     assert cfg.initial_point.tobytes() == point.tobytes()
     assert_same_config(cfg, _load(path, loader_class, _reference))
+
+
+@pytest.mark.parametrize("loader_class", LOADERS, ids=LOADER_IDS)
+@pytest.mark.parametrize("text", ["a: &x [1.0]\nb: *x\n", "a: [1.0, &y 2.0]\n"],
+                         ids=["alias", "anchored-float"])
+def test_anchored_documents_go_to_yaml_load_whole(loader_class, text):
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
+        config._parse_yaml(text, loader_class)
+    assert load.call_count == 1
+    assert_same_parse(text, loader_class)
+
+
+@pytest.mark.parametrize("loader_class", LOADERS, ids=LOADER_IDS)
+def test_a_bench_shaped_file_never_reaches_yaml_load(loader_class):
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
+        config._parse_yaml(_bench_shaped()[0], loader_class)
+    assert load.call_count == 0
 
 
 def test_path_resolvers_leave_the_document_to_yaml_load():

@@ -67,7 +67,7 @@ def test_eval_dimension_mismatch():
 def test_eval_batch_matches_scalar():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(50, 3))
-    named = NamedFunctional("l1", lambda x: float(np.sum(np.abs(x))), dim=3)
+    named = NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=3)
     for m in FAMILIES + [named]:
         batch = m.evaluate_batch(X)
         rows = np.array([m.evaluate(x) for x in X])
@@ -174,7 +174,8 @@ def test_f_norm_positive_iff_nonzero():
 
 
 def test_f_norm_no_bracket_raises():
-    spike = NamedFunctional("spike", lambda x: math.inf if np.any(x != 0.0) else 0.0, dim=1)
+    spike = NamedFunctional("spike", lambda a: np.where(np.any(a != 0.0, axis=-1), math.inf, 0.0),
+                            dim=1)
     with pytest.raises(BracketSearchError):
         f_norm(spike, [1.0], 1e-8)
 

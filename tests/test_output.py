@@ -384,11 +384,13 @@ def test_a_contraction_report_payload_carries_its_max_ratio():
 
 def test_write_json_writes_numpy_values_as_their_python_values(tmp_path):
     numpy_payload = {"x": np.array([[0.5, -0.0], [1e-300, 3.0]]), "f": np.float64(0.1),
-                     "n": np.int64(-7), "nan": np.float64(math.nan), "inf": [np.float64(-math.inf)]}
+                     "n": np.int64(-7), "nan": np.float64(math.nan), "inf": [np.float64(-math.inf)],
+                     "b": np.bool_(True)}
     python_payload = {"x": [[0.5, -0.0], [1e-300, 3.0]], "f": 0.1, "n": -7, "nan": math.nan,
-                      "inf": [-math.inf]}
+                      "inf": [-math.inf], "b": True}
     write_json(tmp_path / "numpy.json", numpy_payload)
     write_json(tmp_path / "python.json", python_payload)
     text = (tmp_path / "numpy.json").read_bytes()
     assert text == (tmp_path / "python.json").read_bytes()
     assert b'"nan": "nan"' in text and b'"-inf"' in text and b"-7" in text
+    assert b'"b": true' in text

@@ -20,7 +20,6 @@ from rhofix import (
     PointSampler,
     build_chain,
     builtin_problems,
-    doubling_constant,
     picard_solve,
     power_index,
     random_affine_contraction,
@@ -331,14 +330,13 @@ def test_solve_via_power_affine_p2():
     assert P2.evaluate(tr.fixed_point - np.array([2.0])) <= 1e-9
 
 
-L1 = NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=1, batched=True)
+L1 = NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=1)
 
 
-def test_solve_via_power_estimates_k_when_not_exact():
-    tr = solve_via_power(MapSpec.half(), L1, 0.5, [1.0], 1e-10, 500,
-                         k=doubling_constant(L1, PointSampler(1, seed=4), 256))
-    assert tr.converged
-    assert tr.k_used is not None and tr.k_used == pytest.approx(2.0)
+def test_solve_via_power_takes_the_callers_k():
+    # l1 doubles exactly: k = 2, and c**2 k = 1/2 is not below 1/2
+    tr = solve_via_power(MapSpec.half(), L1, 0.5, [1.0], 1e-10, 500, k=2.0)
+    assert tr.converged and tr.k_used == 2.0 and tr.power == 3
 
 
 @pytest.mark.parametrize("phi,reason", [(Phi.EXP_MINUS_ONE, "unbounded")])

@@ -179,7 +179,7 @@ def test_a_stop_on_a_blocks_first_row_reads_the_row_before(tmp_path):
 
 
 def _failing_on_call(n):
-    """A batched l1 functional on R^3 whose n-th call raises."""
+    """An l1 functional on R^3 whose n-th call raises."""
     calls = []
 
     def failing(a):
@@ -188,7 +188,7 @@ def _failing_on_call(n):
             raise RuntimeError("functional failed")
         return np.sum(np.abs(a), axis=-1)
 
-    return NamedFunctional("l1", failing, dim=3, batched=True)
+    return NamedFunctional("l1", failing, dim=3)
 
 
 def _ended_by_call(tmp_path, call) -> dict:
@@ -199,7 +199,7 @@ def _ended_by_call(tmp_path, call) -> dict:
     path = tmp_path / "trace.npy"
     with pytest.raises(RuntimeError, match="functional failed"), trace_file(path, 3) as file:
         picard_solve(T, _failing_on_call(call), X0, 1e-10, 10_000, file=file)
-    m = NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=3, batched=True)
+    m = NamedFunctional("l1", lambda a: np.sum(np.abs(a), axis=-1), dim=3)
     full = picard_solve(T, m, X0, 1e-10, 10_000)
     assert path.read_bytes() == _saved(full.table[: solver._BLOCK_MIN * (call - 1)])
     return read_trace(path)
