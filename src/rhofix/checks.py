@@ -153,16 +153,6 @@ class PointSampler:
     def point(self) -> np.ndarray:
         return self.points(1)[0]
 
-    def directions(self, n: int) -> np.ndarray:
-        """An (n, dim) batch rescaled to unit sup-norm per row; the rows
-        that are all zeros are redrawn after all n rows, by one
-        `directions` call for all of them."""
-        out = self.points(n)
-        zero = _unit_rows(out)
-        if zero.size:
-            out[zero] = self.directions(zero.size)
-        return out
-
     def units(self, n: int) -> np.ndarray:
         return self.rng.uniform(size=n)
 
@@ -280,15 +270,17 @@ def _walk(sampler: PointSampler, trials: int, streams, judge, lead: int = 0) -> 
 
     Every check keeps one rule: a block draws its rows, is judged, folds
     into the report (in row order) and running maxima, and is dropped
-    before the next block draws; only the doubling estimate's all-zero
-    row indices also cross blocks. So a check holds one block whatever
+    before the next block draws. So a check holds one block whatever
     `trials` is, and its result is the one-batch result bit for bit.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     bits, size = sampler.rng.bit_generator, max(1, _CHECK_VALUES // sampler.dim)
     total, pos = lead + trials, 0  # pos: the words drawn so far, across the streams
     starts = [0, *accumulate(trials * words for _, words in streams)]
-    ends = [*range(size, total - size // 16, size), total]
-    for at, end in zip([0, *ends], ends):
+    cut = total - size // 16  # a block ending at or past it takes in the rest
+    for at in range(0, max(cut, 1), size):
+        end = at + size if at + size < cut else total
         lo, hi, each = max(at - lead, 0), end - lead, iter(zip(starts, streams))
 
         def draw():
@@ -330,8 +322,6 @@ def check_modular_axioms(m: ModularLike, sampler: PointSampler, trials: int) -> 
     each axiom's violations in row order into a report of its own; the
     report returned joins them: zero_iff, symmetry, then convexity.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rho, dim = m.evaluate_batch, m.dim
     zero_iff, symmetry, convexity = (AxiomReport(trials=trials) for _ in range(3))
 
@@ -357,7 +347,8 @@ def check_modular_axioms(m: ModularLike, sampler: PointSampler, trials: int) -> 
         # larger (smaller); this keeps ties and nan as the scalar checker had them
         symmetry.record_rows("symmetry", (xs[i],), (r, rm),
                              np.where(rm > r, rm, r), np.where(rm < r, rm, r))
-        rhs = rx + ry
+        with np.errstate(over="ignore"):
+            rhs = rx + ry
         i = _ineq_violations(combo, rhs)
         convexity.record_rows("convexity", (xs[i], ys[i]), (a[i], 1.0 - a[i]), combo[i], rhs[i])
 
@@ -371,8 +362,6 @@ def check_s_convexity(m: ModularLike, s: float, sampler: PointSampler, trials: i
     on the draws of `check_modular_axioms`, in its blocks."""
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rho, dim = m.evaluate_batch, m.dim
     rep = AxiomReport(trials=trials)
 
@@ -381,7 +370,7 @@ def check_s_convexity(m: ModularLike, s: float, sampler: PointSampler, trials: i
         b = (1.0 - a**s) ** (1.0 / s)
         lhs = m._evaluate_owned(a[:, None] * xs + b[:, None] * ys)
         # a vanished coefficient removes its term even against an infinite rho
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             rhs = (np.where(a == 0.0, 0.0, a**s * rho(xs))
                    + np.where(b == 0.0, 0.0, b**s * rho(ys)))
         i = _ineq_violations(lhs, rhs)
@@ -511,48 +500,36 @@ def delta2_type_estimate(m: ModularLike, sampler: PointSampler, trials: int) -> 
     with rho(x) = 0 at nonzero x raises InvalidModularError: no finite K
     can exist for such a functional.
 
-    The directions are `sampler.directions(trials)`. A block's rows that
-    are all zeros, one in 64**d, measure nothing there; after the walk, one
-    `directions` call redraws all of them, as the whole draw redraws them
-    after its last row, and they are judged at their own scales.
+    The directions are `sampler.points(trials)`, each row scaled to unit
+    sup-norm and judged in its `_walk` block; a row that is all zeros, one
+    in 64**d, measures nothing and is masked.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rho, dim = m.evaluate_batch, m.dim
     top = np.full(2, -INF)  # the largest ratio, and the largest at exps <= 2
-    zeros, held = [], []  # rows at rho(x) = 0; each block's all-zero rows
+    first = trials  # the first row at rho(x) = 0, if it is below trials
 
-    def ratios(rows, U, hold):
-        """Judge the rows `rows` (ascending) of directions U, scaled in
-        place; the rows `hold` of U are all zeros and measure nothing."""
-        exps = _exps(trials, rows)
+    def judge(at, end, draw):
+        nonlocal first
+        U = draw()
+        hold = _unit_rows(U)
+        exps = _exps(trials, np.arange(at, end))
         X = np.multiply((10.0**exps)[:, None], U, out=U)
         r1 = rho(X)
         zero = _zero_at_nonzero(r1, X)
         if zero.size:
-            zeros.append(int(rows[zero[0]]))
+            first = min(first, at + int(zero[0]))
             return
         r2 = m._evaluate_owned(2.0 * X)
-        with np.errstate(invalid="ignore"):  # inf / inf, or 0 / 0 at a held row
+        with np.errstate(invalid="ignore"):  # inf / inf, or 0 / 0 at an all-zero row
             ratio = np.where(np.isinf(r1), -INF, r2 / r1)  # both-inf samples are indeterminate
         ratio[hold] = -INF
         early = np.searchsorted(exps, 2.0, side="right")  # the rows at exps <= 2 lead
         np.maximum(top, (np.max(ratio), np.max(ratio[:early], initial=-INF)), out=top)
 
-    def judge(at, end, draw):
-        U = draw()
-        hold = _unit_rows(U)
-        held.append(at + hold)
-        ratios(np.arange(at, end), U, hold)
-
     _walk(sampler, trials, ((sampler.points, dim),), judge)
-    rows = np.concatenate(held)
-    if rows.size:  # the redraws follow the last row in the stream
-        ratios(rows, sampler.directions(rows.size), rows[:0])
-    if zeros:
-        i = min(zeros)
+    if first < trials:
         raise InvalidModularError(
-            f"rho(x) = 0 at a nonzero point (scale 1e{_exps(trials, [i])[0]:+.2f}); "
+            f"rho(x) = 0 at a nonzero point (scale 1e{_exps(trials, [first])[0]:+.2f}); "
             "no doubling constant exists"
         )
     best, best_before_top = top.tolist()
@@ -615,13 +592,14 @@ def check_fatou_sampled(
     rep = AxiomReport(trials=len(U))
     if not len(U):
         return rep
-    powers = ratio ** np.arange(1, steps + 1)
     tail = math.ceil(steps / 2)
-    # every direction's sequence in one (directions * steps, d) batch: row
-    # (j, n) is gap + ratio**n (u_j - v_j), the same operations per entry
+    # the tail's powers sliced from all steps', so each keeps its bits
+    powers = (ratio ** np.arange(1, steps + 1))[-tail:]
+    # every direction's tail in one (directions * tail, d) batch: row (j, n)
+    # is gap + ratio**n (u_j - v_j), the same operations per entry
     seqs = gap + powers[:, None] * (U - V)[:, None, :]
-    mods = m._evaluate_owned(seqs.reshape(-1, xa.size)).reshape(len(U), steps)
-    liminf_proxy = np.min(mods[:, -tail:], axis=1)  # one per direction
+    mods = m._evaluate_owned(seqs.reshape(-1, xa.size)).reshape(len(U), tail)
+    liminf_proxy = np.min(mods, axis=1)  # one per direction
     lhs = np.full(liminf_proxy.shape, lhs)
     i = _ineq_violations(lhs, liminf_proxy)
     rep.record_rows("fatou", (U[i], V[i]), (ratio, float(steps)), lhs[i], liminf_proxy[i])

@@ -54,13 +54,12 @@ EXIT_USAGE = 2
 VERIFY_TRIALS = 512
 
 # the keys that size each subcommand's arrays, as (key, ProblemConfig field).
-# The sampled checks walk their trials in blocks of at most 16,384 entries;
-# per trial they keep only the doubling estimate's rows whose direction was
-# all zeros, held for their redraw after the last trial (one row in 64**d,
-# so about check.trials / 64 at d = 1). A solve's trace streams to its
-# file, so its arrays are blocks of points, as wide as the initial point
+# The sampled checks walk their trials in blocks of at most 16,384 entries
+# and at least one row, as wide as the initial point, and keep nothing per
+# trial; the Fatou check evaluates 8 * ceil(check.fatou_steps / 2) rows. A
+# solve's trace streams to its file, so its arrays are blocks of points
 _SIZE_KEYS = {
-    "check": (("check.trials", "trials"), ("check.fatou_steps", "fatou_steps")),
+    "check": (("len(initial_point)", "dim"), ("check.fatou_steps", "fatou_steps")),
     "solve": (("len(initial_point)", "dim"),),
     "certificate": (("chain.N", "chain_n"),),
 }

@@ -308,8 +308,6 @@ def _ratio_check(
     so is a ratio of 0 between two positive modulars. Whether Tx = Ty on a
     row whose modular reads 0 is read off the block's own images.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     dim = _map_dim(T, m, np.zeros(sampler.dim))
     rep, top, tied = AxiomReport(trials=trials), None, False  # top: the largest ratio so far
 
@@ -322,15 +320,18 @@ def _ratio_check(
             Y = draw() if at >= dim else np.vstack((Y, draw()))
         db = m._evaluate_owned(X - Y)
         TX, TY = T.apply(X), T.apply(Y)
-        diff = np.subtract(TX, TY)  # scale (Tx - Ty) is formed in its own buffer
-        lb = m._evaluate_owned(np.multiply(scale, diff, out=diff))
-        with np.errstate(invalid="ignore"):  # 0 * inf: a zero factor bounds an infinite gap by 0
+        # inf - inf, and overflows of the scaling, the bound or a ratio, are
+        # judged as their nan or inf; 0 * inf: a zero factor bounds an
+        # infinite gap by 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.subtract(TX, TY)  # scale (Tx - Ty) is formed in its own buffer
+            lb = m._evaluate_owned(np.multiply(scale, diff, out=diff))
             rhs = np.where(np.isinf(db), INF if factor > 0.0 else 0.0, factor * db)
+            ok = np.flatnonzero((db > 0.0) & (db < INF) & ~np.isinf(lb))
+            if ok.size:  # a nan ratio stays on top, as in one np.max over every row
+                top = np.max(lb[ok] / db[ok], initial=-INF if top is None else top)
         i = _ineq_violations(lb, rhs)
         rep.record_rows(axiom, (X[i], Y[i]), scalars, lb[i], rhs[i])
-        ok = np.flatnonzero((db > 0.0) & (db < INF) & ~np.isinf(lb))
-        if ok.size:  # a nan ratio stays on top, as in one np.max over every row
-            top = np.max(lb[ok] / db[ok], initial=-INF if top is None else top)
         if not tied and np.count_nonzero(lb) < lb.size:
             # a ratio of 0 counts only where Tx = Ty exactly: at Tx != Ty
             # rho(Tx - Ty), or the ratio itself, underflowed

@@ -29,6 +29,7 @@ from rhofix import (
     NamedFunctional,
     Phi,
     PointSampler,
+    delta2_type_estimate,
     verify_contraction,
     verify_s_contraction,
 )
@@ -230,4 +231,25 @@ def test_the_contraction_check_peak_does_not_grow_with_its_trials():
     # dropped: kept for all trials, rho(x - y) and rho(Tx - Ty) took the
     # peak from 2.8 MB at 50,000 trials to 28 MB at 500,000
     small, large = _contraction_peak(50_000), _contraction_peak(500_000)
+    assert large <= 1.5 * small
+
+
+def _estimate_peak(trials: int) -> int:
+    """The traced peak of a d = 1 doubling estimate at `trials`, once
+    numpy's own first-call allocations are made."""
+    m = ModularSpec.p_power(1.0, 1)
+    delta2_type_estimate(m, PointSampler(1, seed=0), 64)
+    tracemalloc.start()
+    try:
+        delta2_type_estimate(m, PointSampler(1, seed=0), trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_doubling_estimate_peak_does_not_grow_with_its_trials():
+    # a direction that is all zeros (one row in 64 at d = 1) is masked in
+    # its block: held for a redraw after the walk, those rows took the
+    # peak from 1.1 MB at 10**6 trials to 41 MB at 4 * 10**7
+    small, large = _estimate_peak(500_000), _estimate_peak(5_000_000)
     assert large <= 1.5 * small

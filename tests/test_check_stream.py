@@ -3,7 +3,7 @@ the one batch each made before, bit for bit.
 
 The `_one_batch_*` functions below are the earlier checkers written out
 here: every stream drawn whole (all x, then all y, then all a; or all
-directions, with the zero rows redrawn after them), each modular one batch
+directions, with the zero rows masked), each modular one batch
 evaluation, and each axiom's violations recorded in turn. The checkers now
 walk their trials in `checks._walk` blocks of max(1, 16,384 // d) rows,
 which must change no witness, its order, no count, no bit of a slack or a
@@ -82,31 +82,29 @@ def _one_batch_s_convexity(m, s, sampler, trials) -> AxiomReport:
     return rep
 
 
-def _one_batch_directions(sampler, n) -> np.ndarray:
-    """All n rows, then each round of redraws of the rows still all zeros."""
+def _one_batch_directions(sampler, n) -> tuple[np.ndarray, np.ndarray]:
+    """All n rows scaled to unit sup-norm, and the mask of the rows that
+    are all zeros: they are left as they are, not redrawn."""
     out = sampler.points(n)
     sup = np.max(np.abs(out), axis=1)
-    redraw = np.flatnonzero(sup == 0.0)
-    while redraw.size:
-        out[redraw] = sampler.points(redraw.size)
-        sup[redraw] = np.max(np.abs(out[redraw]), axis=1)
-        redraw = redraw[sup[redraw] == 0.0]
-    return out / sup[:, None]
+    zero = sup == 0.0
+    return out / np.where(zero, 1.0, sup)[:, None], zero
 
 
 def _one_batch_delta2(m, sampler, trials):
     """(constant, unbounded) of `delta2_type_estimate` as one batch, or the
     text of its InvalidModularError."""
     exps = np.linspace(-3.0, 3.0, trials) if trials > 1 else np.array([-3.0])
-    X = (10.0**exps)[:, None] * _one_batch_directions(sampler, trials)
+    U, zero = _one_batch_directions(sampler, trials)
+    X = (10.0**exps)[:, None] * U
     r1 = m.evaluate_batch(X)
-    if np.any(r1 == 0.0):
-        i = int(np.flatnonzero(r1 == 0.0)[0])
+    if np.any((r1 == 0.0) & ~zero):
+        i = int(np.flatnonzero((r1 == 0.0) & ~zero)[0])
         return (f"rho(x) = 0 at a nonzero point (scale 1e{exps[i]:+.2f}); "
                 "no doubling constant exists")
     r2 = m.evaluate_batch(2.0 * X)
     with np.errstate(invalid="ignore"):
-        ratio = np.where(np.isinf(r1), -INF, r2 / r1)
+        ratio = np.where(np.isinf(r1) | zero, -INF, r2 / r1)
     best = float(np.max(ratio))
     if best == -INF:
         best = 0.0
@@ -145,8 +143,8 @@ class _Sampled:
 
 
 def assert_same_estimate(m, d, trials, seed):
-    """The estimate, the points it sampled (redrawn rows at their scales
-    among them) and the generator's state after it are the one batch's."""
+    """The estimate, the points it sampled and the generator's state after
+    it are the one batch's."""
     got, want = _Sampled(m), _Sampled(m)
     got_sampler, want_sampler = PointSampler(d, seed), PointSampler(d, seed)
     assert _delta2(got.m, got_sampler, trials) == _one_batch_delta2(want.m, want_sampler, trials)
@@ -214,13 +212,27 @@ def test_streamed_delta2_matches_the_one_batch_estimate(d, trials, phi):
     assert_same_estimate(ModularSpec.orlicz(phi, d), d, trials, seed=7)
 
 
-def test_zero_directions_of_an_earlier_block_are_redrawn_after_the_last():
-    # at d = 1 about one direction in 64 is 0: the first of 3 blocks holds
-    # some, whose redraws follow the last block's rows in the stream
+def test_zero_directions_are_masked_and_not_redrawn(monkeypatch):
+    # at d = 1 about one direction in 64 is 0: it measures nothing and is
+    # not redrawn, so the estimate draws exactly `points(trials)`, here over
+    # 3 blocks that each hold some
     trials = 3 * 16_384 + 7
     assert np.any(PointSampler(1, seed=7).points(16_384) == 0.0)
     for m in (ModularSpec.orlicz(Phi.U_LOG, 1), INVALID_FUNCTIONALS["sign_skewed"][0]):
         assert_same_estimate(m, 1, trials, seed=7)
+    # dead_zone is 0 on [-1, 1], so every row below scale 1 is at rho 0;
+    # with row 0 drawn as 0, the error names row 1's scale. Blocks of 4
+    # rows keep the rows' scales apart
+    seed = next(s for s in range(1000)
+                if np.array_equal(PointSampler(1, s).points(2)[:, 0] == 0.0, [True, False]))
+    monkeypatch.setattr(checks, "_CHECK_VALUES", 4)
+    m, trials = INVALID_FUNCTIONALS["dead_zone"][0], 40
+    got_sampler, want_sampler = PointSampler(1, seed), PointSampler(1, seed)
+    got = _delta2(m, got_sampler, trials)
+    assert f"(scale 1e{np.linspace(-3.0, 3.0, trials)[1]:+.2f})" in got
+    assert got == _one_batch_delta2(m, PointSampler(1, seed), trials)
+    want_sampler.points(trials)
+    _same_state(got_sampler, want_sampler)
 
 
 @st.composite
@@ -246,8 +258,8 @@ DELTA2_MODULARS = {
        case=st.sampled_from(sorted(_cases(1))))
 def test_blocked_estimates_and_contraction_checks_match_their_one_batch_references(
         seed, counts, modular, case):
-    # at d = 1 about one direction in 64 is 0, so past 17,408 trials more
-    # than one block holds zero directions, all redrawn after the walk
+    # at d = 1 about one direction in 64 is 0, so every block holds zero
+    # directions, each masked where it is drawn
     d, trials = counts
     assert_same_estimate(DELTA2_MODULARS[modular](d), d, trials, seed)
     T, m, c = _cases(d)[case]
@@ -296,21 +308,6 @@ def test_sign_skewed_symmetry_witnesses_come_before_the_first_blocks_convexity(m
     assert [v.axiom for v in got.violations] == ["zero_iff"] + ["symmetry"] * 19
     assert got.axiom_counts["convexity"] > 0
     assert_same_report(got, _one_batch_axioms(m, want_sampler, trials))
-    _same_state(got_sampler, want_sampler)
-
-
-def test_a_redrawn_first_zero_row_is_the_one_named(monkeypatch):
-    # dead_zone is 0 on [-1, 1], so every row below scale 1 is at rho 0.
-    # With the first direction drawn as 0, row 0 is redrawn after the last
-    # block, and is still the first row at rho 0: the error names its scale,
-    # 1e-3.00, not row 1's. Blocks of 4 rows keep the rows' scales apart
-    seed = next(s for s in range(1000) if PointSampler(1, s).points(1)[0, 0] == 0.0)
-    monkeypatch.setattr(checks, "_CHECK_VALUES", 4)
-    m, trials = INVALID_FUNCTIONALS["dead_zone"][0], 40
-    got_sampler, want_sampler = PointSampler(1, seed), PointSampler(1, seed)
-    got = _delta2(m, got_sampler, trials)
-    assert "(scale 1e-3.00)" in got
-    assert got == _one_batch_delta2(m, want_sampler, trials)
     _same_state(got_sampler, want_sampler)
 
 

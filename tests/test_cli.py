@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,8 +216,8 @@ def test_the_largest_size_numpy_can_make_loads(tmp_path, section, key):
 
 
 @pytest.mark.parametrize("command, targets, named", [
-    ("check", ["check_modular_axioms"], "check.trials = 4000, check.fatou_steps = 20"),
-    ("check", ["check_fatou_sampled"], "check.trials = 4000, check.fatou_steps = 20"),
+    ("check", ["check_modular_axioms"], "len(initial_point) = 1, check.fatou_steps = 20"),
+    ("check", ["check_fatou_sampled"], "len(initial_point) = 1, check.fatou_steps = 20"),
     ("solve", ["picard_solve", "solve_via_power"], "len(initial_point) = 1"),
     ("certificate", ["build_chain"], "chain.N = 30"),
 ])
@@ -231,6 +232,29 @@ def test_a_run_out_of_memory_exits_2_naming_its_size_keys(tmp_path, capsys, monk
     assert main([command, "--config", half_cfg(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {named}: ") and "Traceback" not in err
+
+
+def test_overflowing_checks_warn_nothing(tmp_path):
+    # lam = 1e308 maps far points to inf, so Tx - Ty is inf - inf, and the
+    # scaled form's c (Tx - Ty) and its ratios overflow; a weight of 1e300
+    # at p = 3 overflows rho(x) + rho(y). Each is judged as its inf or nan
+    huge = {"kind": "logistic_damped", "lam": 1.0e308}
+    runs = [
+        ("solve", {"map": huge}, 1),
+        ("certificate", {"map": huge}, 1),
+        ("solve", {"map": {**huge, "c": 2.0, "k": 0.5, "s": 1.0}}, 1),
+        ("certificate", {"map": {**huge, "c": 2.0, "k": 0.5, "s": 1.0}}, 1),
+        ("check", {"space": {"family": "weighted_sum", "p": 3, "weights": [1.0e300]}}, 0),
+        ("check", {"space": {"family": "weighted_sum", "p": 3, "weights": [1.0e300]},
+                   "check": {"s": 0.5}}, 0),
+    ]
+    for i, (command, tree, code) in enumerate(runs):
+        path = write_cfg(tmp_path / f"{i}.yaml", {
+            "space": {"family": "ppower", "p": 1}, "initial_point": [1.0], **tree})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", path, "--out", str(tmp_path / f"o{i}"),
+                         "--quiet"]) == code
 
 
 def test_check_valid_space_exits_0(tmp_path):

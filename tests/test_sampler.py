@@ -55,15 +55,6 @@ class ReferenceSampler:
     def point(self):
         return self.points(1)[0]
 
-    def directions(self, n):
-        out = self.points(n)
-        sup = np.max(np.abs(out), axis=1)
-        while np.any(sup == 0.0):
-            bad = sup == 0.0
-            out[bad] = self.points(int(bad.sum()))
-            sup = np.max(np.abs(out), axis=1)
-        return out / sup[:, None]
-
     def units(self, n):
         return self.rng.uniform(size=n)
 
@@ -110,11 +101,6 @@ def test_point_stream_is_pinned():
     assert _sha(pts) == "caaf9f07918533163d98daddf46b88ffca8cd64548b18af2413dfde9f17e8eea"
 
 
-def test_directions_stream_is_pinned():
-    assert _sha(PointSampler(4, SEED).directions(2000)) == (
-        "84dc11aabd39ade83560796f512d3a770fa4d6a73b2a09414e9da7b3f11832d4")
-
-
 def test_units_stream_is_pinned():
     assert _sha(PointSampler(2, SEED).units(100)) == (
         "8e9479c6971281e9acec07240695e5f4b51a52ac6de5b9e44299ee6e0e3198c8")
@@ -122,7 +108,7 @@ def test_units_stream_is_pinned():
 
 # --- against the reference ----------------------------------------------------
 
-CALLS = st.sampled_from(["points", "points", "directions", "point", "units"])
+CALLS = st.sampled_from(["points", "points", "point", "units"])
 
 
 @settings(max_examples=60)
@@ -132,16 +118,14 @@ CALLS = st.sampled_from(["points", "points", "directions", "point", "units"])
     seed=st.integers(0, 2**64 - 1),
     calls=st.lists(CALLS, min_size=1, max_size=3),
 )
-@example(n=600, d=300, seed=2**64 - 1, calls=["points", "directions", "units"])
+@example(n=600, d=300, seed=2**64 - 1, calls=["points", "points", "units"])
 @example(n=0, d=1, seed=0, calls=["points", "point", "points"])
-@example(n=1, d=1, seed=1, calls=["directions", "point", "point"])
+@example(n=1, d=1, seed=1, calls=["points", "point", "point"])
 def test_sampler_matches_reference_bit_for_bit(n, d, seed, calls):
     new, ref = PointSampler(d, seed), ReferenceSampler(d, seed)
     for call in calls:
         if call == "point":
             got, want = new.point(), ref.point()
-        elif call == "directions":
-            got, want = new.directions(max(n, 1)), ref.directions(max(n, 1))
         else:
             got, want = getattr(new, call)(n), getattr(ref, call)(n)
         assert got.shape == want.shape and got.dtype == want.dtype
@@ -177,15 +161,6 @@ def test_every_kind_and_binade_decodes_as_the_reference():
     assert np.all(np.abs(got[(kind >= 7) & (kind < 36)]) < 1.0)
     mags = np.abs(got[kind >= 36])
     assert mags.min() == 2.0**-16 and mags.max() == np.nextafter(2.0**16, 0.0)
-
-
-@pytest.mark.parametrize("d", [1, 2, 5])
-def test_directions_redraw_zero_rows_like_the_reference(d):
-    # at d = 1, about one row in 64 draws the special value 0 and is redrawn
-    new, ref = PointSampler(d, 3), ReferenceSampler(d, 3)
-    for _ in range(3):
-        assert np.array_equal(_bits(new.directions(5000)), _bits(ref.directions(5000)))
-        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 # --- memory -------------------------------------------------------------------
